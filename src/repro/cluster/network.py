@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ConfigError, TransferError
-from repro.sim.core import Environment
+from repro.sim.core import AllOf, Environment
 from repro.sim.fluid import FluidNetwork
 from repro.sim.resources import SharedBandwidth, Signal
 from repro.sim.rng import RngStreams
@@ -148,6 +148,7 @@ class Fabric:
         #: `fluid` tier only: fixed latencies ride as flow tails.
         self.fold_latency = fold_latency and fluid is not None
         self._nics: Dict[str, NIC] = {}
+        self._path_latency = config.hop_latency * config.hops
         self._link_down: Dict[str, Signal] = {}
         if config.bisection_bandwidth is None:
             self._bisection = None
@@ -180,7 +181,7 @@ class Fabric:
 
     def path_latency(self) -> float:
         """Base node-to-node wire latency (before jitter)."""
-        return self.config.hop_latency * self.config.hops
+        return self._path_latency
 
     def channels(self):
         """Every fluid-flow channel in the fabric (NICs + bisection)."""
@@ -269,18 +270,23 @@ class Fabric:
             raise ValueError(f"negative transfer size: {nbytes}")
         if src == dst:
             # Loopback never touches the wire: a small fixed memcpy-ish cost.
-            start = self.env.now
+            start = self.env._now
             yield self.env.timeout(self._jittered("fabric.loopback", setup / 2))
-            return self.env.now - start
+            return self.env._now - start
         src_nic = self.nic(src)
         dst_nic = self.nic(dst)
-        start = self.env.now
+        env = self.env
+        start = env._now
         if self._link_down:  # single falsy check on the fault-free hot path
             yield from self._await_links(src, dst)
-        latency = self._jittered("fabric.latency", setup + self.path_latency())
+        # every message and transfer passes here: _jittered, inlined
+        latency = setup + self._path_latency
+        cv = self.config.jitter_cv
+        if cv != 0.0:
+            latency = self._rng.jitter("fabric.latency", latency, cv)
         fluid = self.fluid
         if fluid is None:
-            yield self.env.timeout(latency)
+            yield env.timeout(latency)
             if nbytes:
                 flows = [
                     src_nic.egress.transfer(nbytes),
@@ -288,7 +294,7 @@ class Fabric:
                 ]
                 if self._bisection is not None:
                     flows.append(self._bisection.transfer(nbytes))
-                yield self.env.all_of(flows)
+                yield AllOf(env, flows)
         else:
             # Fluid tiers: one jointly-rated flow across the whole path
             # instead of independent per-channel flows joined by all_of.
@@ -313,7 +319,7 @@ class Fabric:
         self.stats.bytes_moved += nbytes
         if self._m_bytes is not None:
             self._m_bytes.add(nbytes)
-        return self.env.now - start
+        return self.env._now - start
 
     def transfer(self, src: str, dst: str, nbytes: int):
         """Generator: two-sided bulk transfer; returns elapsed seconds."""

@@ -204,7 +204,7 @@ class SSDModel:
         """Generator: write ``nbytes``; returns elapsed seconds."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
-        start = self.env.now
+        start = self.env._now
         if self._fold:
             yield self._write_chan.transfer(
                 nbytes, tail=self._latency("wlat", self.config.write_latency))
@@ -215,13 +215,13 @@ class SSDModel:
                 yield self._write_chan.transfer(nbytes)
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
-        return self.env.now - start
+        return self.env._now - start
 
     def read(self, nbytes: int):
         """Generator: read ``nbytes``; returns elapsed seconds."""
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
-        start = self.env.now
+        start = self.env._now
         if self._fold:
             yield self._read_chan.transfer(
                 nbytes, tail=self._latency("rlat", self.config.read_latency))
@@ -232,4 +232,4 @@ class SSDModel:
                 yield self._read_chan.transfer(nbytes)
         self.stats.reads += 1
         self.stats.bytes_read += nbytes
-        return self.env.now - start
+        return self.env._now - start

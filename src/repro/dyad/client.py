@@ -87,7 +87,7 @@ class DyadProducerClient:
             raise DyadError(f"{path} is outside managed root {cfg.managed_root}")
         regions = _Regions(annotator)
         staging = self.service.staging
-        start = self.env.now
+        start = self.env._now
 
         regions.begin("dyad_produce", Category.MOVEMENT)
         yield self.env.timeout(cfg.client_overhead)
@@ -100,7 +100,7 @@ class DyadProducerClient:
         if stale:
             regions.begin("dyad_commit")
             yield from self.runtime.mdm.publish(self.node_id, path, nbytes)
-            self.last_commit_time = self.env.now
+            self.last_commit_time = self.env._now
             regions.end("dyad_commit")
 
         regions.begin("write_single_buf")
@@ -125,11 +125,11 @@ class DyadProducerClient:
         if not stale:
             regions.begin("dyad_commit")
             yield from self.runtime.mdm.publish(self.node_id, path, nbytes)
-            self.last_commit_time = self.env.now
+            self.last_commit_time = self.env._now
             regions.end("dyad_commit")
 
         regions.end("dyad_produce")
-        return self.env.now - start
+        return self.env._now - start
 
 
 class DyadConsumerClient:
@@ -398,7 +398,7 @@ class DyadConsumerClient:
                 # untouched.
                 if guard is not None:
                     self.service.inflight_pulls.pop(record.path, None)
-                    guard.fire_once(self.env.now)
+                    guard.fire_once(self.env._now)
         regions.end("dyad_consume")
 
         if remote and not cfg.cache_on_consume:

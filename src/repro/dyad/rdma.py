@@ -71,7 +71,7 @@ class RdmaTransport(_FaultModel):
         if nbytes < 0:
             raise TransferError(f"negative rdma size: {nbytes}")
         env = self.fabric.env
-        start = env.now
+        start = env._now
         if nbytes == 0 or initiator == target:
             # Collocated or empty get: served from the local page cache.
             return 0.0
@@ -90,7 +90,7 @@ class RdmaTransport(_FaultModel):
             yield from self.fabric.rdma_get_bulk(
                 initiator, target, nbytes, self.chunk
             )
-            return env.now - start
+            return env._now - start
         remaining = nbytes
         jobs = []
         while remaining > 0:
@@ -100,7 +100,7 @@ class RdmaTransport(_FaultModel):
                 env.process(self._one_chunk(initiator, target, size))
             )
         yield env.all_of(jobs)
-        return env.now - start
+        return env._now - start
 
     def _one_chunk(self, initiator: str, target: str, size: int) -> Generator:
         yield from self.fabric.rdma_get(initiator, target, size)
@@ -138,7 +138,7 @@ class EagerTransport(_FaultModel):
         if nbytes < 0:
             raise TransferError(f"negative transfer size: {nbytes}")
         env = self.fabric.env
-        start = env.now
+        start = env._now
         if nbytes == 0 or initiator == target:
             return 0.0
         if self.should_fail():
@@ -151,7 +151,7 @@ class EagerTransport(_FaultModel):
         setup = self.fabric.config.message_setup * serialized
         yield env.timeout(setup)
         yield from self.fabric.transfer(target, initiator, nbytes)
-        return env.now - start
+        return env._now - start
 
 
 def make_transport(config, fabric: Fabric, rng: Optional[RngStreams] = None):

@@ -109,7 +109,7 @@ class DyadService:
         is refused, and the consumer's backoff absorbs the window. With
         checks off the short frame is served as-is (``count < nbytes``).
         """
-        start = self.env.now
+        start = self.env._now
         self._check_up()
         waited = yield from self.requests.acquire(self.config.service_request_time)
         self._check_up()
@@ -148,7 +148,7 @@ class DyadService:
                 f"{self.node.node_id}: staged file {path} has {count} bytes, "
                 f"expected {nbytes} (torn frame refused)"
             )
-        return self.env.now - start, count, payload
+        return self.env._now - start, count, payload
 
 
 class DyadRuntime:

@@ -143,7 +143,7 @@ class KVS:
         Commit is globally visible once the RPC completes; watchers are
         woken through a pushed notification paying one message latency.
         """
-        start = self.env.now
+        start = self.env._now
         yield from self._rpc(client, self.config.commit_service)
         self._data[key] = value
         self.stats.commits += 1
@@ -154,7 +154,7 @@ class KVS:
             woken = sig.fire_once(value)
             if self._m_wakeups is not None:
                 self._m_wakeups.add(woken)
-        return self.env.now - start
+        return self.env._now - start
 
     def lookup(self, client: str, key: str) -> Generator:
         """Generator: fetch a committed value; raises :class:`KeyNotFound`.

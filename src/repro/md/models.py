@@ -16,6 +16,7 @@ we keep the paper's numbers and surface the computed frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 from repro.md.frame import frame_size
@@ -47,7 +48,7 @@ class MolecularModel:
     paper_frame_bytes: int  # Table I value, for cross-checking the codec
 
     # -- derived quantities ----------------------------------------------------
-    @property
+    @cached_property
     def frame_bytes(self) -> int:
         """Frame size from the codec (44-byte header + 28 B/atom).
 

@@ -28,7 +28,10 @@ kernel is tuned for exactly that call:
   evaluated and rejected: user code may keep references to fired timeouts, so
   reuse could silently corrupt a later run's determinism);
 - :meth:`Environment.run` inlines the dispatch loop instead of calling
-  :meth:`step` per event.
+  :meth:`step` per event;
+- :class:`AllOf`/:class:`AnyOf` build and trigger inline, pushing the same
+  heap entry (same ``_seq``) :meth:`Event.succeed` would, and a
+  :class:`Process` binds its ``_resume`` callback once, not per wait.
 
 Heap entries deliberately stay plain tuples: tuple comparison happens in C
 during heap sifts, whereas comparing event objects via ``__lt__`` would call
@@ -200,7 +203,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         self.env = env
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resume_cb]
         self._ok = True
         self._value = None
         self._defused = False
@@ -215,7 +218,7 @@ class Process(Event):
     inside the generator to wait for it.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator", "_target", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
@@ -223,6 +226,9 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None  # event we are waiting on
+        # Bound once: every wait appends this same callback. Cleared when
+        # the generator finishes, which breaks the process -> method cycle.
+        self._resume_cb: Optional[Callable[[Event], None]] = self._resume
         Initialize(env, self)
 
     @property
@@ -247,11 +253,11 @@ class Process(Event):
         # Stop listening to the old target, listen to the interrupt instead.
         if self._target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                self._target.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
         self._target = event
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._resume_cb)
         self.env._schedule(event, priority=URGENT)
 
     # -- machinery ---------------------------------------------------------
@@ -274,11 +280,13 @@ class Process(Event):
                 except StopIteration as exc:
                     self._ok = True
                     self._value = exc.value
+                    self._resume_cb = None
                     env._schedule(self)
                     break
                 except BaseException as exc:
                     self._ok = False
                     self._value = exc
+                    self._resume_cb = None
                     env._schedule(self)
                     break
 
@@ -300,7 +308,7 @@ class Process(Event):
                 if target.callbacks is not None:
                     # Event still pending / not processed: wait for it.
                     self._target = target
-                    target.callbacks.append(self._resume)
+                    target.callbacks.append(self._resume_cb)
                     break
                 # Already processed: resume synchronously with its value.
                 event = target
@@ -313,29 +321,47 @@ class ConditionValue(dict):
 
 
 class _Condition(Event):
-    """Base for composite events over a fixed set of sub-events."""
+    """Base for composite events over a fixed set of sub-events.
+
+    Construction and triggering are inlined (no ``Event.__init__`` or
+    ``succeed`` call chain): every I/O transfer waits on an :class:`AllOf`.
+    """
 
     __slots__ = ("_events", "_unfired")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        for ev in self._events:
-            if ev.env is not self.env:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self._events = evs = list(events)
+        for ev in evs:
+            if ev.env is not env:
                 raise SimulationError("event belongs to another Environment")
-        self._unfired = len(self._events)
+        self._unfired = len(evs)
+        check = self._check  # bound once for every sub-event
+        for ev in evs:
+            callbacks = ev.callbacks
+            if callbacks is None:
+                check(ev)
+            else:
+                callbacks.append(check)
+        if not evs:
+            self._trigger()
+
+    def _trigger(self, _push=_heappush) -> None:
+        """Succeed with the fired sub-events, exactly as ``succeed`` would."""
+        value = ConditionValue()
         for ev in self._events:
             if ev.callbacks is None:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-        if not self._events and not self.triggered:
-            self.succeed(ConditionValue())
-
-    def _collect(self) -> ConditionValue:
-        return ConditionValue(
-            (ev, ev._value) for ev in self._events if ev.callbacks is None
-        )
+                value[ev] = ev._value
+        self._ok = True
+        self._value = value
+        env = self.env
+        seq = env._seq
+        env._seq = seq + 1
+        _push(env._heap, (env._now, NORMAL, seq, self))
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -352,7 +378,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event._defused = True
@@ -360,7 +386,7 @@ class AllOf(_Condition):
             return
         self._unfired -= 1
         if self._unfired <= 0:
-            self.succeed(self._collect())
+            self._trigger()
 
 
 class AnyOf(_Condition):
@@ -373,13 +399,13 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event._defused = True
             self.fail(event._value)
             return
-        self.succeed(self._collect())
+        self._trigger()
 
 
 class Environment:

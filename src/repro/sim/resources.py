@@ -159,10 +159,10 @@ class Resource:
         spent waiting in the queue (used by instrumentation to separate
         contention from service).
         """
-        start = self.env.now
+        start = self.env._now
         req = self.request()
         yield req
-        waited = self.env.now - start
+        waited = self.env._now - start
         try:
             yield self.env.timeout(service_time)
         finally:
@@ -305,7 +305,7 @@ class SharedBandwidth:
         self._heap: List = []
         self._seq = 0
         self._virtual = 0.0  # S(t): cumulative per-flow service, in bytes
-        self._last_update = env.now
+        self._last_update = env._now
         self._wake = None  # the single live wake-up Timeout, if any
         self._wake_cb = self._on_wake  # bound once; appended per wake-up
         self._bytes_moved = 0.0  # lifetime accounting, for tests/metrics

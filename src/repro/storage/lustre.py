@@ -25,7 +25,7 @@ everything else the node does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.cluster.network import Fabric
 from repro.errors import ConfigError
@@ -250,14 +250,14 @@ class LustreServers:
     # -- RPC primitives ------------------------------------------------------
     def mds_rpc(self, client: str) -> Generator:
         """Generator: round trip to the MDS including queueing; returns elapsed."""
-        start = self.env.now
+        start = self.env._now
         yield from self.fabric.message(client, self.mds_id)
         service = self._interfere("lustre.mds", self.config.mds_service)
         if self.mds_factor != 1.0:
             service *= self.mds_factor
         yield from self.mds.acquire(service)
         yield from self.fabric.message(self.mds_id, client)
-        return self.env.now - start
+        return self.env._now - start
 
     def bulk_rpcs(self, client: str, ost_index: int, nbytes: int, write: bool) -> Generator:
         """Generator: move ``nbytes`` between ``client`` and one OST.
@@ -270,7 +270,7 @@ class LustreServers:
             return 0.0
         cfg = self.config
         server = self.oss_for_ost(ost_index)
-        start = self.env.now
+        start = self.env._now
         n_rpcs = -(-nbytes // cfg.rpc_size)
         # Fixed per-RPC costs overlap within the in-flight window.
         serialized_rpcs = -(-n_rpcs // cfg.max_rpcs_in_flight)
@@ -288,16 +288,16 @@ class LustreServers:
                 # aggregate bandwidth, and the per-stream burst/sustained
                 # floor. Charge the aggregate-shared transfer, then pad up
                 # to the stream floor if the spindles are the bottleneck.
-                disk_start = self.env.now
+                disk_start = self.env._now
                 yield server.read_disk.transfer(nbytes)
-                elapsed = self.env.now - disk_start
+                elapsed = self.env._now - disk_start
                 floor = self._stream_floor(nbytes)
                 if elapsed < floor:
                     yield self.env.timeout(floor - elapsed)
                 yield from self.fabric.transfer(server.node_id, client, nbytes)
         finally:
             server.queue.release(slot)
-        return self.env.now - start
+        return self.env._now - start
 
 
 def _held(resource: Resource):
@@ -323,6 +323,7 @@ class LustreFileSystem(PosixFileSystem):
         self.config = servers.config
         self.locks = LockTable(servers.env)
         self._next_ost = 0
+        self._layouts: Dict[str, int] = {}  # path -> first OST
 
     def _metadata_lag(self) -> float:
         return self.servers.stale_lag
@@ -330,10 +331,13 @@ class LustreFileSystem(PosixFileSystem):
     # -- striping ------------------------------------------------------------
     def _layout(self, path: str) -> int:
         """First OST index of a file's stripe layout (round-robin by path)."""
-        digest = 0
-        for ch in normalize(path).encode():
-            digest = (digest * 131 + ch) % 1_000_003
-        return digest % self.servers.n_osts
+        first = self._layouts.get(path)
+        if first is None:
+            digest = 0
+            for ch in normalize(path).encode():
+                digest = (digest * 131 + ch) % 1_000_003
+            first = self._layouts[path] = digest % self.servers.n_osts
+        return first
 
     def _stripe_split(self, path: str, nbytes: int) -> List[tuple]:
         """Split a contiguous extent over the stripe OSTs.
@@ -375,17 +379,17 @@ class LustreFileSystem(PosixFileSystem):
 
     def _t_open(self, path: str, creating: bool, client: Optional[str]) -> Generator:
         node = self._require_client(client)
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(self.config.client_overhead)
         yield from self.servers.mds_rpc(node)
         if creating:
             # Layout allocation: a second MDS round trip (LOV EA write).
             yield from self.servers.mds_rpc(node)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_write(self, handle: FileHandle, nbytes: int) -> Generator:
         node = self._require_client(handle.client)
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(self.config.client_overhead)
         if nbytes:
             parts = self._stripe_split(handle.path, nbytes)
@@ -396,11 +400,11 @@ class LustreFileSystem(PosixFileSystem):
                 for ost, share in parts
             ]
             yield self.env.all_of(jobs)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_read(self, handle: FileHandle, nbytes: int) -> Generator:
         node = self._require_client(handle.client)
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(self.config.client_overhead)
         if nbytes:
             parts = self._stripe_split(handle.path, nbytes)
@@ -411,30 +415,30 @@ class LustreFileSystem(PosixFileSystem):
                 for ost, share in parts
             ]
             yield self.env.all_of(jobs)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_close(self, handle: FileHandle) -> Generator:
         node = self._require_client(handle.client)
-        start = self.env.now
+        start = self.env._now
         # close-commit to the MDS (size/timestamps update)
         yield from self.servers.mds_rpc(node)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_fsync(self, handle: FileHandle) -> Generator:
         node = self._require_client(handle.client)
-        start = self.env.now
+        start = self.env._now
         yield from self.servers.mds_rpc(node)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_stat(self, path: str, client: Optional[str]) -> Generator:
         node = self._require_client(client)
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(self.config.client_overhead)
         yield from self.servers.mds_rpc(node)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_unlink(self, path: str, client: Optional[str]) -> Generator:
         node = self._require_client(client)
-        start = self.env.now
+        start = self.env._now
         yield from self.servers.mds_rpc(node)
-        return self.env.now - start
+        return self.env._now - start

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import posixpath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
@@ -31,13 +32,23 @@ from repro.sim.core import Environment
 __all__ = ["FileStat", "FileHandle", "PosixFileSystem", "normalize"]
 
 
+@lru_cache(maxsize=2048)
 def normalize(path: str) -> str:
-    """Normalize to an absolute, ``/``-separated path."""
+    """Normalize to an absolute, ``/``-separated path.
+
+    Memoised (bounded): every open, stat and DYAD key normalizes the same
+    few frame paths over and over.
+    """
     if not path:
         raise StorageError("empty path")
     if not path.startswith("/"):
         path = "/" + path
     norm = posixpath.normpath(path)
+    if norm.startswith("//"):
+        # normpath keeps exactly two leading slashes (POSIX leaves their
+        # meaning to the implementation); this namespace has one root, so
+        # "//dyad/x" is "/dyad/x" to keys and layouts just as to _walk.
+        norm = "/" + norm.lstrip("/")
     return norm
 
 
@@ -187,7 +198,7 @@ class FileHandle:
                 inode.payload[self._offset] ^= 0xFF  # flip a payload byte
         self._offset += nbytes
         inode.version += 1
-        inode.mtime = fs.env.now
+        inode.mtime = fs.env._now
         return elapsed
 
     def read(self, nbytes: Optional[int] = None) -> Generator:
@@ -238,7 +249,7 @@ class PosixFileSystem:
     def __init__(self, env: Environment, store_data: bool = False) -> None:
         self.env = env
         self.store_data = store_data
-        self._root = _Inode("/", is_dir=True, now=env.now)
+        self._root = _Inode("/", is_dir=True, now=env._now)
         # Integrity-fault state, armed/disarmed by the fault injector.
         self._torn_fraction: Optional[float] = None
         self._torn: Dict[str, List[Tuple[_Inode, int, int, Optional[bytes]]]] = {}
@@ -279,7 +290,7 @@ class PosixFileSystem:
         for part in norm.strip("/").split("/"):
             child = parent.children.get(part)
             if child is None:
-                child = _Inode(part, is_dir=True, now=self.env.now)
+                child = _Inode(part, is_dir=True, now=self.env._now)
                 parent.children[part] = child
             elif not child.is_dir:
                 raise NotADirectory(f"{path}: {part!r} is a regular file")
@@ -316,7 +327,7 @@ class PosixFileSystem:
             mode = "w"
         yield from self._t_open(path, creating=creating, client=client)
         if creating:
-            inode = _Inode(parts[-1], is_dir=False, now=self.env.now)
+            inode = _Inode(parts[-1], is_dir=False, now=self.env._now)
             parent.children[parts[-1]] = inode
         assert inode is not None
         if mode in ("w", "w+") and inode.size:
@@ -348,7 +359,7 @@ class PosixFileSystem:
         size, version, mtime = inode.size, inode.version, inode.mtime
         lag = self._metadata_lag()
         if (lag > 0.0 and inode.prev is not None
-                and self.env.now - inode.mtime < lag):
+                and self.env._now - inode.mtime < lag):
             size, version, mtime = inode.prev
         return FileStat(
             path=normalize(path),
@@ -416,7 +427,7 @@ class PosixFileSystem:
                         inode.payload[offset:end] = data
                 inode.intended_size = 0
                 inode.version += 1
-                inode.mtime = self.env.now
+                inode.mtime = self.env._now
                 repaired += 1
         return repaired
 

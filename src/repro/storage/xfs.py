@@ -106,12 +106,12 @@ class XFSFileSystem(PosixFileSystem):
 
     def _t_write(self, handle: FileHandle, nbytes: int) -> Generator:
         self._check_client(handle.client)
-        start = self.env.now
+        start = self.env._now
         grow = max(handle.offset + nbytes - handle._inode.size, 0)
         if grow:
             yield self.env.timeout(self.config.extent_alloc_time * self._extents(grow))
         yield from self.node.ssd.write(nbytes)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_read(self, handle: FileHandle, nbytes: int) -> Generator:
         self._check_client(handle.client)
@@ -122,11 +122,11 @@ class XFSFileSystem(PosixFileSystem):
         return self.config.close_time
 
     def _t_fsync(self, handle: FileHandle) -> Generator:
-        start = self.env.now
+        start = self.env._now
         yield self.env.timeout(self.config.fsync_journal_time)
         # Device cache flush: modelled as a zero-byte write (latency only).
         yield from self.node.ssd.write(0)
-        return self.env.now - start
+        return self.env._now - start
 
     def _t_stat(self, path: str, client: Optional[str]) -> Generator:
         self._check_client(client)

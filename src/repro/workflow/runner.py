@@ -15,6 +15,7 @@ runs every configuration 10 times) and returns the list of results.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -185,9 +186,12 @@ def run_workflow(
     compute = emulator.ComputeModel(
         cluster.rng, jitter_cv if compute_cv is None else compute_cv
     )
-    tracer = Tracer(clock=lambda: env.now) if trace else None
-    timeline = MetricsTimeline(clock=lambda: env.now) if metrics else None
-    caliper = Caliper(clock=lambda: env.now)
+    # a C-level read of the simulation clock: annotation reads it twice
+    # per region
+    clock = functools.partial(getattr, env, "_now")
+    tracer = Tracer(clock=clock) if trace else None
+    timeline = MetricsTimeline(clock=clock) if metrics else None
+    caliper = Caliper(clock=clock)
     annotate = tracer.annotator if tracer else caliper.annotator
     topology_run = spec.topology is not Topology.PAIRWISE
     placements = None if topology_run else spec.placements()

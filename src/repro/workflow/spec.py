@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 from repro.errors import WorkflowError
@@ -245,7 +246,7 @@ class WorkflowSpec:
             )
 
     # -- derived workload quantities ------------------------------------------------
-    @property
+    @cached_property
     def stride_time(self) -> float:
         """Seconds of MD compute between consecutive frames."""
         return self.model.stride_time(self.stride)
@@ -255,7 +256,7 @@ class WorkflowSpec:
         """Consumer per-iteration analytics sleep (matched to frequency)."""
         return self.stride_time
 
-    @property
+    @cached_property
     def frame_bytes(self) -> int:
         """Bytes per frame."""
         return self.model.frame_bytes

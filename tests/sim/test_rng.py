@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.rng import RngStreams, _mix, _stable_hash
 
 
@@ -77,10 +78,32 @@ def test_spawn_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_stable_hash_is_stable():
-    # FNV-1a of "ssd" must never change across versions/platforms
-    assert _stable_hash("ssd") == _stable_hash("ssd")
-    assert _stable_hash("ssd") != _stable_hash("sse")
+def test_stable_hash_is_pinned_fnv1a():
+    # Stream names key every draw: these values must never change across
+    # versions or platforms. "", "a" and "foobar" are FNV-1a test vectors.
+    assert _stable_hash("") == 0x811C9DC5
+    assert _stable_hash("a") == 0xE40C292C
+    assert _stable_hash("foobar") == 0xBF9CF968
+    assert _stable_hash("ssd") == 0xBA3EF905
+    assert _stable_hash("pair0.frame0") == 0x1702B694
+
+
+def test_jitter_outputs_are_pinned():
+    # Recorded from one scalar numpy lognormal per sample; any drift in
+    # the draw engine (derivation, buffering, arithmetic) fails here.
+    fabric = RngStreams(0)
+    assert [fabric.jitter("fabric.latency", 2.2e-05, 0.05).hex()
+            for _ in range(3)] == ["0x1.605848e0edb00p-16",
+                                   "0x1.62e27818c0144p-16",
+                                   "0x1.60a0593030f5fp-16"]
+    wide = RngStreams(2**40 + 17)  # entropy wider than 32 bits
+    assert [wide.jitter("pair3.frame7", 0.8201916265891211, 0.05).hex()
+            for _ in range(2)] == ["0x1.96f046dbf2bd8p-1",
+                                   "0x1.af846ccd5f008p-1"]
+    ssd = RngStreams(12345)
+    twentieth = [ssd.jitter("node00.ssd.wlat", 2e-05, 0.3)
+                 for _ in range(20)][-1]  # past the first block
+    assert twentieth.hex() == "0x1.a3b14dafa4a1ep-16"
 
 
 def test_mix_distributes():
@@ -93,3 +116,34 @@ def test_names_iterates_created():
     streams.stream("a")
     streams.stream("b")
     assert sorted(streams.names()) == ["a", "b"]
+
+
+def test_names_include_jitter_streams():
+    streams = RngStreams(0)
+    streams.stream("fault")
+    streams.jitter("lat", 1.0, 0.1)
+    streams.jitter("off", 1.0, 0.0)  # cv = 0 never touches a stream
+    assert sorted(streams.names()) == ["fault", "lat"]
+
+
+def test_raw_stream_then_jitter_rejected():
+    # stream() hands out a generator whose draws jitter()'s buffered
+    # blocks would reorder, so one name may use only one draw path.
+    streams = RngStreams(0)
+    streams.stream("transport.fault").random()
+    with pytest.raises(SimulationError, match="transport.fault"):
+        streams.jitter("transport.fault", 1.0, 0.1)
+
+
+def test_jitter_then_raw_stream_rejected():
+    streams = RngStreams(0)
+    streams.jitter("fabric.latency", 1.0, 0.1)
+    with pytest.raises(SimulationError, match="fabric.latency"):
+        streams.stream("fabric.latency")
+    # the failed request leaves the buffered stream usable
+    assert streams.jitter("fabric.latency", 1.0, 0.1) > 0
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        RngStreams(-1)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cluster.network import Fabric, FabricConfig
+from repro.dyad.mdm import MetadataManager
 from repro.errors import ConfigError
+from repro.kvs.store import KVS
 from repro.sim.rng import RngStreams
 from repro.storage.lustre import LustreConfig, LustreFileSystem, LustreServers
 from repro.units import mib, usec
@@ -245,3 +247,20 @@ def test_unlink_and_stat_cost_mds_rpc(env):
     stat_time, unlink_time = _drive(env, flow())
     assert stat_time >= servers.config.mds_service
     assert unlink_time >= servers.config.mds_service
+
+
+def test_double_leading_slash_names_the_same_file(env):
+    # "//dyad/x" and "/dyad/x" resolve to one file, so they must also share
+    # its DYAD ownership key and its Lustre stripe layout.
+    fs, servers = make_fs(env)
+    mdm = MetadataManager(KVS(env, servers.fabric, "broker"))
+    fs.makedirs("/dyad")
+
+    def flow():
+        handle = yield from fs.open("/dyad/x", "w", client="node00")
+        yield from handle.close()
+
+    _drive(env, flow())
+    assert fs.exists("//dyad/x")
+    assert mdm.key("//dyad/x") == mdm.key("/dyad/x")
+    assert fs._layout("//dyad/x") == fs._layout("/dyad/x")

@@ -34,6 +34,10 @@ def test_normalize():
     assert normalize("a/b") == "/a/b"
     assert normalize("/a//b/") == "/a/b"
     assert normalize("/a/./b/../c") == "/a/c"
+    # posixpath keeps exactly two leading slashes; this namespace has one root
+    assert normalize("//dyad/pair0/f") == "/dyad/pair0/f"
+    assert normalize("///dyad//f") == "/dyad/f"
+    assert normalize("//") == "/"
     with pytest.raises(StorageError):
         normalize("")
 
