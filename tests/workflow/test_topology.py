@@ -171,6 +171,46 @@ def test_dyad_polling_spelling_is_end_to_end_identical():
     assert result_fingerprint(polling) == result_fingerprint(coarse)
 
 
+_ONE_TO_ONE = {
+    Topology.PAIRWISE: {},
+    Topology.FANOUT: {"consumers": 1},
+    Topology.FANIN: {"producers": 1},
+    Topology.POOL: {"producers": 1, "consumers": 1},
+}
+
+_EQUIVALENT_STATS = (
+    "fabric_bytes_moved", "ssd_bytes_written", "ssd_bytes_read",
+    "fabric_rdma_transfers", "fabric_messages",
+)
+
+
+def _one_to_one_view(result):
+    values = [result.makespan,
+              result.production_movement, result.production_idle,
+              result.consumption_movement, result.consumption_idle]
+    values += [result.system_stats[k] for k in _EQUIVALENT_STATS]
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("system", list(System), ids=lambda s: s.value)
+@pytest.mark.parametrize("sync", list(SyncMode), ids=lambda m: m.value)
+def test_one_to_one_shapes_agree(system, sync):
+    # Pairwise is N disjoint 1:1 edges: with one edge, every shape is
+    # the same graph and must produce the same timeline and traffic.
+    placement = (Placement.SINGLE_NODE if system is System.XFS
+                 else Placement.SPLIT)
+    views = {
+        topology: _one_to_one_view(run_workflow(WorkflowSpec(
+            system=system, model=JAC, frames=FRAMES, placement=placement,
+            sync_mode=sync, topology=topology, **sizes,
+        ), jitter_cv=0.0))
+        for topology, sizes in _ONE_TO_ONE.items()
+    }
+    pairwise = views.pop(Topology.PAIRWISE)
+    for topology, view in views.items():
+        assert view == pairwise, topology.value
+
+
 # ---------------------------------------------------------------------------
 # chaos: the topology workload grid survives seeded fault plans
 # ---------------------------------------------------------------------------
