@@ -8,7 +8,6 @@ from repro.errors import ReproError
 from repro.experiments import (
     ablations,
     chaos_soak,
-    extension_fanout,
     resilience,
     streaming,
     topology,
@@ -38,7 +37,6 @@ EXPERIMENTS: Dict[str, object] = {
     "fig11": fig11_jac_stride,
     "fig12": fig12_stmv_stride,
     "ablations": ablations,
-    "fanout": extension_fanout,
     "topology": topology,
     "resilience": resilience,
     "streaming": streaming,

@@ -24,7 +24,6 @@ from typing import Callable, List, Optional
 
 from repro.experiments import (
     ablations as ablations_mod,
-    extension_fanout,
     fig5_single_node,
     fig6_two_node,
     fig7_multi_node,
@@ -353,12 +352,6 @@ def build_report(runs: Optional[int] = None, frames: Optional[int] = None,
     parts.append("```")
     parts.append("")
 
-    parts.append("## Extension: fan-out consumption (not a paper figure)")
-    parts.append("")
-    parts.append("```")
-    parts.append(extension_fanout.run(runs=runs, frames=frames, quick=quick).render())
-    parts.append("```")
-    parts.append("")
     return "\n".join(parts)
 
 

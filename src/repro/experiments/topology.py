@@ -3,8 +3,7 @@
 The paper measures 1:1 producer/consumer pairs; its future-work section
 calls for "a more diverse set of workflows". This experiment sweeps the
 three non-pairwise :class:`~repro.workflow.spec.Topology` shapes through
-the full workflow layer (the successor of the hand-rolled
-``extension_fanout`` harness, which bypassed it):
+the full workflow layer:
 
 - **fan-out (1→M)** — the headline read-amplification comparison: M
   DYAD consumers of a frame on one node trigger *one* RDMA pull (the
@@ -27,8 +26,7 @@ violations, credit-ledger imbalances, or a broken shared-read bound
 
 Cells aggregate with :func:`~repro.experiments.common.median_run` where
 one representative run's counters are reported — never run 0's counters
-under another run's movement (the aggregation bug the old fan-out
-harness had).
+under another run's movement.
 """
 
 from __future__ import annotations

@@ -317,22 +317,14 @@ class InvariantChecker:
                     "at drain"
                 )
 
-    def check_complete(self, consumers: Dict[str, int], frames: int) -> None:
-        """Every consumer consumed each of its pair's frames exactly once.
-
-        ``consumers`` maps consumer role name → the pair index it reads.
-        Duplicates were caught at consume time; this closes the gap side.
-        """
-        self.check_complete_edges(sorted(consumers.items()), frames)
-
     def check_complete_edges(self, edges: Iterable[Tuple[str, int]],
                              frames: int) -> None:
         """Per-edge completeness: each ``(role, stream)`` edge drained.
 
-        The per-edge generalization of :meth:`check_complete`: an edge is
-        one consumer reading one frame stream, and every frame of that
-        stream must have been consumed by that role exactly once
-        (duplicates were caught at consume time). Pairwise workflows have
+        An edge is one consumer reading one frame stream, and every frame
+        of that stream must have been consumed by that role exactly once
+        (duplicates were caught at consume time; this closes the gap
+        side). Pairwise workflows have
         one edge per pair; a fan-out has one edge per consumer (all on
         stream 0); a fan-in has one edge per input stream (all consumed
         by the single reducer).

@@ -7,11 +7,16 @@ every *stride* steps. Consumers read each frame, then run an analytics
 sleep matched to the frame-generation frequency.
 
 - :mod:`repro.workflow.spec` — workload specification and placement rules;
-- :mod:`repro.workflow.emulator` — the producer/consumer process bodies
-  for each data-management system (DYAD / XFS / Lustre), including the
-  coarse-grained barrier synchronization the traditional systems need;
-- :mod:`repro.workflow.runner` — builds the cluster + system, runs the
-  ensemble, and returns instrumented results.
+- :mod:`repro.workflow.topology` — the one workflow spawner: every shape
+  (pairwise as N disjoint 1:1 edges, fan-out, fan-in, pool) runs the same
+  producer and consumer bodies, with the data-management system (DYAD /
+  XFS / Lustre) and the sync mode plugged in as per-edge hooks;
+- :mod:`repro.workflow.streaming` — the per-edge credit window and
+  notification plane of the streaming sync modes;
+- :mod:`repro.workflow.emulator` — compute-sleep sampling, frame paths
+  and the paper's region names;
+- :mod:`repro.workflow.runner` — builds the cluster + system, spawns the
+  graph, runs it, and returns instrumented results.
 """
 
 from repro.workflow.runner import WorkflowResult, run_workflow, run_repetitions

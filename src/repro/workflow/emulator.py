@@ -1,21 +1,14 @@
-"""Producer/consumer process bodies for each data-management system.
+"""Paper-emulation primitives shared by every workflow process body.
 
-The emulation follows the paper exactly (Section IV-C):
-
-- a producer runs ``stride`` MD steps (a fixed-duration *MD sleep*), then
-  serializes a frame and writes it through the system under test;
-- a consumer reads a frame, deserializes it, then runs an analytics sleep
-  matched to the frame-generation frequency;
-- with XFS/Lustre, synchronization is the *coarse-grained* manual pattern
-  the paper describes ("serialized execution of the producer and
-  consumer"): the consumer's iterations begin only after its producer
-  completes, and all of that waiting is accounted to one
-  ``explicit_sync`` idle region — so per-iteration consumer idle equals
-  the frame-production period, while the producer (whose partner is
-  already waiting) never blocks;
-- with DYAD, producer and consumer run pipelined, and synchronization is
-  DYAD's automatic multi-protocol mechanism (KVS watch on first touch,
-  flock fast path after).
+The emulation follows the paper exactly (Section IV-C): a producer runs
+``stride`` MD steps (a fixed-duration *MD sleep*), then serializes a
+frame and writes it through the system under test; a consumer reads a
+frame, deserializes it, then runs an analytics sleep matched to the
+frame-generation frequency. The process bodies themselves, and the
+per-system read/write and sync hooks, live in
+:mod:`repro.workflow.topology`; this module holds what they share:
+:class:`ComputeModel` (the MD/analytics sleep sampler), the canonical
+:func:`frame_path`, and the Caliper region names.
 
 Region names match the paper's Figs. 9-10 call trees
 (``dyad_consume/dyad_fetch/dyad_get_data/dyad_cons_store``,
@@ -25,18 +18,18 @@ Region names match the paper's Figs. 9-10 call trees
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import Optional
 
-from repro.dyad.client import DyadConsumerClient, DyadProducerClient
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.invariants import InvariantChecker
-from repro.perf.caliper import Annotator, Category
-from repro.sim.core import Environment
-from repro.sim.resources import Signal
 from repro.sim.rng import RngStreams
-from repro.storage.posixfs import PosixFileSystem
-from repro.workflow.spec import SyncMode, WorkflowSpec
+
+__all__ = [
+    "ComputeModel",
+    "frame_path",
+    "READ_REGION",
+    "WRITE_REGION",
+    "SYNC_REGION",
+    "POLL_REGION",
+]
 
 
 class ComputeModel:
@@ -69,22 +62,6 @@ class ComputeModel:
         return self.rng.jitter(stream, mean, self.cv)
 
 
-_EXACT = ComputeModel()
-
-__all__ = [
-    "ComputeModel",
-    "dyad_producer",
-    "dyad_consumer",
-    "posix_producer",
-    "posix_consumer",
-    "posix_consumer_polling",
-    "frame_path",
-    "READ_REGION",
-    "WRITE_REGION",
-    "SYNC_REGION",
-    "POLL_REGION",
-]
-
 #: Region names matching the paper's call trees.
 READ_REGION = "FilesystemReader::read_single_buf"
 WRITE_REGION = "write_single_buf"
@@ -95,205 +72,3 @@ POLL_REGION = "poll_sync"
 def frame_path(root: str, pair: int, frame: int) -> str:
     """Canonical managed path of one frame of one pair."""
     return f"{root}/pair{pair:04d}/frame{frame:05d}.mdfr"
-
-
-# ---------------------------------------------------------------------------
-# DYAD workflow: concurrent, pipelined, automatic synchronization.
-# ---------------------------------------------------------------------------
-
-
-def dyad_producer(
-    env: Environment,
-    spec: WorkflowSpec,
-    client: DyadProducerClient,
-    annotator: Annotator,
-    pair: int,
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
-) -> Generator:
-    """Generator: MD-sleep then produce, ``spec.frames`` times."""
-    root = client.runtime.config.managed_root
-    for k in range(spec.frames):
-        annotator.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.stride_time))
-        annotator.end("md_sleep")
-        yield from client.produce(
-            frame_path(root, pair, k), spec.frame_bytes, annotator=annotator
-        )
-        if checker is not None:
-            # The commit instant is the KVS publish (which a stale_metadata
-            # window moves ahead of the staged bytes).
-            checker.frame_committed(
-                f"producer{pair}", pair, k, spec.frame_bytes,
-                at=client.last_commit_time,
-            )
-
-
-def dyad_consumer(
-    env: Environment,
-    spec: WorkflowSpec,
-    client: DyadConsumerClient,
-    annotator: Annotator,
-    pair: int,
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
-) -> Generator:
-    """Generator: consume then analytics-sleep, ``spec.frames`` times."""
-    root = client.runtime.config.managed_root
-    for k in range(spec.frames):
-        yield from client.consume(frame_path(root, pair, k), annotator=annotator)
-        if checker is not None:
-            checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes,
-                client.last_consume_bytes, client.last_consume_corrupt,
-            )
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.analytics_time))
-        annotator.end("analytics_sleep")
-
-
-# ---------------------------------------------------------------------------
-# Traditional POSIX workflow (XFS / Lustre): coarse-grained manual sync.
-# ---------------------------------------------------------------------------
-
-
-def posix_producer(
-    env: Environment,
-    spec: WorkflowSpec,
-    fs: PosixFileSystem,
-    node_id: str,
-    barrier: Signal,
-    annotator: Annotator,
-    pair: int,
-    root: str = "/data",
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
-) -> Generator:
-    """Generator: produce all frames, then release the pair barrier.
-
-    The producer never waits: by the time it finishes, its consumer is
-    already parked in the barrier (matching the paper's observation that
-    producers show no significant idle time).
-    """
-    for k in range(spec.frames):
-        annotator.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.stride_time))
-        annotator.end("md_sleep")
-        annotator.begin(WRITE_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(frame_path(root, pair, k), "w", client=node_id)
-        try:
-            yield from handle.write(spec.frame_bytes)
-            if checker is not None:
-                # Data is fully visible once the write lands (a polling
-                # consumer may legally read before close completes).
-                checker.frame_committed(
-                    f"producer{pair}", pair, k, spec.frame_bytes
-                )
-        finally:
-            yield from handle.close()
-        annotator.end(WRITE_REGION)
-    barrier.fire_once(env.now)
-
-
-def posix_consumer(
-    env: Environment,
-    spec: WorkflowSpec,
-    fs: PosixFileSystem,
-    node_id: str,
-    barrier: Signal,
-    annotator: Annotator,
-    pair: int,
-    root: str = "/data",
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
-) -> Generator:
-    """Generator: wait for the producer phase, then read + analyze each frame."""
-    annotator.begin(SYNC_REGION, Category.IDLE)
-    yield barrier.wait()
-    annotator.end(SYNC_REGION)
-    for k in range(spec.frames):
-        path = frame_path(root, pair, k)
-        annotator.begin(READ_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(path, "r", client=node_id)
-        try:
-            count, _payload = yield from handle.read()
-        finally:
-            yield from handle.close()
-        annotator.end(READ_REGION)
-        if checker is not None:
-            checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes, count,
-                fs.is_corrupt(path),
-            )
-        elif count != spec.frame_bytes:
-            raise AssertionError(
-                f"pair {pair} frame {k}: read {count} bytes, "
-                f"expected {spec.frame_bytes}"
-            )
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.analytics_time))
-        annotator.end("analytics_sleep")
-
-
-def posix_consumer_polling(
-    env: Environment,
-    spec: WorkflowSpec,
-    fs: PosixFileSystem,
-    node_id: str,
-    annotator: Annotator,
-    pair: int,
-    root: str = "/data",
-    compute: ComputeModel = _EXACT,
-    checker: Optional["InvariantChecker"] = None,
-) -> Generator:
-    """Generator: Pegasus-style polling consumer (fine-grained manual sync).
-
-    Instead of one coarse barrier, the consumer discovers each frame by
-    polling ``stat()`` every ``spec.poll_interval`` seconds until the file
-    exists with a stable size, then reads it. This overlaps producer and
-    consumer (unlike the coarse pattern) at the price of discovery latency
-    (~half the poll interval per frame) and a metadata-request load on the
-    file system — the trade-off the paper's Section III describes for
-    workflow managers.
-
-    Note a correctness subtlety the coarse barrier does not have: a poller
-    can observe a file mid-write. Stability is checked by requiring two
-    consecutive polls to report the same version, which is why discovery
-    costs at least one full poll interval after creation.
-    """
-    from repro.errors import FileNotFound
-
-    for k in range(spec.frames):
-        path = frame_path(root, pair, k)
-        annotator.begin(POLL_REGION, Category.IDLE)
-        last_version = None
-        while True:
-            try:
-                st = yield from fs.stat(path, client=node_id)
-            except FileNotFound:
-                st = None
-            if st is not None and st.version == last_version:
-                break  # two consecutive identical observations: stable
-            last_version = st.version if st is not None else None
-            yield env.timeout(spec.poll_interval)
-        annotator.end(POLL_REGION)
-        annotator.begin(READ_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(path, "r", client=node_id)
-        try:
-            count, _payload = yield from handle.read()
-        finally:
-            yield from handle.close()
-        annotator.end(READ_REGION)
-        if checker is not None:
-            checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes, count,
-                fs.is_corrupt(path),
-            )
-        elif count != spec.frame_bytes:
-            raise AssertionError(
-                f"pair {pair} frame {k}: read {count} bytes, "
-                f"expected {spec.frame_bytes}"
-            )
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(compute.sample(f"pair{pair}.frame{k}", spec.analytics_time))
-        annotator.end("analytics_sleep")

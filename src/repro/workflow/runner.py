@@ -2,9 +2,9 @@
 
 :func:`run_workflow` assembles a Corona-like cluster sized for the spec,
 instantiates the system under test (DYAD runtime, an XFS mount, or Lustre
-servers + client FS), spawns one producer and one consumer process per
-pair with Caliper annotation, runs the simulation to completion, and
-returns a :class:`WorkflowResult` with the per-process call trees and the
+servers + client FS), spawns the spec's producer/consumer graph with
+Caliper annotation (:func:`repro.workflow.topology.spawn_topology`),
+runs the simulation to completion, and returns a :class:`WorkflowResult` with the per-process call trees and the
 paper's headline metrics (per-frame production/consumption time split into
 data movement and idle).
 
@@ -33,13 +33,11 @@ from repro.perf.metrics import MetricsTimeline
 from repro.perf.thicket import Thicket
 from repro.perf.trace import Tracer
 from repro.sim.fluid import Fidelity
-from repro.sim.resources import Signal, channel_health
+from repro.sim.resources import channel_health
 from repro.storage.lustre import LustreConfig, LustreFileSystem, LustreServers
 from repro.storage.xfs import XFSConfig, XFSFileSystem
 from repro.workflow import emulator, streaming, topology
-from repro.workflow.spec import (
-    Placement, SyncMode, System, Topology, WorkflowSpec,
-)
+from repro.workflow.spec import System, WorkflowSpec
 
 __all__ = ["WorkflowResult", "run_workflow", "run_repetitions"]
 
@@ -193,32 +191,19 @@ def run_workflow(
     timeline = MetricsTimeline(clock=clock) if metrics else None
     caliper = Caliper(clock=clock)
     annotate = tracer.annotator if tracer else caliper.annotator
-    topology_run = spec.topology is not Topology.PAIRWISE
-    placements = None if topology_run else spec.placements()
-
     producer_anns = [
         annotate(f"producer{p:04d}") for p in range(spec.n_producers)
     ]
     consumer_anns = [
         annotate(f"consumer{p:04d}") for p in range(spec.n_consumers)
     ]
-
     # claim one GPU per process, as the paper's placement does
-    if topology_run:
-        for n in spec.producer_nodes() + spec.consumer_nodes():
-            cluster.node(n).claim_gpu()
-    else:
-        for (pn, cn) in placements:
-            cluster.node(pn).claim_gpu()
-            cluster.node(cn).claim_gpu()
+    for n in spec.producer_nodes() + spec.consumer_nodes():
+        cluster.node(n).claim_gpu()
 
     runtime = None
     servers = None
     fs = None
-    topo = None  # TopologySetup for the non-pairwise graph shapes
-    streams = None  # StreamingSetup for the windowed/pubsub/nbuffer modes
-    consumers: List = []
-    processes: List = []  # (role, Process) for stall diagnostics
     if spec.system is System.DYAD:
         config = dyad_config
         if fault_plan is not None and fault_plan.transfer_fault_rate > 0.0:
@@ -230,94 +215,24 @@ def run_workflow(
                 fault_rate=fault_plan.transfer_fault_rate,
             )
         runtime = DyadRuntime(cluster, config=config)
-        if topology_run:
-            topo = topology.spawn_topology(
-                env, spec, cluster, producer_anns, consumer_anns, compute,
-                checker=checker, runtime=runtime,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-        elif spec.is_streaming:
-            streams = streaming.spawn_streaming(
-                env, spec, cluster, placements, producer_anns, consumer_anns,
-                compute, checker=checker, runtime=runtime,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-            processes = streams.processes
-            consumers = streams.consumers
-        else:
-            for pair, (pn, cn) in enumerate(placements):
-                producer = runtime.producer(
-                    cluster.node(pn).node_id, f"prod{pair}"
-                )
-                consumer = runtime.consumer(
-                    cluster.node(cn).node_id, f"cons{pair}"
-                )
-                consumers.append(consumer)
-                processes.append((f"producer{pair}", env.process(
-                    emulator.dyad_producer(
-                        env, spec, producer, producer_anns[pair], pair,
-                        compute, checker=checker,
-                    )
-                )))
-                processes.append((f"consumer{pair}", env.process(
-                    emulator.dyad_consumer(
-                        env, spec, consumer, consumer_anns[pair], pair,
-                        compute, checker=checker,
-                    )
-                )))
     elif spec.system is System.XFS:
         fs = XFSFileSystem(cluster.node(0), config=xfs_config)
         fs.makedirs("/data")
-        if topology_run:
-            topo = topology.spawn_topology(
-                env, spec, cluster, producer_anns, consumer_anns, compute,
-                checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-        elif spec.is_streaming:
-            streams = streaming.spawn_streaming(
-                env, spec, cluster, placements, producer_anns, consumer_anns,
-                compute, checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-            processes = streams.processes
-        else:
-            processes = _spawn_posix(
-                env, spec, fs, cluster, placements, producer_anns,
-                consumer_anns, compute, checker,
-            )
     elif spec.system is System.LUSTRE:
         servers = LustreServers(env, cluster.fabric, lustre_config, cluster.rng)
         fs = LustreFileSystem(servers)
         fs.makedirs("/data")
-        if topology_run:
-            topo = topology.spawn_topology(
-                env, spec, cluster, producer_anns, consumer_anns, compute,
-                checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-        elif spec.is_streaming:
-            streams = streaming.spawn_streaming(
-                env, spec, cluster, placements, producer_anns, consumer_anns,
-                compute, checker=checker, fs=fs,
-                liveness_horizon=checker.config.liveness_horizon,
-            )
-            processes = streams.processes
-        else:
-            processes = _spawn_posix(
-                env, spec, fs, cluster, placements, producer_anns,
-                consumer_anns, compute, checker,
-            )
     else:  # pragma: no cover - enum is exhaustive
         raise WorkflowError(f"unknown system {spec.system!r}")
 
-    if topo is not None:
-        processes = topo.processes
-        consumers = topo.consumers
-        if spec.is_streaming:
-            # TopologySetup duck-types StreamingSetup where the rest of
-            # the run reads it (.channels / .broker / .processes).
-            streams = topo
+    graph = topology.spawn_topology(
+        env, spec, cluster, producer_anns, consumer_anns, compute,
+        checker=checker, runtime=runtime, fs=fs,
+        liveness_horizon=checker.config.liveness_horizon,
+    )
+    processes = graph.processes
+    # one StreamChannel per edge under the streaming sync modes, else []
+    edges = graph.channels
 
     if timeline is not None:
         # Attach probes after every substrate exists but before the first
@@ -354,32 +269,28 @@ def run_workflow(
     injector = None
     if fault_plan is None:
         env.run()
-        if streams is not None:
+        if edges:
             # Streaming can deadlock without any fault (a mis-tuned window
             # against a consumer that never returns a credit), and run()
             # silently drains the heap in that case. Name the flow-control
             # cycle — who holds which credit, which watch is armed —
             # instead of returning a short makespan.
             streaming.raise_if_stalled(
-                env, processes, streams.channels,
-                "fault-free run drained the heap",
+                env, processes, edges, "fault-free run drained the heap",
             )
     else:
         from repro.faults.inject import FaultInjector
 
         injector = FaultInjector(
             fault_plan, cluster, dyad=runtime, lustre=servers, fs=fs,
-            metrics=timeline,
-            streams=streams.channels if streams is not None else None,
-            brokers=[streams.broker]
-            if streams is not None and streams.broker is not None else None,
+            metrics=timeline, streams=edges,
+            brokers=[graph.broker] if graph.broker is not None else None,
         )
         injector.start()
         guard_detail = None
-        if streams is not None:
+        if edges:
             guard_detail = lambda: (  # noqa: E731 - one-shot diagnosis hook
-                "window state: "
-                + streaming.flow_occupancy(streams.channels)
+                "window state: " + streaming.flow_occupancy(edges)
             )
         try:
             env.run_guarded(
@@ -403,9 +314,8 @@ def run_workflow(
         stuck = _stuck_detail()
         if stuck:
             flow = ""
-            if streams is not None:
-                flow = (" — window state: "
-                        + streaming.flow_occupancy(streams.channels))
+            if edges:
+                flow = " — window state: " + streaming.flow_occupancy(edges)
             raise StallError(
                 f"workflow ended at t={env.now:.6g}s with "
                 f"{len(stuck)} process(es) still waiting: "
@@ -414,22 +324,11 @@ def run_workflow(
             )
         # Recovery correctness: every frame must have arrived despite the
         # injected faults (the retry loop re-requests lost frames).
-        if topo is not None:
-            errors = topo.recovery_errors()
-            if errors:
-                raise WorkflowError(
-                    "; ".join(errors)
-                    + " — recovery accounting is inconsistent"
-                )
-        else:
-            for pair, consumer in enumerate(consumers):
-                got = consumer.fast_hits + consumer.kvs_waits
-                if got != spec.frames:
-                    raise WorkflowError(
-                        f"consumer{pair} completed {got} of {spec.frames} "
-                        "frames despite finishing — recovery accounting is "
-                        "inconsistent"
-                    )
+        errors = graph.recovery_errors()
+        if errors:
+            raise WorkflowError(
+                "; ".join(errors) + " — recovery accounting is inconsistent"
+            )
     fabric = cluster.fabric
     system_stats = {
         "fabric_transfers": float(fabric.stats.transfers),
@@ -478,62 +377,58 @@ def run_workflow(
             s.staging.locks for s in runtime.services.values()
         )
     checker.check_drain(lock_tables, channels)
-    if streams is not None:
+    if edges:
         # Flow-control drain: credits home, no armed watches, nothing
         # published-but-undelivered, no deferred credit returns.
-        checker.check_stream_drain(streams.channels)
-    if topo is not None:
-        topo.check_complete(checker)
-    else:
-        checker.check_complete(
-            {f"consumer{p}": p for p in range(spec.pairs)}, spec.frames
-        )
+        checker.check_stream_drain(edges)
+    graph.check_complete(checker)
     system_stats["invariant_checks"] = float(checker.checks)
     system_stats["invariant_violations"] = float(checker.violation_count)
-    if streams is not None:
-        chans = streams.channels
+    if edges:
         system_stats.update({
             "stream_window": float(spec.effective_window),
             "stream_credits_issued": float(
-                sum(c.credits_issued for c in chans)
+                sum(c.credits_issued for c in edges)
             ),
             "stream_credits_returned": float(
-                sum(c.credits_returned for c in chans)
+                sum(c.credits_returned for c in edges)
             ),
             "stream_peak_in_flight": float(
-                max((c.peak_in_flight for c in chans), default=0)
+                max((c.peak_in_flight for c in edges), default=0)
             ),
             "stream_producer_blocks": float(
-                sum(c.producer_blocks for c in chans)
+                sum(c.producer_blocks for c in edges)
             ),
             "stream_blocked_time": float(
-                sum(c.blocked_time for c in chans)
+                sum(c.blocked_time for c in edges)
             ),
             "stream_spurious_wakeups": float(
-                sum(c.spurious_wakeups for c in chans)
+                sum(c.spurious_wakeups for c in edges)
             ),
             "stream_lost_wakeups": float(
-                sum(c.lost_wakeups for c in chans)
+                sum(c.lost_wakeups for c in edges)
             ),
             "stream_redeliveries": float(
-                sum(c.redeliveries for c in chans)
+                sum(c.redeliveries for c in edges)
             ),
             "stream_deferred_returns": float(
-                sum(c.deferred_return_count for c in chans)
+                sum(c.deferred_return_count for c in edges)
             ),
         })
-        if streams.broker is not None:
+        broker = graph.broker
+        if broker is not None:
             system_stats.update({
-                "stream_broker_commits": float(streams.broker.stats.commits),
-                "stream_broker_watches": float(streams.broker.stats.watches),
+                "stream_broker_commits": float(broker.stats.commits),
+                "stream_broker_watches": float(broker.stats.watches),
                 "stream_broker_dropped_watches": float(
-                    streams.broker.stats.dropped_watches
+                    broker.stats.dropped_watches
                 ),
                 "stream_broker_lost_wakeups": float(
-                    streams.broker.stats.lost_wakeups
+                    broker.stats.lost_wakeups
                 ),
             })
     if runtime is not None:
+        consumers = graph.consumers
         system_stats.update({
             "dyad_kvs_waits": float(sum(c.kvs_waits for c in consumers)),
             "dyad_fast_hits": float(sum(c.fast_hits for c in consumers)),
@@ -554,12 +449,12 @@ def run_workflow(
             "dyad_dropped_watches": float(runtime.kvs.stats.dropped_watches),
             "dyad_lost_wakeups": float(runtime.kvs.stats.lost_wakeups),
         })
-    if topo is not None and topo.queue is not None:
-        claimed = topo.queue.per_worker()
+    if graph.queue is not None:
+        claimed = graph.queue.per_worker()
         loads = [claimed.get(f"consumer{j}", 0)
                  for j in range(spec.consumers)]
         system_stats.update({
-            "pool_tasks_total": float(topo.queue.total),
+            "pool_tasks_total": float(graph.queue.total),
             "pool_workers": float(spec.consumers),
             "pool_max_claimed": float(max(loads)),
             "pool_min_claimed": float(min(loads)),
@@ -579,43 +474,6 @@ def run_workflow(
         invariant_violations=list(checker.violations),
         fidelity=tier.value,
     )
-
-
-def _spawn_posix(env, spec, fs, cluster, placements, producer_anns, consumer_anns,
-                 compute, checker):
-    """Spawn traditional producer/consumer pairs with per-pair barriers.
-
-    The subdirectory tree is created up front (the paper's harness sets up
-    its staging directories before the timed phase). Returns the spawned
-    ``(role, Process)`` pairs for stall diagnostics."""
-    processes = []
-    for pair in range(spec.pairs):
-        fs.makedirs(f"/data/pair{pair:04d}")
-    for pair, (pn, cn) in enumerate(placements):
-        barrier = Signal(env)
-        processes.append((f"producer{pair}", env.process(
-            emulator.posix_producer(
-                env, spec, fs, cluster.node(pn).node_id, barrier,
-                producer_anns[pair], pair, compute=compute, checker=checker,
-            )
-        )))
-        if spec.sync_mode is SyncMode.POLLING:
-            processes.append((f"consumer{pair}", env.process(
-                emulator.posix_consumer_polling(
-                    env, spec, fs, cluster.node(cn).node_id,
-                    consumer_anns[pair], pair, compute=compute,
-                    checker=checker,
-                )
-            )))
-        else:
-            processes.append((f"consumer{pair}", env.process(
-                emulator.posix_consumer(
-                    env, spec, fs, cluster.node(cn).node_id, barrier,
-                    consumer_anns[pair], pair, compute=compute,
-                    checker=checker,
-                )
-            )))
-    return processes
 
 
 def run_repetitions(

@@ -2,9 +2,10 @@
 
 The paper compares DYAD against coarse barriers and stat()-polling; the
 natural follow-up (PAPERS.md: openPMD/ADIOS2 streaming pipelines) is a
-per-frame *streaming* sync mode. This module implements the three
-streaming variants of :class:`~repro.workflow.spec.SyncMode` for every
-system under test:
+per-frame *streaming* sync mode. This module holds the transport behind
+the three streaming variants of :class:`~repro.workflow.spec.SyncMode`;
+:func:`repro.workflow.topology.spawn_topology` wires it into every
+producer→consumer edge for every system under test:
 
 - **windowed** — ADIOS2-SST-style: the producer publishes frame *i* as
   soon as it lands, but a bounded in-flight window of ``W`` frames with
@@ -21,7 +22,7 @@ system under test:
 - **nbuffer** — classic double buffering: the ``W=2`` special case of
   the windowed transport on node-local staging.
 
-Every per-pair transport is a :class:`StreamChannel`: the credit window,
+Every per-edge transport is a :class:`StreamChannel`: the credit window,
 the notification plane, and the fault surface the injector composes with
 (``hold_notifications`` queues wake-ups like a crashed notifier,
 ``hold_returns`` defers credit returns like a partitioned control link —
@@ -35,21 +36,17 @@ for cycle-naming :class:`~repro.errors.StallError` diagnosis — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import StallError
-from repro.perf.caliper import Category
 from repro.sim.core import Environment, Event
-from repro.workflow.spec import SyncMode, System, WorkflowSpec
+from repro.workflow.spec import WorkflowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.invariants import InvariantChecker
 
 __all__ = [
     "StreamChannel",
-    "StreamingSetup",
-    "spawn_streaming",
     "flow_occupancy",
     "default_liveness_horizon",
     "stream_key",
@@ -317,233 +314,3 @@ def raise_if_stalled(env: Environment, processes, channels: List[StreamChannel],
         f"{len(stuck)} process(es) stuck [{', '.join(stuck)}] — "
         f"window state: {flow_occupancy(channels)}"
     )
-
-
-# ---------------------------------------------------------------------------
-# process bodies
-# ---------------------------------------------------------------------------
-
-
-def _streaming_producer(env, spec, channel, write_frame, annotator, pair,
-                        compute) -> Generator:
-    """Generic streaming producer: MD sleep, credit, write, publish."""
-    for k in range(spec.frames):
-        annotator.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(
-            compute.sample(f"pair{pair}.frame{k}", spec.stride_time)
-        )
-        annotator.end("md_sleep")
-        annotator.begin(BACKPRESSURE_REGION, Category.IDLE)
-        yield from channel.acquire_credit(k)
-        annotator.end(BACKPRESSURE_REGION)
-        yield from write_frame(k)
-        channel.publish(k)
-
-
-def _streaming_consumer(env, spec, channel, wait_frame, read_frame, annotator,
-                        pair, compute) -> Generator:
-    """Generic streaming consumer: wait, read, return credit, analyze."""
-    for k in range(spec.frames):
-        if wait_frame is not None:
-            yield from wait_frame(k)
-        yield from read_frame(k)
-        channel.release_credit(k)
-        annotator.begin("analytics_sleep", Category.COMPUTE)
-        yield env.timeout(
-            compute.sample(f"pair{pair}.frame{k}", spec.analytics_time)
-        )
-        annotator.end("analytics_sleep")
-
-
-# ---------------------------------------------------------------------------
-# wiring
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StreamingSetup:
-    """Everything the runner needs back from :func:`spawn_streaming`."""
-
-    #: ``(role, Process)`` pairs for stall diagnostics
-    processes: List = field(default_factory=list)
-    #: one :class:`StreamChannel` per pair
-    channels: List[StreamChannel] = field(default_factory=list)
-    #: the POSIX pub/sub control-plane broker (``None`` otherwise)
-    broker: Optional[object] = None
-    #: DYAD consumer clients (``[]`` for POSIX systems)
-    consumers: List = field(default_factory=list)
-
-
-def _posix_write_frame(env, spec, fs, node_id, annotator, pair, checker,
-                       root: str = "/data") -> Callable[[int], Generator]:
-    from repro.workflow.emulator import WRITE_REGION, frame_path
-
-    def write_frame(k: int) -> Generator:
-        annotator.begin(WRITE_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(frame_path(root, pair, k), "w",
-                                    client=node_id)
-        try:
-            yield from handle.write(spec.frame_bytes)
-            if checker is not None:
-                checker.frame_committed(
-                    f"producer{pair}", pair, k, spec.frame_bytes
-                )
-        finally:
-            yield from handle.close()
-        annotator.end(WRITE_REGION)
-
-    return write_frame
-
-
-def _posix_read_frame(env, spec, fs, node_id, annotator, pair, checker,
-                      root: str = "/data") -> Callable[[int], Generator]:
-    from repro.workflow.emulator import READ_REGION, frame_path
-
-    def read_frame(k: int) -> Generator:
-        path = frame_path(root, pair, k)
-        annotator.begin(READ_REGION, Category.MOVEMENT)
-        handle = yield from fs.open(path, "r", client=node_id)
-        try:
-            count, _payload = yield from handle.read()
-        finally:
-            yield from handle.close()
-        annotator.end(READ_REGION)
-        if checker is not None:
-            checker.frame_consumed(
-                f"consumer{pair}", pair, k, spec.frame_bytes, count,
-                fs.is_corrupt(path),
-            )
-
-    return read_frame
-
-
-def spawn_streaming(
-    env: Environment,
-    spec: WorkflowSpec,
-    cluster,
-    placements,
-    producer_anns,
-    consumer_anns,
-    compute,
-    checker: Optional["InvariantChecker"] = None,
-    runtime=None,
-    fs=None,
-    liveness_horizon: Optional[float] = None,
-) -> StreamingSetup:
-    """Spawn streaming producer/consumer pairs for any system under test.
-
-    - DYAD: the DYAD client protocol is unchanged (its KVS *is* the
-      per-frame discovery plane); the channel adds the bounded credit
-      window on top. ``pubsub`` makes the consumer subscribe (arm the
-      watch) for every frame instead of lookup-then-watch.
-    - XFS/Lustre ``windowed``/``nbuffer``: frame availability rides the
-      channel's in-memory side channel (SST-style).
-    - XFS/Lustre ``pubsub``: a dedicated KVS broker on node 0 carries
-      per-frame commit/watch RPCs as the control plane.
-    """
-    from repro.workflow.emulator import frame_path
-
-    window = spec.effective_window
-    if liveness_horizon is None:
-        liveness_horizon = default_liveness_horizon(spec)
-    setup = StreamingSetup()
-    broker = None
-    if spec.system is not System.DYAD:
-        # The staging tree is created before the timed phase, exactly as
-        # the coarse/polling spawn path does.
-        for pair in range(spec.pairs):
-            fs.makedirs(f"/data/pair{pair:04d}")
-        if spec.sync_mode is SyncMode.PUBSUB:
-            from repro.kvs.store import KVS
-
-            broker = KVS(env, cluster.fabric, cluster.node(0).node_id,
-                         attach=False)
-            setup.broker = broker
-
-    for pair, (pn, cn) in enumerate(placements):
-        producer_node = cluster.node(pn).node_id
-        consumer_node = cluster.node(cn).node_id
-        channel = StreamChannel(
-            env, pair, window,
-            producer_role=f"producer{pair}", consumer_role=f"consumer{pair}",
-            producer_node=producer_node, consumer_node=consumer_node,
-            checker=checker, liveness_horizon=liveness_horizon,
-        )
-        setup.channels.append(channel)
-        p_ann, c_ann = producer_anns[pair], consumer_anns[pair]
-
-        if spec.system is System.DYAD:
-            producer = runtime.producer(producer_node, f"prod{pair}")
-            consumer = runtime.consumer(consumer_node, f"cons{pair}")
-            setup.consumers.append(consumer)
-            root = runtime.config.managed_root
-            subscribe = spec.sync_mode is SyncMode.PUBSUB
-
-            def write_frame(k, _client=producer, _ann=p_ann, _pair=pair,
-                            _root=root):
-                yield from _client.produce(
-                    frame_path(_root, _pair, k), spec.frame_bytes,
-                    annotator=_ann,
-                )
-                if checker is not None:
-                    checker.frame_committed(
-                        f"producer{_pair}", _pair, k, spec.frame_bytes,
-                        at=_client.last_commit_time,
-                    )
-
-            def read_frame(k, _client=consumer, _ann=c_ann, _pair=pair,
-                           _root=root, _subscribe=subscribe):
-                yield from _client.consume(
-                    frame_path(_root, _pair, k), annotator=_ann,
-                    subscribe=_subscribe,
-                )
-                if checker is not None:
-                    checker.frame_consumed(
-                        f"consumer{_pair}", _pair, k, spec.frame_bytes,
-                        _client.last_consume_bytes,
-                        _client.last_consume_corrupt,
-                    )
-
-            # DYAD's own KVS sync is the discovery plane; no channel wait.
-            wait_frame = None
-        else:
-            write_inner = _posix_write_frame(
-                env, spec, fs, producer_node, p_ann, pair, checker
-            )
-            read_frame = _posix_read_frame(
-                env, spec, fs, consumer_node, c_ann, pair, checker
-            )
-            if spec.sync_mode is SyncMode.PUBSUB:
-                def write_frame(k, _inner=write_inner, _node=producer_node,
-                                _pair=pair):
-                    yield from _inner(k)
-                    # Per-frame commit on the control plane (one RPC).
-                    yield from broker.commit(
-                        _node, stream_key(_pair, k), spec.frame_bytes
-                    )
-
-                def wait_frame(k, _ann=c_ann, _node=consumer_node,
-                               _pair=pair):
-                    _ann.begin(STREAM_WAIT_REGION, Category.IDLE)
-                    yield from broker.wait_for(_node, stream_key(_pair, k))
-                    _ann.end(STREAM_WAIT_REGION)
-            else:
-                write_frame = write_inner
-
-                def wait_frame(k, _ann=c_ann, _channel=channel):
-                    _ann.begin(STREAM_WAIT_REGION, Category.IDLE)
-                    yield from _channel.wait_frame(k)
-                    _ann.end(STREAM_WAIT_REGION)
-
-        setup.processes.append((f"producer{pair}", env.process(
-            _streaming_producer(
-                env, spec, channel, write_frame, p_ann, pair, compute
-            )
-        )))
-        setup.processes.append((f"consumer{pair}", env.process(
-            _streaming_consumer(
-                env, spec, channel, wait_frame, read_frame, c_ann, pair,
-                compute
-            )
-        )))
-    return setup

@@ -1,9 +1,11 @@
-"""Non-pairwise workflow topologies: fan-out, fan-in, work-stealing pool.
+"""The workflow graph: one spawner for every producer/consumer shape.
 
-The paper measures 1:1 producer/consumer links only; this module spawns
-the N:M shapes of :class:`~repro.workflow.spec.Topology` on the same
-substrates, sync modes, and invariant machinery:
+Every :class:`~repro.workflow.spec.Topology` is a set of producer →
+consumer *edges* spawned on the same substrates, sync modes and
+invariant machinery:
 
+- **pairwise (N × 1:1)** — the paper's shape: producer *j* writes stream
+  *j* and consumer *j* reads it, over N disjoint edges.
 - **fan-out (1→M)** — one producer writes stream 0; every consumer reads
   every frame of it. With DYAD and split placement the consumers share a
   node-local staging cache, so the shared-read single-flight tier (see
@@ -20,11 +22,19 @@ substrates, sync modes, and invariant machinery:
   exactly-once invariant (per-role bookkeeping cannot see two *different*
   workers claiming the same task).
 
-Streaming sync modes generalize per **edge**: each producer→consumer
-edge gets its own :class:`~repro.workflow.streaming.StreamChannel` with
-its own credit ledger — a fan-out producer must hold a credit on *every*
+Every shape runs the same producer body and one of two consumer bodies
+(frame-major over the streams a consumer reads, or pool claims). The
+sync mode and the system under test plug in as per-edge hooks, built
+once each below: ``write_frame(k)`` (DYAD produce or POSIX write),
+``read_task(s, k)`` (DYAD consume or POSIX read), ``wait_ready()`` (the
+coarse barrier), ``wait_task(s, k)`` (stat() polling or a streaming
+wait) and ``release(s, k)`` (a streaming credit return).
+
+Streaming sync modes work per **edge**: each producer→consumer edge gets
+its own :class:`~repro.workflow.streaming.StreamChannel` with its own
+credit ledger — a fan-out producer must hold a credit on *every*
 consumer's channel before writing a frame (the slowest consumer applies
-backpressure), a fan-in producer only on its own reducer edge. The fault
+backpressure), every other producer only on its own edge. The fault
 injector composes with the per-edge channels unchanged: holds key on
 each channel's ``producer_node``/``consumer_node``.
 """
@@ -34,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple,
+    TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
 )
 
 from repro.errors import FileNotFound
@@ -90,12 +100,7 @@ class TaskQueue:
 
 @dataclass
 class TopologySetup:
-    """Everything the runner needs back from :func:`spawn_topology`.
-
-    Duck-compatible with the pairwise
-    :class:`~repro.workflow.streaming.StreamingSetup` where the runner
-    reads ``channels``/``broker``/``consumers``/``processes``.
-    """
+    """Everything the runner needs back from :func:`spawn_topology`."""
 
     spec: WorkflowSpec
     #: ``(role, Process)`` pairs for stall diagnostics
@@ -113,7 +118,12 @@ class TopologySetup:
     def check_complete(self, checker: "InvariantChecker") -> None:
         """Run the topology-appropriate drain-completeness invariants."""
         spec = self.spec
-        if spec.topology is Topology.FANOUT:
+        if spec.topology is Topology.PAIRWISE:
+            checker.check_complete_edges(
+                [(f"consumer{j}", j) for j in range(spec.pairs)],
+                spec.frames,
+            )
+        elif spec.topology is Topology.FANOUT:
             checker.check_complete_edges(
                 [(f"consumer{j}", 0) for j in range(spec.consumers)],
                 spec.frames,
@@ -129,9 +139,9 @@ class TopologySetup:
     def recovery_errors(self) -> List[str]:
         """Per-consumer completion accounting after a faulted run.
 
-        Mirrors the pairwise runner's ``fast_hits + kvs_waits == frames``
-        recovery check, generalized per topology (only DYAD clients carry
-        these counters; POSIX runs return ``[]``).
+        Every consumer must report ``fast_hits + kvs_waits`` equal to the
+        frame reads its shape owes (only DYAD clients carry these
+        counters; POSIX runs return ``[]``).
         """
         if not self.consumers:
             return []
@@ -146,10 +156,10 @@ class TopologySetup:
                     "despite finishing"
                 )
             return errors
+        want = (spec.streams * spec.frames if spec.topology is Topology.FANIN
+                else spec.frames)
         for j, consumer in enumerate(self.consumers):
             got = consumer.fast_hits + consumer.kvs_waits
-            want = (spec.frames if spec.topology is Topology.FANOUT
-                    else spec.streams * spec.frames)
             if got != want:
                 errors.append(
                     f"consumer{j} completed {got} of {want} frame reads "
@@ -159,11 +169,77 @@ class TopologySetup:
 
 
 # ---------------------------------------------------------------------------
-# per-system task closures
+# per-system write/read hooks
 # ---------------------------------------------------------------------------
 
 
-def _posix_read_task(env, spec, fs, node_id, ann, role, checker,
+def _dyad_write_frame(spec, client, ann, s, root, checker) -> Callable:
+    """``write_frame(k)``: produce frame ``k`` of stream ``s`` via DYAD."""
+
+    def write_frame(k: int) -> Generator:
+        yield from client.produce(
+            emulator.frame_path(root, s, k), spec.frame_bytes, annotator=ann,
+        )
+        if checker is not None:
+            # The commit instant is the KVS publish (which a stale_metadata
+            # window moves ahead of the staged bytes).
+            checker.frame_committed(
+                f"producer{s}", s, k, spec.frame_bytes,
+                at=client.last_commit_time,
+            )
+
+    return write_frame
+
+
+def _posix_write_frame(spec, fs, node_id, ann, s, checker, broker=None,
+                       root: str = "/data") -> Callable:
+    """``write_frame(k)``: write frame ``k`` of stream ``s`` through ``fs``.
+
+    With a pub/sub ``broker`` the write is followed by a per-frame commit
+    on the control plane (one RPC).
+    """
+
+    def write_frame(k: int) -> Generator:
+        ann.begin(emulator.WRITE_REGION, Category.MOVEMENT)
+        handle = yield from fs.open(emulator.frame_path(root, s, k), "w",
+                                    client=node_id)
+        try:
+            yield from handle.write(spec.frame_bytes)
+            if checker is not None:
+                # Data is fully visible once the write lands (a polling
+                # consumer may legally read before close completes).
+                checker.frame_committed(
+                    f"producer{s}", s, k, spec.frame_bytes
+                )
+        finally:
+            yield from handle.close()
+        ann.end(emulator.WRITE_REGION)
+        if broker is not None:
+            yield from broker.commit(node_id, stream_key(s, k),
+                                     spec.frame_bytes)
+
+    return write_frame
+
+
+def _dyad_read_task(spec, client, ann, role, root, checker,
+                    subscribe: bool = False) -> Callable:
+    """``read_task(s, k)``: consume one frame through a DYAD client."""
+
+    def read_task(s: int, k: int) -> Generator:
+        yield from client.consume(
+            emulator.frame_path(root, s, k), annotator=ann,
+            subscribe=subscribe,
+        )
+        if checker is not None:
+            checker.frame_consumed(
+                role, s, k, spec.frame_bytes,
+                client.last_consume_bytes, client.last_consume_corrupt,
+            )
+
+    return read_task
+
+
+def _posix_read_task(spec, fs, node_id, ann, role, checker,
                      root: str = "/data") -> Callable:
     """``read_task(s, k)``: read one frame of one stream through ``fs``."""
 
@@ -189,27 +265,37 @@ def _posix_read_task(env, spec, fs, node_id, ann, role, checker,
     return read_task
 
 
-def _dyad_read_task(spec, client, ann, role, root, checker,
-                    subscribe: bool = False) -> Callable:
-    """``read_task(s, k)``: consume one frame through a DYAD client."""
+# ---------------------------------------------------------------------------
+# sync hooks
+# ---------------------------------------------------------------------------
 
-    def read_task(s: int, k: int) -> Generator:
-        yield from client.consume(
-            emulator.frame_path(root, s, k), annotator=ann,
-            subscribe=subscribe,
-        )
-        if checker is not None:
-            checker.frame_consumed(
-                role, s, k, spec.frame_bytes,
-                client.last_consume_bytes, client.last_consume_corrupt,
-            )
 
-    return read_task
+def _barrier_wait_ready(ann, barriers) -> Callable:
+    """``wait_ready()``: park until each listed producer barrier fires.
+
+    The coarse-grained manual pattern: the consumer's iterations begin
+    only after its producers complete, and all of that waiting lands in
+    one ``explicit_sync`` idle region.
+    """
+
+    def wait_ready() -> Generator:
+        ann.begin(emulator.SYNC_REGION, Category.IDLE)
+        for barrier in barriers:
+            yield barrier.wait()
+        ann.end(emulator.SYNC_REGION)
+
+    return wait_ready
 
 
 def _poll_wait_task(env, spec, fs, node_id, ann,
                     root: str = "/data") -> Callable:
-    """``wait_task(s, k)``: Pegasus-style two-stable-stats polling."""
+    """``wait_task(s, k)``: Pegasus-style two-stable-stats polling.
+
+    The consumer discovers each frame by polling ``stat()`` every
+    ``spec.poll_interval`` seconds until two consecutive polls report the
+    same version (a poller can observe a file mid-write), so discovery
+    costs at least one full poll interval after creation.
+    """
 
     def wait_task(s: int, k: int) -> Generator:
         path = emulator.frame_path(root, s, k)
@@ -229,21 +315,49 @@ def _poll_wait_task(env, spec, fs, node_id, ann,
     return wait_task
 
 
-def _barrier_wait_ready(ann, barriers) -> Callable:
-    """``wait_ready()``: park until every producer's coarse barrier fires."""
+def _stream_wait_task(ann, wait_frame) -> Callable:
+    """``wait_task(s, k)``: park on a streaming availability event.
 
-    def wait_ready() -> Generator:
-        ann.begin(emulator.SYNC_REGION, Category.IDLE)
-        for barrier in barriers:
-            yield barrier.wait()
-        ann.end(emulator.SYNC_REGION)
+    ``wait_frame(s, k)`` is the notification plane: the edge's channel
+    (windowed/nbuffer) or the pub/sub broker's watch.
+    """
 
-    return wait_ready
+    def wait_task(s: int, k: int) -> Generator:
+        ann.begin(STREAM_WAIT_REGION, Category.IDLE)
+        yield from wait_frame(s, k)
+        ann.end(STREAM_WAIT_REGION)
+
+    return wait_task
 
 
 # ---------------------------------------------------------------------------
 # process bodies
 # ---------------------------------------------------------------------------
+
+
+def _producer(env, spec, key, ann, compute, write_frame,
+              channels: Sequence[StreamChannel],
+              barrier: Optional[Signal]) -> Generator:
+    """MD-sleep, take a credit on every edge, write, publish — per frame.
+
+    Non-streaming runs have no channels; a coarse POSIX producer fires
+    its phase barrier once every frame is written (by then its consumers
+    are already parked in it, so producers show no idle time).
+    """
+    for k in range(spec.frames):
+        ann.begin("md_sleep", Category.COMPUTE)
+        yield env.timeout(compute.sample(f"{key}.frame{k}", spec.stride_time))
+        ann.end("md_sleep")
+        if channels:
+            ann.begin(BACKPRESSURE_REGION, Category.IDLE)
+            for channel in channels:
+                yield from channel.acquire_credit(k)
+            ann.end(BACKPRESSURE_REGION)
+        yield from write_frame(k)
+        for channel in channels:
+            channel.publish(k)
+    if barrier is not None:
+        barrier.fire_once(env.now)
 
 
 def _analytics(env, spec, ann, compute, key) -> Generator:
@@ -252,60 +366,23 @@ def _analytics(env, spec, ann, compute, key) -> Generator:
     ann.end("analytics_sleep")
 
 
-def _streaming_topology_producer(env, spec, s, channels, write_frame, ann,
-                                 compute) -> Generator:
-    """Streaming producer of stream ``s`` holding a credit per edge.
+def _frame_consumer(env, spec, streams, key, ann, compute, wait_ready,
+                    wait_task, read_task, release) -> Generator:
+    """Fold frame ``k`` of every stream in ``streams``, then analyze it.
 
-    A fan-out producer owns M edges: it must acquire a credit on *every*
-    consumer's channel before writing frame ``k`` (the slowest consumer
-    applies the backpressure), then publishes on all of them. Fan-in and
-    pool producers own exactly one edge each.
+    A pairwise or fan-out consumer reads one stream; the fan-in reducer
+    reads all of them before its per-frame analytics (the reduce) step.
     """
-    for k in range(spec.frames):
-        ann.begin("md_sleep", Category.COMPUTE)
-        yield env.timeout(
-            compute.sample(f"stream{s}.frame{k}", spec.stride_time)
-        )
-        ann.end("md_sleep")
-        ann.begin(BACKPRESSURE_REGION, Category.IDLE)
-        for channel in channels:
-            yield from channel.acquire_credit(k)
-        ann.end(BACKPRESSURE_REGION)
-        yield from write_frame(k)
-        for channel in channels:
-            channel.publish(k)
-
-
-def _fanout_consumer(env, spec, j, ann, compute, wait_ready, wait_task,
-                     read_task, release) -> Generator:
-    """Fan-out consumer ``j``: read every frame of stream 0."""
     if wait_ready is not None:
         yield from wait_ready()
     for k in range(spec.frames):
-        if wait_task is not None:
-            yield from wait_task(0, k)
-        yield from read_task(0, k)
-        if release is not None:
-            release(0, k)
-        yield from _analytics(env, spec, ann, compute,
-                              f"consumer{j}.frame{k}")
-
-
-def _fanin_consumer(env, spec, ann, compute, wait_ready, wait_task,
-                    read_task, release) -> Generator:
-    """Fan-in reducer: fold frame ``k`` of every stream, then one
-    analytics step (the reduce) per frame index."""
-    if wait_ready is not None:
-        yield from wait_ready()
-    for k in range(spec.frames):
-        for s in range(spec.streams):
+        for s in streams:
             if wait_task is not None:
                 yield from wait_task(s, k)
             yield from read_task(s, k)
             if release is not None:
                 release(s, k)
-        yield from _analytics(env, spec, ann, compute,
-                              f"consumer0.frame{k}")
+        yield from _analytics(env, spec, ann, compute, f"{key}.frame{k}")
 
 
 def _pool_consumer(env, spec, j, queue, ann, compute, wait_ready, wait_task,
@@ -325,8 +402,7 @@ def _pool_consumer(env, spec, j, queue, ann, compute, wait_ready, wait_task,
         yield from read_task(s, k)
         if release is not None:
             release(s, k)
-        yield from _analytics(env, spec, ann, compute,
-                              f"{role}.task{step}")
+        yield from _analytics(env, spec, ann, compute, f"{role}.task{step}")
         step += 1
 
 
@@ -335,44 +411,41 @@ def _pool_consumer(env, spec, j, queue, ann, compute, wait_ready, wait_task,
 # ---------------------------------------------------------------------------
 
 
+def _consumer_streams(spec: WorkflowSpec, j: int) -> Sequence[int]:
+    """The streams consumer ``j`` reads."""
+    if spec.topology is Topology.PAIRWISE:
+        return (j,)
+    if spec.topology is Topology.FANOUT:
+        return (0,)
+    return range(spec.streams)
+
+
 def _edge_channels(env, spec, checker, liveness_horizon, producer_node_ids,
-                   consumer_node_ids) -> Tuple[List[StreamChannel], Dict]:
+                   consumer_node_ids) -> List[StreamChannel]:
     """One :class:`StreamChannel` per producer→consumer edge.
 
-    Returns ``(channels, by_key)`` where the lookup key is the consumer
-    index for fan-out edges and the stream index otherwise (fan-in and
-    pool edges are per input stream; the pool's channels name the whole
-    worker pool as their consumer side).
+    Fan-out channels are indexed by consumer, every other shape's by
+    stream (the pool's channels name the whole worker pool as their
+    consumer side).
     """
-    window = spec.effective_window
-    channels: List[StreamChannel] = []
-    by_key: Dict[int, StreamChannel] = {}
+
+    def channel(s, consumer_role, consumer_node):
+        return StreamChannel(
+            env, s, spec.effective_window,
+            producer_role=f"producer{s}", consumer_role=consumer_role,
+            producer_node=producer_node_ids[s], consumer_node=consumer_node,
+            checker=checker, liveness_horizon=liveness_horizon,
+        )
+
     if spec.topology is Topology.FANOUT:
-        for j in range(spec.consumers):
-            channel = StreamChannel(
-                env, 0, window,
-                producer_role="producer0",
-                consumer_role=f"consumer{j}",
-                producer_node=producer_node_ids[0],
-                consumer_node=consumer_node_ids[j],
-                checker=checker, liveness_horizon=liveness_horizon,
-            )
-            channels.append(channel)
-            by_key[j] = channel
-    else:
-        pool = spec.topology is Topology.POOL
-        for s in range(spec.streams):
-            channel = StreamChannel(
-                env, s, window,
-                producer_role=f"producer{s}",
-                consumer_role="pool" if pool else "consumer0",
-                producer_node=producer_node_ids[s],
-                consumer_node=consumer_node_ids[0],
-                checker=checker, liveness_horizon=liveness_horizon,
-            )
-            channels.append(channel)
-            by_key[s] = channel
-    return channels, by_key
+        return [channel(0, f"consumer{j}", node)
+                for j, node in enumerate(consumer_node_ids)]
+    if spec.topology is Topology.PAIRWISE:
+        return [channel(s, f"consumer{s}", consumer_node_ids[s])
+                for s in range(spec.streams)]
+    role = "pool" if spec.topology is Topology.POOL else "consumer0"
+    return [channel(s, role, consumer_node_ids[0])
+            for s in range(spec.streams)]
 
 
 def spawn_topology(
@@ -387,17 +460,21 @@ def spawn_topology(
     fs=None,
     liveness_horizon: Optional[float] = None,
 ) -> TopologySetup:
-    """Spawn a non-pairwise workflow for any system and sync mode.
-
-    Sync semantics mirror the pairwise paths:
+    """Spawn the workflow graph of ``spec`` for any system and sync mode.
 
     - DYAD under ``coarse``/``polling`` uses its automatic KVS
-      synchronization (the spec normalizes both manual modes to COARSE);
-    - XFS/Lustre ``coarse`` parks every consumer until *all* producers
-      fired their phase barriers; ``polling`` stat-polls per task;
-    - the streaming modes run per-edge credit windows (see
-      :func:`_streaming_topology_producer`), with DYAD keeping KVS
-      discovery and POSIX ``pubsub`` using a node-0 broker.
+      synchronization (the spec normalizes both manual modes to COARSE):
+      producer and consumer run pipelined.
+    - XFS/Lustre ``coarse`` parks each consumer until the producers of
+      every stream it reads fired their phase barriers; ``polling``
+      stat-polls per frame.
+    - The streaming modes run per-edge credit windows. DYAD keeps its KVS
+      discovery (``pubsub`` subscribes per frame); XFS/Lustre wait on
+      the edge channel's side channel or, for ``pubsub``, a node-0 KVS
+      broker's per-frame watch.
+
+    The staging tree is created before the timed phase, as the paper's
+    harness does.
     """
     if liveness_horizon is None:
         liveness_horizon = default_liveness_horizon(spec)
@@ -406,152 +483,115 @@ def spawn_topology(
                          for n in spec.producer_nodes()]
     consumer_node_ids = [cluster.node(n).node_id
                          for n in spec.consumer_nodes()]
+    topology = spec.topology
     is_dyad = spec.system is System.DYAD
     streaming = spec.is_streaming
+    pubsub = streaming and spec.sync_mode is SyncMode.PUBSUB
     root = runtime.config.managed_root if is_dyad else "/data"
-    subscribe = streaming and spec.sync_mode is SyncMode.PUBSUB
 
     if not is_dyad:
         for s in range(spec.streams):
             fs.makedirs(f"/data/pair{s:04d}")
+        if pubsub:
+            from repro.kvs.store import KVS
 
-    broker = None
-    if streaming and not is_dyad and spec.sync_mode is SyncMode.PUBSUB:
-        from repro.kvs.store import KVS
+            setup.broker = KVS(env, cluster.fabric, cluster.node(0).node_id,
+                               attach=False)
+    broker = setup.broker
 
-        broker = KVS(env, cluster.fabric, cluster.node(0).node_id,
-                     attach=False)
-        setup.broker = broker
-
-    channels_by_key: Dict[int, StreamChannel] = {}
     if streaming:
-        setup.channels, channels_by_key = _edge_channels(
+        setup.channels = _edge_channels(
             env, spec, checker, liveness_horizon,
             producer_node_ids, consumer_node_ids,
         )
+    channels = setup.channels
 
-    if spec.topology is Topology.POOL:
+    def edge(s: int, j: int) -> StreamChannel:
+        return channels[j] if topology is Topology.FANOUT else channels[s]
+
+    if topology is Topology.POOL:
         setup.queue = TaskQueue(spec.streams, spec.frames)
 
     # -- producers -----------------------------------------------------------
+    # Compute-sample keys name per-key RNG streams: the non-pairwise
+    # streaming producers have always drawn from ``stream{s}``.
+    key = ("stream" if streaming and topology is not Topology.PAIRWISE
+           else "pair")
     barriers: List[Signal] = []
     for s in range(spec.streams):
-        p_ann = producer_anns[s]
+        ann = producer_anns[s]
         node_id = producer_node_ids[s]
-        if streaming:
-            if spec.topology is Topology.FANOUT:
-                edge_channels = list(setup.channels)
-            else:
-                edge_channels = [channels_by_key[s]]
-            if is_dyad:
-                producer = runtime.producer(node_id, f"prod{s}")
-
-                def write_frame(k, _client=producer, _ann=p_ann, _s=s):
-                    yield from _client.produce(
-                        emulator.frame_path(root, _s, k), spec.frame_bytes,
-                        annotator=_ann,
-                    )
-                    if checker is not None:
-                        checker.frame_committed(
-                            f"producer{_s}", _s, k, spec.frame_bytes,
-                            at=_client.last_commit_time,
-                        )
-            else:
-                from repro.workflow.streaming import _posix_write_frame
-
-                write_inner = _posix_write_frame(
-                    env, spec, fs, node_id, p_ann, s, checker
-                )
-                if broker is not None:
-                    def write_frame(k, _inner=write_inner, _node=node_id,
-                                    _s=s):
-                        yield from _inner(k)
-                        yield from broker.commit(
-                            _node, stream_key(_s, k), spec.frame_bytes
-                        )
-                else:
-                    write_frame = write_inner
-            setup.processes.append((f"producer{s}", env.process(
-                _streaming_topology_producer(
-                    env, spec, s, edge_channels, write_frame, p_ann, compute
-                )
-            )))
-        elif is_dyad:
-            producer = runtime.producer(node_id, f"prod{s}")
-            setup.processes.append((f"producer{s}", env.process(
-                emulator.dyad_producer(
-                    env, spec, producer, p_ann, s, compute, checker=checker
-                )
-            )))
+        barrier = None
+        if is_dyad:
+            write_frame = _dyad_write_frame(
+                spec, runtime.producer(node_id, f"prod{s}"), ann, s, root,
+                checker,
+            )
         else:
-            barrier = Signal(env)
-            barriers.append(barrier)
-            setup.processes.append((f"producer{s}", env.process(
-                emulator.posix_producer(
-                    env, spec, fs, node_id, barrier, p_ann, s,
-                    compute=compute, checker=checker,
-                )
-            )))
+            write_frame = _posix_write_frame(
+                spec, fs, node_id, ann, s, checker, broker=broker,
+            )
+            if not streaming:
+                barrier = Signal(env)
+                barriers.append(barrier)
+        if not streaming:
+            own = ()
+        elif topology is Topology.FANOUT:
+            own = channels
+        else:
+            own = (channels[s],)
+        setup.processes.append((f"producer{s}", env.process(_producer(
+            env, spec, f"{key}{s}", ann, compute, write_frame, own, barrier,
+        ))))
 
     # -- consumers -----------------------------------------------------------
-    for j in range(spec.consumers):
-        c_ann = consumer_anns[j]
+    for j in range(spec.n_consumers):
+        ann = consumer_anns[j]
         node_id = consumer_node_ids[j]
         role = f"consumer{j}"
+        streams = _consumer_streams(spec, j)
         wait_ready = None
         wait_task = None
         release = None
         if is_dyad:
+            # DYAD's KVS is the discovery plane; streaming only adds the
+            # per-edge credit window on top.
             client = runtime.consumer(node_id, f"cons{j}")
             setup.consumers.append(client)
             read_task = _dyad_read_task(
-                spec, client, c_ann, role, root, checker,
-                subscribe=subscribe,
+                spec, client, ann, role, root, checker, subscribe=pubsub,
             )
-            # DYAD's KVS is the discovery plane; streaming only adds the
-            # per-edge credit window on top.
         else:
-            read_task = _posix_read_task(
-                env, spec, fs, node_id, c_ann, role, checker
-            )
-            if streaming:
-                if broker is not None:
-                    def wait_task(s, k, _ann=c_ann, _node=node_id):
-                        _ann.begin(STREAM_WAIT_REGION, Category.IDLE)
-                        yield from broker.wait_for(_node, stream_key(s, k))
-                        _ann.end(STREAM_WAIT_REGION)
-                else:
-                    def wait_task(s, k, _ann=c_ann, _j=j):
-                        channel = (channels_by_key[_j]
-                                   if spec.topology is Topology.FANOUT
-                                   else channels_by_key[s])
-                        _ann.begin(STREAM_WAIT_REGION, Category.IDLE)
-                        yield from channel.wait_frame(k)
-                        _ann.end(STREAM_WAIT_REGION)
+            read_task = _posix_read_task(spec, fs, node_id, ann, role,
+                                         checker)
+            if broker is not None:
+                wait_task = _stream_wait_task(
+                    ann, lambda s, k, _node=node_id: broker.wait_for(
+                        _node, stream_key(s, k)),
+                )
+            elif streaming:
+                wait_task = _stream_wait_task(
+                    ann, lambda s, k, _j=j: edge(s, _j).wait_frame(k),
+                )
             elif spec.sync_mode is SyncMode.POLLING:
-                wait_task = _poll_wait_task(env, spec, fs, node_id, c_ann)
+                wait_task = _poll_wait_task(env, spec, fs, node_id, ann)
             else:
-                wait_ready = _barrier_wait_ready(c_ann, barriers)
+                wait_ready = _barrier_wait_ready(
+                    ann, [barriers[s] for s in streams]
+                )
         if streaming:
             def release(s, k, _j=j):
-                channel = (channels_by_key[_j]
-                           if spec.topology is Topology.FANOUT
-                           else channels_by_key[s])
-                channel.release_credit(k)
+                edge(s, _j).release_credit(k)
 
-        if spec.topology is Topology.FANOUT:
-            body = _fanout_consumer(
-                env, spec, j, c_ann, compute, wait_ready, wait_task,
-                read_task, release,
-            )
-        elif spec.topology is Topology.FANIN:
-            body = _fanin_consumer(
-                env, spec, c_ann, compute, wait_ready, wait_task,
-                read_task, release,
+        if topology is Topology.POOL:
+            body = _pool_consumer(
+                env, spec, j, setup.queue, ann, compute, wait_ready,
+                wait_task, read_task, release,
             )
         else:
-            body = _pool_consumer(
-                env, spec, j, setup.queue, c_ann, compute, wait_ready,
+            key = f"pair{j}" if topology is Topology.PAIRWISE else role
+            body = _frame_consumer(
+                env, spec, streams, key, ann, compute, wait_ready,
                 wait_task, read_task, release,
             )
         setup.processes.append((role, env.process(body)))

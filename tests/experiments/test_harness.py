@@ -109,7 +109,7 @@ def test_tables_result_renders():
 def test_registry_complete():
     assert set(EXPERIMENTS) == {
         "tables", "fig5", "fig6", "fig7", "fig8",
-        "fig9", "fig10", "fig11", "fig12", "ablations", "fanout",
+        "fig9", "fig10", "fig11", "fig12", "ablations",
         "topology", "resilience", "streaming", "chaos", "validate",
     }
 

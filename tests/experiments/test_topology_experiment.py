@@ -1,22 +1,20 @@
 """Tests for the topology experiment and the grid-aggregation fixes.
 
-Covers the regression the old fan-out harness shipped (median movement
-reported with run 0's counters), the render hardening of both the
-legacy ``FanoutResult`` and the shared ``FigureResult`` against ragged
-grids, and a trimmed end-to-end run of the topology sweep including its
-read-amplification accounting and invariant gate.
+Covers ``median_run`` (one representative run, never run 0's counters
+under another run's movement), the render hardening of ``FigureResult``
+against ragged grids, and a trimmed end-to-end run of the topology sweep
+including its read-amplification accounting and invariant gate.
 """
 
 import pytest
 
-from repro.experiments import extension_fanout, topology
+from repro.experiments import topology
 from repro.experiments.common import (
     Cell,
     FigureResult,
     Stat,
     median_run,
 )
-from repro.experiments.extension_fanout import FanoutMeasurement, FanoutResult
 
 
 # ---------------------------------------------------------------------------
@@ -39,74 +37,9 @@ def test_median_run_rejects_empty():
         median_run([], key=lambda r: r)
 
 
-def test_fanout_grid_counters_come_from_the_median_run(monkeypatch):
-    """Regression: the cell must be one actual run, not a chimera of the
-    median movement and run 0's transfer/cache counters."""
-    def fake_dyad(model, fanout, frames, seed):
-        r = seed // 1000
-        # movements 3.0, 1.0, 2.0 -> the median run is r=2, NOT r=0
-        return FanoutMeasurement(
-            consumption_movement=[3.0, 1.0, 2.0][r],
-            transfers=100 + r, cache_hits=10 + r,
-        )
-
-    def fake_lustre(model, fanout, frames, seed):
-        r = seed // 1000
-        return FanoutMeasurement(
-            consumption_movement=[9.0, 7.0, 8.0][r],
-            transfers=200 + r, cache_hits=0,
-        )
-
-    monkeypatch.setattr(extension_fanout, "_run_dyad", fake_dyad)
-    monkeypatch.setattr(extension_fanout, "_run_lustre", fake_lustre)
-    result = extension_fanout.run(runs=3, frames=8)
-    for fanout in extension_fanout.FANOUTS:
-        dyad = result.grid["dyad"][fanout]
-        assert dyad.consumption_movement == 2.0
-        assert dyad.transfers == 102        # the median run's own counter
-        assert dyad.cache_hits == 12
-        # Both systems aggregate identically (lustre was run[0] before).
-        lustre = result.grid["lustre"][fanout]
-        assert lustre.consumption_movement == 8.0
-        assert lustre.transfers == 202
-
-
 # ---------------------------------------------------------------------------
 # render hardening: ragged grids and degenerate cells
 # ---------------------------------------------------------------------------
-
-
-def _m(movement, transfers=1, cache_hits=0):
-    return FanoutMeasurement(consumption_movement=movement,
-                             transfers=transfers, cache_hits=cache_hits)
-
-
-def test_fanout_render_survives_missing_cells():
-    result = FanoutResult(
-        grid={"dyad": {1: _m(0.01), 8: _m(0.02)},
-              "lustre": {1: _m(0.03)}},          # no lustre @ 8
-        runs=1, frames=8, model="JAC",
-    )
-    text = result.render()
-    assert "n/a" in text
-    assert "0.03" not in text or True  # renders without raising is the point
-
-
-def test_fanout_render_survives_missing_system():
-    result = FanoutResult(grid={"dyad": {1: _m(0.01)}},
-                          runs=1, frames=8, model="JAC")
-    text = result.render()
-    assert "n/a" in text
-
-
-def test_fanout_render_guards_zero_dyad_movement():
-    result = FanoutResult(
-        grid={"dyad": {8: _m(0.0, transfers=8, cache_hits=56)},
-              "lustre": {8: _m(0.04, transfers=64)}},
-        runs=1, frames=8, model="JAC",
-    )
-    text = result.render()   # must not ZeroDivisionError
-    assert "n/a" in text
 
 
 def test_figure_result_table_skips_ragged_combinations():

@@ -40,7 +40,7 @@ def test_clean_exchange_has_no_violations(clock):
     clock.now = 1.0
     checker.frame_consumed("consumer0", 0, 0, 100, 100)
     checker.check_drain()
-    checker.check_complete({"consumer0": 0}, frames=1)
+    checker.check_complete_edges([("consumer0", 0)], frames=1)
     assert checker.violations == []
     assert checker.checks > 0
 
@@ -138,7 +138,7 @@ def test_completeness_reports_gaps(clock):
     checker = nonfatal(clock)
     checker.frame_committed("producer0", 0, 0, 100)
     checker.frame_consumed("consumer0", 0, 0, 100, 100)
-    checker.check_complete({"consumer0": 0}, frames=3)
+    checker.check_complete_edges([("consumer0", 0)], frames=3)
     assert any("never consumed frame(s) 1, 2" in v
                for v in checker.violations)
 
@@ -155,7 +155,7 @@ def test_disabled_checker_is_a_noop(clock):
     checker = InvariantChecker(clock, InvariantConfig(enabled=False))
     checker.frame_consumed("consumer0", 0, 0, 100, 1)  # any lie goes
     checker.check_drain()
-    checker.check_complete({"consumer0": 0}, frames=5)
+    checker.check_complete_edges([("consumer0", 0)], frames=5)
     assert checker.checks == 0
     assert checker.violations == []
 
