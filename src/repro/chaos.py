@@ -76,76 +76,56 @@ KINDS_BY_SYSTEM: Dict[System, Tuple[str, ...]] = {
 }
 
 
-def chaos_workloads(frames: int = 8, streaming: bool = False,
-                    topology: bool = False) -> List[WorkflowSpec]:
-    """The small workload grid a soak cycles through.
+def chaos_workloads(frames: int = 8) -> Dict[str, List[WorkflowSpec]]:
+    """The workload grid a soak cycles through, as three named slices.
 
-    ``streaming=True`` swaps in the streaming grid: every streaming sync
-    mode (windowed / pubsub / nbuffer) across all three systems, with
-    mixed window sizes — the surface where credits can leak, windows can
-    deadlock, and watch wake-ups can be lost. ``topology=True`` swaps in
-    the non-pairwise grid instead: fan-out, fan-in, and work-stealing
-    shapes across all three systems, mixing manual and streaming sync —
-    the surface where the shared-read single-flight tier, per-edge credit
-    ledgers, and the aggregation/pool drain invariants meet injected
-    faults. The default grid is unchanged so existing soak seeds replay
-    identically.
+    - ``pairwise`` — barrier/polling 1:1 pairs on every system;
+    - ``streaming`` — every streaming sync mode (windowed / pubsub /
+      nbuffer) across all three systems, with mixed window sizes — the
+      surface where credits can leak, windows can deadlock, and watch
+      wake-ups can be lost;
+    - ``topology`` — fan-out, fan-in, and work-stealing shapes across all
+      three systems, mixing manual and streaming sync — the surface where
+      the shared-read single-flight tier, per-edge credit ledgers, and
+      the aggregation/pool drain invariants meet injected faults.
+
+    Each slice keeps its order, so existing soak seeds replay identically.
     """
-    if topology:
-        return [
-            WorkflowSpec(system=System.DYAD, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         topology=Topology.FANOUT, consumers=4),
-            WorkflowSpec(system=System.DYAD, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         topology=Topology.FANIN, producers=3,
-                         sync_mode=SyncMode.WINDOWED),
-            WorkflowSpec(system=System.DYAD, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         topology=Topology.POOL, producers=2, consumers=3),
-            WorkflowSpec(system=System.XFS, frames=frames, pairs=1,
-                         placement=Placement.SINGLE_NODE,
-                         topology=Topology.POOL, producers=2, consumers=3,
-                         sync_mode=SyncMode.POLLING),
-            WorkflowSpec(system=System.LUSTRE, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         topology=Topology.FANOUT, consumers=2,
-                         sync_mode=SyncMode.WINDOWED),
-            WorkflowSpec(system=System.LUSTRE, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         topology=Topology.FANIN, producers=4),
-        ]
-    if streaming:
-        return [
-            WorkflowSpec(system=System.DYAD, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         sync_mode=SyncMode.WINDOWED),
-            WorkflowSpec(system=System.DYAD, frames=frames, pairs=2,
-                         placement=Placement.SPLIT,
-                         sync_mode=SyncMode.PUBSUB),
-            WorkflowSpec(system=System.XFS, frames=frames, pairs=1,
-                         placement=Placement.SINGLE_NODE,
-                         sync_mode=SyncMode.WINDOWED, window=4),
-            WorkflowSpec(system=System.XFS, frames=frames, pairs=1,
-                         placement=Placement.SINGLE_NODE,
-                         sync_mode=SyncMode.NBUFFER),
-            WorkflowSpec(system=System.LUSTRE, frames=frames, pairs=1,
-                         placement=Placement.SPLIT,
-                         sync_mode=SyncMode.PUBSUB),
-            WorkflowSpec(system=System.LUSTRE, frames=frames, pairs=2,
-                         placement=Placement.SPLIT,
-                         sync_mode=SyncMode.WINDOWED, window=1),
-        ]
-    return [
-        WorkflowSpec(system=System.DYAD, frames=frames, pairs=1,
-                     placement=Placement.SPLIT),
-        WorkflowSpec(system=System.DYAD, frames=frames, pairs=2,
-                     placement=Placement.SPLIT),
-        WorkflowSpec(system=System.XFS, frames=frames, pairs=1,
-                     placement=Placement.SINGLE_NODE),
-        WorkflowSpec(system=System.LUSTRE, frames=frames, pairs=1,
-                     placement=Placement.SPLIT),
-    ]
+    def spec(system: System, placement: Placement = Placement.SPLIT,
+             **kwargs) -> WorkflowSpec:
+        return WorkflowSpec(system=system, frames=frames,
+                            placement=placement, **kwargs)
+
+    single = Placement.SINGLE_NODE
+    return {
+        "pairwise": [
+            spec(System.DYAD),
+            spec(System.DYAD, pairs=2),
+            spec(System.XFS, single),
+            spec(System.LUSTRE),
+        ],
+        "streaming": [
+            spec(System.DYAD, sync_mode=SyncMode.WINDOWED),
+            spec(System.DYAD, pairs=2, sync_mode=SyncMode.PUBSUB),
+            spec(System.XFS, single, sync_mode=SyncMode.WINDOWED, window=4),
+            spec(System.XFS, single, sync_mode=SyncMode.NBUFFER),
+            spec(System.LUSTRE, sync_mode=SyncMode.PUBSUB),
+            spec(System.LUSTRE, pairs=2, sync_mode=SyncMode.WINDOWED,
+                 window=1),
+        ],
+        "topology": [
+            spec(System.DYAD, topology=Topology.FANOUT, consumers=4),
+            spec(System.DYAD, topology=Topology.FANIN, producers=3,
+                 sync_mode=SyncMode.WINDOWED),
+            spec(System.DYAD, topology=Topology.POOL, producers=2,
+                 consumers=3),
+            spec(System.XFS, single, topology=Topology.POOL, producers=2,
+                 consumers=3, sync_mode=SyncMode.POLLING),
+            spec(System.LUSTRE, topology=Topology.FANOUT, consumers=2,
+                 sync_mode=SyncMode.WINDOWED),
+            spec(System.LUSTRE, topology=Topology.FANIN, producers=4),
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +211,8 @@ class ChaosOutcome:
     classification: str
     detail: str = ""
     violations: Tuple[str, ...] = ()
+    #: the :func:`chaos_workloads` slice the spec came from
+    slice_name: str = ""
 
     @property
     def failed(self) -> bool:
@@ -440,19 +422,22 @@ class ChaosReport:
         return [o for o in self.outcomes if o.failed]
 
     def render(self) -> str:
-        """Textual soak summary."""
+        """Textual soak summary, one block of per-seed lines per slice."""
         counts = self.counts
         lines = [
             f"=== chaos soak: {len(self.outcomes)} plans "
             f"(base_seed={self.base_seed}) ===",
             "  " + "  ".join(f"{c}={counts[c]}" for c in CLASSES),
         ]
-        for outcome in self.outcomes:
-            lines.append(
-                f"  seed={outcome.seed} {outcome.spec.system.value:6s} "
-                f"{len(outcome.plan.events)} event(s) -> "
-                f"{outcome.classification}: {outcome.detail}"
-            )
+        for name in dict.fromkeys(o.slice_name for o in self.outcomes):
+            block = [o for o in self.outcomes if o.slice_name == name]
+            lines.append(f"{name} slice: {len(block)} plans")
+            for outcome in block:
+                lines.append(
+                    f"  seed={outcome.seed} {outcome.spec.system.value:6s} "
+                    f"{len(outcome.plan.events)} event(s) -> "
+                    f"{outcome.classification}: {outcome.detail}"
+                )
         if self.failures:
             lines.append(f"FAILURES: {len(self.failures)}")
             for outcome in self.failures:
@@ -474,40 +459,38 @@ def soak(
     frames: int = 8,
     max_events: int = 4,
     artifact_dir: Optional[str] = None,
-    streaming: bool = False,
-    topology: bool = False,
 ) -> ChaosReport:
-    """Run ``plans`` seeded random fault plans across the workload grid.
+    """Run ``plans`` seeded random fault plans against every grid slice.
 
-    Every run has the invariant checker armed and fatal. On the first
-    failure (violation or crash) the offending plan is shrunk against the
-    same spec/seed and — when ``artifact_dir`` is given — serialized
-    there as ``chaos-shrunk-plan.json`` for replay. The soak continues
-    through the remaining plans either way so the report shows the full
-    blast radius. ``streaming=True`` soaks the streaming workload grid
-    instead (flow-control faults: leaked credits, lost wake-ups,
-    backpressure deadlocks); ``topology=True`` soaks the non-pairwise
-    grid (fan-out/fan-in/pool drain invariants under faults).
+    Each slice of :func:`chaos_workloads` gets seeds ``base_seed`` …
+    ``base_seed + plans - 1``, seed ``i`` cycling through the slice's
+    specs. Every run has the invariant checker armed and fatal. On the
+    first failure (violation or crash) the offending plan is shrunk
+    against the same spec/seed and — when ``artifact_dir`` is given —
+    serialized there as ``chaos-shrunk-plan.json`` for replay. The soak
+    continues through the remaining plans either way so the report shows
+    the full blast radius.
     """
-    workloads = chaos_workloads(frames, streaming=streaming,
-                                topology=topology)
     report = ChaosReport(base_seed=base_seed)
-    for i in range(plans):
-        seed = base_seed + i
-        spec = workloads[i % len(workloads)]
-        plan = random_plan(seed, spec, max_events=max_events)
-        outcome = execute_plan(spec, plan, seed=seed)
-        report.outcomes.append(outcome)
-        if outcome.failed and report.shrunk_events is None:
-            def _reproduce(candidate: FaultPlan,
-                           _spec=spec, _seed=seed) -> bool:
-                return execute_plan(_spec, candidate, seed=_seed).failed
+    for name, workloads in chaos_workloads(frames).items():
+        for i in range(plans):
+            seed = base_seed + i
+            spec = workloads[i % len(workloads)]
+            plan = random_plan(seed, spec, max_events=max_events)
+            outcome = execute_plan(spec, plan, seed=seed)
+            report.outcomes.append(
+                dataclasses.replace(outcome, slice_name=name))
+            if outcome.failed and report.shrunk_events is None:
+                def _reproduce(candidate: FaultPlan,
+                               _spec=spec, _seed=seed) -> bool:
+                    return execute_plan(_spec, candidate, seed=_seed).failed
 
-            minimal = shrink(plan, _reproduce)
-            report.shrunk_events = len(minimal.events)
-            if artifact_dir is not None:
-                os.makedirs(artifact_dir, exist_ok=True)
-                path = os.path.join(artifact_dir, "chaos-shrunk-plan.json")
-                save_plan(minimal, path)
-                report.shrunk_path = path
+                minimal = shrink(plan, _reproduce)
+                report.shrunk_events = len(minimal.events)
+                if artifact_dir is not None:
+                    os.makedirs(artifact_dir, exist_ok=True)
+                    path = os.path.join(artifact_dir,
+                                        "chaos-shrunk-plan.json")
+                    save_plan(minimal, path)
+                    report.shrunk_path = path
     return report

@@ -28,6 +28,7 @@ trees fall out of the same instrumentation.
 from __future__ import annotations
 
 import posixpath
+import sys
 from typing import Generator, Optional, Tuple
 
 from repro.dyad.mdm import OwnerRecord
@@ -117,7 +118,11 @@ class DyadProducerClient:
                 if cfg.fsync_on_produce:
                     yield from handle.fsync()
             finally:
-                yield from handle.close()
+                # A run abandoned mid-frame is closed by the garbage
+                # collector: simulating the close would yield during
+                # GeneratorExit, so only live runs close the handle.
+                if sys.exc_info()[0] is not GeneratorExit:
+                    yield from handle.close()
         finally:
             staging.locks.release(lock)
         regions.end("write_single_buf")
@@ -280,7 +285,8 @@ class DyadConsumerClient:
             try:
                 yield from handle.write(count, payload)
             finally:
-                yield from handle.close()
+                if sys.exc_info()[0] is not GeneratorExit:
+                    yield from handle.close()
         finally:
             staging.locks.release(lock)
         regions.end("dyad_cons_store")
@@ -303,7 +309,8 @@ class DyadConsumerClient:
             try:
                 count, payload = yield from handle.read(record.size)
             finally:
-                yield from handle.close()
+                if sys.exc_info()[0] is not GeneratorExit:
+                    yield from handle.close()
         finally:
             staging.locks.release(lock)
         if count != record.size and cfg.integrity_checks:

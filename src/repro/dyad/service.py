@@ -12,6 +12,7 @@ The :class:`DyadRuntime` wires the per-node services to the shared KVS
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.cluster.node import Node
@@ -136,7 +137,11 @@ class DyadService:
             try:
                 count, payload = yield from handle.read(nbytes)
             finally:
-                yield from handle.close()
+                # A run abandoned mid-frame is closed by the garbage
+                # collector: simulating the close would yield during
+                # GeneratorExit, so only live runs close the handle.
+                if sys.exc_info()[0] is not GeneratorExit:
+                    yield from handle.close()
         finally:
             self.staging.locks.release(lock)
         self._check_up()

@@ -41,16 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "flow-level fluid fabric), or fluid (hybrid "
                              "plus latency folding and chunk collapse); "
                              "default: REPRO_FIDELITY or exact")
-    parser.add_argument("--streaming", action="store_true",
-                        help="with the 'chaos' experiment: soak/replay the "
-                             "streaming workload grid (windowed/pubsub/"
-                             "nbuffer pipelines) instead of the default "
-                             "barrier/polling grid")
-    parser.add_argument("--topology", action="store_true",
-                        help="with the 'chaos' experiment: soak/replay the "
-                             "non-pairwise workload grid (fan-out/fan-in/"
-                             "work-stealing shapes) instead of the default "
-                             "pairwise grid")
     parser.add_argument("--fault-plan", default=None, metavar="FILE",
                         help="JSON fault plan (e.g. a shrunk chaos repro) "
                              "injected into every repetition; with the "
@@ -110,10 +100,6 @@ def _dispatch(args) -> int:
         module = get_experiment(args.experiment)
         if args.experiment == "tables":
             result = module.run()
-        elif args.experiment == "chaos":
-            result = module.run(runs=args.runs, frames=args.frames,
-                                quick=args.quick, streaming=args.streaming,
-                                topology=args.topology)
         else:
             result = module.run(runs=args.runs, frames=args.frames,
                                 quick=args.quick)
@@ -123,7 +109,8 @@ def _dispatch(args) -> int:
 
         for path in save_figure_svg(result, args.svg_dir):
             print(f"wrote {path}")
-    # The chaos soak is a gate: invariant violations fail the invocation.
+    # Gated experiments (the chaos soak, the scenario sweep) fail the
+    # invocation when their gate trips.
     if getattr(result, "failures", None):
         return 1
     return 0

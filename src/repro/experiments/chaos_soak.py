@@ -9,14 +9,18 @@ violation or an untyped crash fails the gate, and the offending plan is
 shrunk to a minimal JSON repro (see :mod:`repro.chaos`) that
 ``python -m repro.experiments --fault-plan`` can replay.
 
+The grid has three named slices — pairwise barrier/polling pairs,
+streaming pipelines, and fan-out/fan-in/pool shapes (see
+:func:`repro.chaos.chaos_workloads`) — and every soak covers all three.
 CI runs ``python -m repro.experiments chaos --quick`` on every push
-(the ``chaos-smoke`` job) and uploads the shrunk plan artifact whenever
-the gate trips.
+(the ``scenario-smoke`` job) and uploads the shrunk plan artifact
+whenever the gate trips.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Optional
 
 from repro.chaos import ChaosReport, chaos_workloads, execute_plan, soak
@@ -24,48 +28,37 @@ from repro.errors import CampaignError
 
 __all__ = ["run", "replay", "main", "DEFAULT_PLANS", "QUICK_PLANS"]
 
-#: Plans per full / quick soak. Quick stays near 20 seeded plans — small
-#: enough for a CI smoke job, large enough to cycle the workload grid
-#: five times with different fault mixes.
+#: Plans per slice in a full / quick soak. Quick stays near 20 seeded
+#: plans per slice — small enough for a CI smoke job, large enough to
+#: cycle every slice at least three times with different fault mixes.
 DEFAULT_PLANS = 60
 QUICK_PLANS = 20
 
 
-def replay(plan, frames: int = 8, streaming: bool = False,
-           topology: bool = False) -> ChaosReport:
-    """Replay one plan (e.g. a shrunk repro) across the workload grid.
+def replay(plan, frames: int = 8) -> ChaosReport:
+    """Replay one plan (e.g. a shrunk repro) across every grid slice.
 
-    Each workload runs the plan checked-and-fatal under its grid seed;
-    exact reproduction of a *specific* soak failure uses the seed the
-    soak report printed (``repro.chaos.execute_plan(spec, plan,
-    seed=<printed>)``) — the grid sweep here is the smoke version.
+    Each workload runs the plan checked-and-fatal, seeded with its index
+    within its slice; exact reproduction of a *specific* soak failure
+    uses the seed the soak report printed (``repro.chaos.execute_plan(
+    spec, plan, seed=<printed>)``) — the grid sweep here is the smoke
+    version.
     """
     report = ChaosReport(base_seed=0)
-    for i, spec in enumerate(chaos_workloads(frames, streaming=streaming,
-                                             topology=topology)):
-        report.outcomes.append(execute_plan(spec, plan, seed=i))
+    for name, workloads in chaos_workloads(frames).items():
+        for i, spec in enumerate(workloads):
+            outcome = execute_plan(spec, plan, seed=i)
+            report.outcomes.append(replace(outcome, slice_name=name))
     return report
 
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
-        quick: bool = False, streaming: bool = False,
-        topology: bool = False) -> ChaosReport:
-    """Run the soak; ``runs`` overrides the plan count.
+        quick: bool = False) -> ChaosReport:
+    """Run the soak; ``runs`` overrides the per-slice plan count.
 
     A campaign-scoped fault plan (the CLI's ``--fault-plan FILE``)
     switches to :func:`replay` mode — the deserialized plan runs across
     the workload grid instead of a random soak.
-
-    ``streaming=True`` (the CLI's ``--streaming``) soaks/replays the
-    streaming workload grid — windowed/pubsub/nbuffer pipelines whose
-    failure modes are flow-control: leaked credits, lost watch wake-ups,
-    backpressure deadlocks (see ``docs/streaming.md``).
-
-    ``topology=True`` (the CLI's ``--topology``) soaks/replays the
-    non-pairwise workload grid — fan-out/fan-in/pool shapes whose
-    failure modes live in the shared-read single-flight tier, the
-    per-edge credit ledgers, and the aggregation/pool drain invariants
-    (see ``docs/topologies.md``).
 
     ``REPRO_CHAOS_ARTIFACTS`` names the directory the shrunk repro (if
     any) is serialized into (CI points it at the upload path).
@@ -75,21 +68,18 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
     frames = frames if frames is not None else 8
     scoped = default_fault_plan()
     if scoped is not None:
-        return replay(scoped, frames=frames, streaming=streaming,
-                      topology=topology)
+        return replay(scoped, frames=frames)
     plans = runs if runs is not None else (
         QUICK_PLANS if quick else DEFAULT_PLANS
     )
     artifact_dir = os.environ.get("REPRO_CHAOS_ARTIFACTS") or None
     return soak(plans=plans, base_seed=0, frames=frames,
-                artifact_dir=artifact_dir, streaming=streaming,
-                topology=topology)
+                artifact_dir=artifact_dir)
 
 
-def main(quick: bool = False, streaming: bool = False,
-         topology: bool = False) -> ChaosReport:
+def main(quick: bool = False) -> ChaosReport:
     """Run, print, and *gate* the soak (raises on violations/crashes)."""
-    report = run(quick=quick, streaming=streaming, topology=topology)
+    report = run(quick=quick)
     print(report.render())
     if report.failures:
         raise CampaignError(

@@ -9,8 +9,7 @@ from repro.experiments import (
     ablations,
     chaos_soak,
     resilience,
-    streaming,
-    topology,
+    scenarios,
     validate,
     fig5_single_node,
     fig6_two_node,
@@ -37,9 +36,8 @@ EXPERIMENTS: Dict[str, object] = {
     "fig11": fig11_jac_stride,
     "fig12": fig12_stmv_stride,
     "ablations": ablations,
-    "topology": topology,
+    "scenarios": scenarios,
     "resilience": resilience,
-    "streaming": streaming,
     "chaos": chaos_soak,
     "validate": validate,
 }

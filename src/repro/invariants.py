@@ -261,20 +261,27 @@ class InvariantChecker:
                 f"the declared horizon of {horizon:.6g}s"
             )
 
-    def check_stream_drain(self, channels: Iterable = ()) -> None:
-        """Streaming end-of-run: credits home, no armed watches, all
-        published frames delivered, no credit returns still deferred."""
+    def check_stream_drain(self, channels: Iterable, frames: int) -> None:
+        """Streaming end-of-run: every edge issued one credit per frame and
+        got them all home, no armed watches, all published frames
+        delivered, no credit returns still deferred."""
         if not self.config.enabled:
             return
         for channel in channels:
             pair = channel.pair
             self.checks += 1
-            if channel.credits_issued != channel.credits_returned:
-                leaked = channel.credits_issued - channel.credits_returned
+            issued = channel.credits_issued
+            returned = channel.credits_returned
+            if issued != returned:
                 self._report(
-                    f"credit-conservation: pair {pair} leaked {leaked} "
-                    f"credit(s) at drain ({channel.credits_issued} issued, "
-                    f"{channel.credits_returned} returned)"
+                    f"credit-conservation: pair {pair} leaked "
+                    f"{issued - returned} credit(s) at drain ({issued} "
+                    f"issued, {returned} returned)"
+                )
+            elif issued != frames:
+                self._report(
+                    f"credit-conservation: pair {pair} issued {issued} "
+                    f"credit(s) for {frames} frame(s)"
                 )
             self.checks += 1
             armed = channel.armed_watches()

@@ -378,9 +378,10 @@ def run_workflow(
         )
     checker.check_drain(lock_tables, channels)
     if edges:
-        # Flow-control drain: credits home, no armed watches, nothing
-        # published-but-undelivered, no deferred credit returns.
-        checker.check_stream_drain(edges)
+        # Flow-control drain: one credit per frame per edge, all home, no
+        # armed watches, nothing published-but-undelivered, no deferred
+        # credit returns.
+        checker.check_stream_drain(edges, spec.frames)
     graph.check_complete(checker)
     system_stats["invariant_checks"] = float(checker.checks)
     system_stats["invariant_violations"] = float(checker.violation_count)

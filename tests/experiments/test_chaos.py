@@ -28,13 +28,13 @@ from repro.workflow.spec import System
 
 
 def test_random_plan_is_seed_deterministic():
-    spec = chaos_workloads(4)[0]
+    spec = chaos_workloads(4)["pairwise"][0]
     assert random_plan(7, spec) == random_plan(7, spec)
     assert random_plan(7, spec) != random_plan(8, spec)
 
 
 def test_random_plan_respects_system_kinds():
-    for spec in chaos_workloads(4):
+    for spec in (s for grid in chaos_workloads(4).values() for s in grid):
         allowed = set(KINDS_BY_SYSTEM[spec.system])
         for seed in range(10):
             plan = random_plan(seed, spec)
@@ -54,7 +54,7 @@ def test_integrity_kinds_are_dyad_only():
 
 
 def dyad_spec(frames=4):
-    return chaos_workloads(frames)[0]
+    return chaos_workloads(frames)["pairwise"][0]
 
 
 def torn_plan(spec, extra=()):
@@ -207,12 +207,17 @@ def test_replay_from_json_reproduces_classification(tmp_path):
 
 def test_small_soak_passes_invariants():
     report = soak(plans=4, base_seed=0, frames=4)
-    assert len(report.outcomes) == 4
+    # every slice gets seeds 0..3
+    assert [(o.slice_name, o.seed) for o in report.outcomes] == [
+        (name, seed) for name in ("pairwise", "streaming", "topology")
+        for seed in range(4)]
     assert report.failures == []
     counts = report.counts
     assert counts["violation"] == 0 and counts["crash"] == 0
     text = report.render()
-    assert "chaos soak: 4 plans" in text
+    assert "chaos soak: 12 plans" in text
+    for name in ("pairwise", "streaming", "topology"):
+        assert f"{name} slice: 4 plans" in text
     assert "all plans passed" in text
 
 
@@ -235,7 +240,11 @@ def test_cli_chaos_replays_plan_file(tmp_path, capsys):
     assert main(["chaos", "--frames", "4",
                  "--fault-plan", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "chaos soak: 4 plans" in out
+    # one run per spec of every slice, seeded by its index in the slice
+    assert "chaos soak: 16 plans" in out
+    assert "pairwise slice: 4 plans" in out
+    assert "streaming slice: 6 plans" in out
+    assert "topology slice: 6 plans" in out
 
 
 def test_cli_chaos_gate_fails_on_violating_replay(tmp_path, capsys):
@@ -252,26 +261,68 @@ def test_cli_chaos_gate_fails_on_violating_replay(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the streaming grid
+# the grid's slices
 # ---------------------------------------------------------------------------
 
 
-def test_streaming_workload_grid_covers_modes_and_systems():
-    from repro.workflow.spec import SyncMode
+def test_workload_grid_has_three_slices_in_order():
+    from repro.workflow.spec import (
+        Placement, SyncMode, Topology, WorkflowSpec,
+    )
 
-    grid = chaos_workloads(frames=4, streaming=True)
-    assert all(spec.is_streaming for spec in grid)
-    assert {spec.system for spec in grid} == {
+    split, single = Placement.SPLIT, Placement.SINGLE_NODE
+    grid = chaos_workloads(frames=4)
+
+    def spec(system, placement=split, **kwargs):
+        return WorkflowSpec(system=system, frames=4, placement=placement,
+                            **kwargs)
+
+    assert list(grid) == ["pairwise", "streaming", "topology"]
+    assert grid["pairwise"] == [
+        spec(System.DYAD), spec(System.DYAD, pairs=2),
+        spec(System.XFS, single), spec(System.LUSTRE)]
+    assert grid["streaming"] == [
+        spec(System.DYAD, sync_mode=SyncMode.WINDOWED),
+        spec(System.DYAD, pairs=2, sync_mode=SyncMode.PUBSUB),
+        spec(System.XFS, single, sync_mode=SyncMode.WINDOWED, window=4),
+        spec(System.XFS, single, sync_mode=SyncMode.NBUFFER),
+        spec(System.LUSTRE, sync_mode=SyncMode.PUBSUB),
+        spec(System.LUSTRE, pairs=2, sync_mode=SyncMode.WINDOWED,
+             window=1)]
+    assert grid["topology"] == [
+        spec(System.DYAD, topology=Topology.FANOUT, consumers=4),
+        spec(System.DYAD, topology=Topology.FANIN, producers=3,
+             sync_mode=SyncMode.WINDOWED),
+        spec(System.DYAD, topology=Topology.POOL, producers=2, consumers=3),
+        spec(System.XFS, single, topology=Topology.POOL, producers=2,
+             consumers=3, sync_mode=SyncMode.POLLING),
+        spec(System.LUSTRE, topology=Topology.FANOUT, consumers=2,
+             sync_mode=SyncMode.WINDOWED),
+        spec(System.LUSTRE, topology=Topology.FANIN, producers=4)]
+
+
+def test_streaming_workload_grid_covers_modes_and_systems():
+    from repro.workflow.spec import SyncMode, Topology
+
+    grid = chaos_workloads(frames=4)
+    streaming = grid["streaming"]
+    assert all(spec.is_streaming for spec in streaming)
+    assert {spec.system for spec in streaming} == {
         System.DYAD, System.XFS, System.LUSTRE}
-    assert {spec.sync_mode for spec in grid} == {
+    assert {spec.sync_mode for spec in streaming} == {
         SyncMode.WINDOWED, SyncMode.PUBSUB, SyncMode.NBUFFER}
-    # the default grid is untouched (existing soak seeds replay as-is)
-    assert all(not spec.is_streaming for spec in chaos_workloads(frames=4))
+    # the pairwise slice stays barrier/polling only (existing soak seeds
+    # replay as-is)
+    assert all(not spec.is_streaming for spec in grid["pairwise"])
+    assert all(spec.topology is Topology.PAIRWISE
+               for spec in grid["pairwise"] + streaming)
 
 
 def test_small_streaming_soak_passes_invariants():
-    report = soak(plans=6, base_seed=7, frames=4, streaming=True)
-    assert len(report.outcomes) == 6
+    report = soak(plans=6, base_seed=7, frames=4)
+    streaming = [o for o in report.outcomes if o.slice_name == "streaming"]
+    assert [o.seed for o in streaming] == list(range(7, 13))
+    assert all(o.spec.is_streaming for o in streaming)
     assert report.failures == []
     counts = report.counts
     assert counts["violation"] == 0 and counts["crash"] == 0
@@ -280,13 +331,15 @@ def test_small_streaming_soak_passes_invariants():
 def test_streaming_soak_failure_writes_shrunk_artifact(tmp_path, monkeypatch):
     # Force a deterministic backpressure-deadlock classification so the
     # shrink-and-serialize path runs without needing a real harness bug:
-    # any plan carrying a link_flap "fails", so shrink reduces to it.
+    # any streaming plan carrying a link_flap "fails", so shrink reduces
+    # to it.
     import repro.chaos as chaos_mod
 
     real_execute = chaos_mod.execute_plan
 
     def fake_execute(spec, plan, seed=0, **kwargs):
-        if any(e.kind == "link_flap" for e in plan.events):
+        if spec.is_streaming and any(e.kind == "link_flap"
+                                     for e in plan.events):
             return chaos_mod.ChaosOutcome(
                 seed, spec, plan, "violation",
                 "backpressure-liveness: producer0 blocked past horizon",
@@ -296,8 +349,10 @@ def test_streaming_soak_failure_writes_shrunk_artifact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(chaos_mod, "execute_plan", fake_execute)
     report = chaos_mod.soak(plans=8, base_seed=0, frames=4,
-                            artifact_dir=str(tmp_path), streaming=True)
+                            artifact_dir=str(tmp_path))
     assert report.failures
+    # the first failure (the one shrunk) comes from the streaming slice
+    assert report.failures[0].slice_name == "streaming"
     assert report.shrunk_events == 1
     artifact = tmp_path / "chaos-shrunk-plan.json"
     assert artifact.exists()
@@ -309,10 +364,34 @@ def test_streaming_soak_failure_writes_shrunk_artifact(tmp_path, monkeypatch):
 
 
 def test_cli_chaos_streaming_flag(capsys):
-    args = build_parser().parse_args(["chaos", "--streaming"])
-    assert args.streaming is True
-    assert main(["chaos", "--runs", "3", "--frames", "4",
-                 "--streaming"]) == 0
+    # The slice flags are gone: one invocation soaks every slice.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["chaos", "--streaming"])
+    capsys.readouterr()
+    assert main(["chaos", "--runs", "2", "--frames", "4"]) == 0
     out = capsys.readouterr().out
-    assert "chaos soak: 3 plans" in out
+    assert "chaos soak: 6 plans" in out
+    assert "streaming slice: 2 plans" in out
     assert "all plans passed" in out
+
+
+# ---------------------------------------------------------------------------
+# abandoned runs
+# ---------------------------------------------------------------------------
+
+
+def test_abandoned_run_closes_without_unraisable(monkeypatch):
+    # Streaming slice, seed 7: the plan is diagnosed mid-frame, leaving
+    # DYAD/POSIX generators suspended inside an open file handle. When
+    # the collector closes them, the simulated close must not yield
+    # during GeneratorExit ("generator ignored GeneratorExit").
+    import gc
+    import sys
+
+    recorded = []
+    monkeypatch.setattr(sys, "unraisablehook", recorded.append)
+    spec = chaos_workloads(8)["streaming"][1]
+    outcome = execute_plan(spec, random_plan(7, spec), seed=7)
+    assert outcome.classification == "diagnosed"
+    gc.collect()
+    assert recorded == []

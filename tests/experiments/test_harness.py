@@ -110,7 +110,7 @@ def test_registry_complete():
     assert set(EXPERIMENTS) == {
         "tables", "fig5", "fig6", "fig7", "fig8",
         "fig9", "fig10", "fig11", "fig12", "ablations",
-        "topology", "resilience", "streaming", "chaos", "validate",
+        "scenarios", "resilience", "chaos", "validate",
     }
 
 

@@ -1,42 +1,51 @@
-"""The `streaming` experiment: grids gate on flow-control invariants."""
+"""The streaming grids of the `scenarios` sweep: flow-control totals."""
 
 import pytest
 
-from repro.errors import CampaignError, ReproError
-from repro.experiments import streaming as streaming_exp
+from repro.errors import CampaignError
+from repro.experiments import scenarios
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.workflow.spec import SyncMode, System
+from repro.workflow.spec import SyncMode, System, Topology
 
 
 def test_registered():
-    assert EXPERIMENTS["streaming"] is streaming_exp
-    assert get_experiment("streaming") is streaming_exp
+    assert EXPERIMENTS["scenarios"] is scenarios
+    assert get_experiment("scenarios") is scenarios
+    assert "streaming" not in EXPERIMENTS and "topology" not in EXPERIMENTS
 
 
 def test_grids_cover_paper_figures_and_modes():
-    grids = streaming_exp._grids(quick=True)
-    assert [g[0] for g in grids] == [
-        "Streaming-5", "Streaming-6/7", "Streaming-8", "Streaming-11"]
-    systems = {system for _, _, _, cells in grids
-               for _, system, _ in cells}
-    assert systems == {System.DYAD, System.XFS, System.LUSTRE}
-    assert streaming_exp.MODES == (
+    table = scenarios.grids(quick=True)
+    assert [g[0] for g in table] == [
+        "Streaming-5", "Streaming-6/7", "Streaming-8", "Streaming-11",
+        "Topology-A", "Topology-B", "Topology-C"]
+    streamed = [spec for _, _, _, cells in table[:4]
+                for _, _, spec in cells]
+    assert all(spec.topology is Topology.PAIRWISE for spec in streamed)
+    assert {spec.system for spec in streamed} == {
+        System.DYAD, System.XFS, System.LUSTRE}
+    assert {spec.sync_mode for spec in streamed} == set(scenarios.MODES)
+    assert scenarios.MODES == (
         SyncMode.WINDOWED, SyncMode.PUBSUB, SyncMode.NBUFFER)
-    assert streaming_exp.FIDELITIES == ("exact", "hybrid")
+    assert scenarios.FIDELITIES == ("exact", "hybrid")
+    # quick cells run 8 frames; full streaming cells take the requested
+    # frame count, full topology cells cap it at 32
+    full = scenarios.grids(quick=False, frames=64)
+    assert {cells[0][2].frames for _, _, _, cells in full} == {64, 32}
 
 
-def test_quick_sweep_gates_clean():
-    report = streaming_exp.run(runs=1, frames=4, quick=True)
+def test_quick_sweep_gates_clean(scenario_report):
+    report = scenario_report
     # one FigureResult per grid per fidelity tier
-    assert len(report.figures) == 4 * len(streaming_exp.FIDELITIES)
+    assert len(report.figures) == 7 * len(scenarios.FIDELITIES)
     assert report.failures == []
-    for mode in streaming_exp.MODES:
+    for mode in scenarios.MODES:
         totals = report.flow_stats[mode.value]
         assert totals["credits_issued"] == totals["credits_returned"] > 0
         assert totals["lost_wakeups"] == 0
     # windowed cells actually run the wider window
     windowed = report.flow_stats[SyncMode.WINDOWED.value]
-    assert windowed["peak_in_flight"] <= streaming_exp.WINDOW
+    assert windowed["peak_in_flight"] <= scenarios.WINDOW
     text = report.render()
     assert "streaming flow-control totals" in text
     assert "gate: zero invariant violations" in text
@@ -44,10 +53,10 @@ def test_quick_sweep_gates_clean():
 
 def test_main_raises_on_failures(monkeypatch):
     def failing_run(quick=False):
-        report = streaming_exp.StreamingReport()
-        report.failures.append("Streaming-5/exact xfs/windowed @ 1: leak")
+        report = scenarios.ScenarioReport()
+        report.failures.append("Topology-A/exact dyad/coarse @ 8: 9 pulls")
         return report
 
-    monkeypatch.setattr(streaming_exp, "run", failing_run)
-    with pytest.raises(CampaignError, match="flow-control gate"):
-        streaming_exp.main(quick=True)
+    monkeypatch.setattr(scenarios, "run", failing_run)
+    with pytest.raises(CampaignError, match="tripped the gate"):
+        scenarios.main(quick=True)

@@ -1,14 +1,15 @@
-"""Tests for the topology experiment and the grid-aggregation fixes.
+"""Tests for the topology grids of the `scenarios` sweep and the
+grid-aggregation fixes.
 
 Covers ``median_run`` (one representative run, never run 0's counters
 under another run's movement), the render hardening of ``FigureResult``
-against ragged grids, and a trimmed end-to-end run of the topology sweep
-including its read-amplification accounting and invariant gate.
+against ragged grids, and the quick sweep's topology figures including
+their read-amplification accounting and shared-read gate.
 """
 
 import pytest
 
-from repro.experiments import topology
+from repro.experiments import scenarios
 from repro.experiments.common import (
     Cell,
     FigureResult,
@@ -57,16 +58,15 @@ def test_figure_result_table_skips_ragged_combinations():
 
 
 # ---------------------------------------------------------------------------
-# TopologyReport rendering
+# ScenarioReport rendering
 # ---------------------------------------------------------------------------
 
 
 def test_topology_report_render_gate_and_failures():
-    clean = topology.TopologyReport(runs=1, frames=8)
+    clean = scenarios.ScenarioReport()
     assert "gate: zero invariant violations" in clean.render()
-    bad = topology.TopologyReport(
+    bad = scenarios.ScenarioReport(
         failures=["Topology-A/exact dyad/coarse @ 8: boom"],
-        runs=1, frames=8,
     )
     text = bad.render()
     assert "FAILURES:" in text and "boom" in text
@@ -74,7 +74,7 @@ def test_topology_report_render_gate_and_failures():
 
 
 def test_topology_report_render_amplification_lines():
-    report = topology.TopologyReport(runs=1, frames=8)
+    report = scenarios.ScenarioReport()
     report.amplification["dyad"] = {
         "fanout": 8.0, "frames": 8.0, "rdma_transfers": 8.0,
         "cache_hits": 56.0, "shared_read_waits": 16.0,
@@ -89,36 +89,33 @@ def test_topology_report_render_amplification_lines():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: a trimmed sweep passes its own gate
+# end-to-end: the quick sweep's topology figures pass their own gate
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def report():
-    # Trim to the exact tier (the hybrid tier rides the same code path);
-    # quick mode keeps the grid at two widths per shape.
-    original = topology.FIDELITIES
-    topology.FIDELITIES = ("exact",)
-    try:
-        return topology.run(quick=True)
-    finally:
-        topology.FIDELITIES = original
+def _topology_figures(report):
+    return [fig for fig in report.figures
+            if fig.figure_id.startswith("Topology-")]
 
 
-def test_sweep_passes_gate(report):
+def test_sweep_passes_gate(scenario_report):
+    report = scenario_report
     assert report.failures == []
-    assert len(report.figures) == 3          # one per shape, exact tier
+    # one per shape per fidelity tier
+    assert len(_topology_figures(report)) == 3 * len(scenarios.FIDELITIES)
 
 
-def test_sweep_covers_every_system(report):
-    for fig in report.figures:
+def test_sweep_covers_every_system(scenario_report):
+    report = scenario_report
+    for fig in _topology_figures(report):
         systems = {label.split("/")[0] for label in fig.systems}
         assert systems == {"dyad", "xfs", "lustre"}
         # DYAD has no polling column: the spelling normalizes to coarse.
         assert "dyad/polling" not in fig.systems
 
 
-def test_sweep_amplification_accounting(report):
+def test_sweep_amplification_accounting(scenario_report):
+    report = scenario_report
     dyad = report.amplification["dyad"]
     lustre = report.amplification["lustre"]
     frames, fanout = 8, 8
@@ -132,7 +129,8 @@ def test_sweep_amplification_accounting(report):
     assert lustre["cold_reads"] == fanout * dyad["rdma_transfers"]
 
 
-def test_sweep_render_mentions_gate_and_amplification(report):
+def test_sweep_render_mentions_gate_and_amplification(scenario_report):
+    report = scenario_report
     text = report.render()
     assert "gate: zero invariant violations" in text
     assert "read amplification" in text

@@ -39,6 +39,10 @@ SYSTEMS = (System.DYAD, System.XFS, System.LUSTRE)
 FRAMES = 6
 PAIRS = 2
 
+#: ``invariant_checks`` of one clean FRAMES x PAIRS streaming run, any mode
+CLEAN_RUN_CHECKS = {System.DYAD: 162.0, System.XFS: 157.0,
+                    System.LUSTRE: 171.0}
+
 
 def _spec(system, mode, frames=FRAMES, pairs=PAIRS, window=2, **kwargs):
     placement = (Placement.SINGLE_NODE if system is System.XFS
@@ -257,8 +261,22 @@ def test_stream_drain_invariant_trips_on_leak():
     channel.credits_issued = 3   # one credit never returned
     channel.credits_returned = 2
     checker = _nonfatal()
-    checker.check_stream_drain([channel])
+    checker.check_stream_drain([channel], frames=3)
     assert any("leaked 1 credit" in v for v in checker.violations)
+
+
+def test_stream_drain_invariant_trips_on_extra_credit():
+    # Balanced ledger, but the edge issued a credit for a frame it never
+    # had: only the one-credit-per-frame comparison sees it.
+    env = Environment()
+    channel = _channel(env, window=2)
+    channel.credits_issued = channel.credits_returned = 4
+    checker = _nonfatal()
+    checker.check_stream_drain([channel], frames=3)
+    assert checker.violations == [
+        "credit-conservation: pair 0 issued 4 credit(s) for 3 frame(s)"]
+    # folded into the conservation comparison: still three checks a channel
+    assert checker.checks == 3
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +290,8 @@ def test_streaming_completes_with_balanced_ledger(system, mode):
     result = run_workflow(_spec(system, mode))   # checker fatal by default
     assert result.invariant_violations == []
     stats = result.system_stats
+    # checks are fingerprinted: the per-frame credit count adds none
+    assert stats["invariant_checks"] == CLEAN_RUN_CHECKS[system]
     expected = float(FRAMES * PAIRS)
     assert stats["stream_credits_issued"] == expected
     assert stats["stream_credits_returned"] == expected

@@ -217,7 +217,7 @@ def test_one_to_one_shapes_agree(system, sync):
 
 
 def test_chaos_topology_grid_survives_seeded_plans():
-    workloads = chaos_workloads(frames=4, topology=True)
+    workloads = chaos_workloads(4)["topology"]
     assert len(workloads) == 6
     assert all(w.topology is not Topology.PAIRWISE for w in workloads)
     for i, spec in enumerate(workloads):
