@@ -10,8 +10,10 @@
 - ``smoke`` — the CI chaos gate: like ``bench``, but additionally
   SIGKILLs a worker (via the campaign runner's injected-fault hook) and
   SIGKILLs + restarts the *server* mid-run, then asserts zero lost
-  jobs, zero failed jobs, consistent fingerprints, and observed
-  crash-retry activity. Exit status is the assertion result.
+  jobs, zero failed jobs, consistent fingerprints, observed
+  crash-retry activity, and the serving hot path's same-run ratios
+  (journal events per fsync, LRU hit ratio, in-flight dedup, batched
+  dispatch). Exit status is the assertion result.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from repro.service.client import ServiceClient, SyncServiceClient
 from repro.service.loadgen import run_delivery, run_load
 
 __all__ = ["main", "build_parser"]
+
+#: Smoke-mode floor on journal records per fsync. Group commit batches
+#: hundreds of events per sync; a collapse to per-event fsync reads ~1.0.
+MIN_EVENTS_PER_SYNC = 20.0
+#: Smoke-mode floor on the result-store LRU hit ratio: the load repeats
+#: a small pool of cells, so most lookups must hit the in-memory index.
+MIN_LRU_HIT_RATIO = 0.5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +356,8 @@ def _check(report: Dict[str, Any], chaos: bool) -> List[str]:
             f"of {delivery['fetches']}"
         )
     if chaos:
-        counters = report["server_stats"]["counters"]
+        server_stats = report["server_stats"]
+        counters = server_stats["counters"]
         if counters.get("retries", 0) < 1:
             failures.append("worker crash was never retried "
                             "(chaos hook did not fire?)")
@@ -355,6 +365,28 @@ def _check(report: Dict[str, Any], chaos: bool) -> List[str]:
             failures.append("server was never killed mid-run "
                             "(load finished too early; raise --clients "
                             "or lower --kill-after)")
+        # same-run ratios and counts: independent of machine speed
+        journal = server_stats["journal"]
+        per_sync = journal["records"] / max(journal["syncs"], 1)
+        if per_sync < MIN_EVENTS_PER_SYNC:
+            failures.append(
+                f"journal group commit collapsed: {per_sync:.1f} events "
+                f"per fsync (floor {MIN_EVENTS_PER_SYNC:.0f})"
+            )
+        hits, misses = (server_stats["store"]["lru_hits"],
+                        server_stats["store"]["lru_misses"])
+        hit_ratio = hits / max(hits + misses, 1)
+        if hit_ratio < MIN_LRU_HIT_RATIO:
+            failures.append(f"result-store LRU hit ratio {hit_ratio:.2f} "
+                            f"below {MIN_LRU_HIT_RATIO:.2f}")
+        if counters.get("dedup_inflight", 0) < 1:
+            failures.append("duplicate submissions were never deduplicated "
+                            "in flight")
+        jobs, batches = (server_stats["dispatch"]["jobs"],
+                         server_stats["dispatch"]["batches"])
+        if not jobs >= batches >= 1:
+            failures.append(f"dispatch accounting off: {jobs} jobs in "
+                            f"{batches} batches")
     return failures
 
 

@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.errors import ReproError
+from repro.experiments import parallel
 from repro.experiments.parallel import (
     RunTask,
     campaign,
@@ -81,14 +82,20 @@ def test_run_campaign_empty():
 # ---------------------------------------------------------------------------
 
 
-def test_cache_hits_equal_cold_runs(tmp_path):
+def test_cache_hits_equal_cold_runs(tmp_path, monkeypatch):
     cold = run_repetitions(FIG5_SPEC, runs=3, jitter_cv=0.05,
                            use_cache=True, cache_dir=str(tmp_path))
     assert len(list(tmp_path.rglob("*.pkl"))) == 3
+    uncached = run_repetitions(FIG5_SPEC, runs=3, jitter_cv=0.05)
+
+    def no_simulation(task):
+        raise AssertionError(f"cache hit simulated seed {task.seed}")
+
+    # a hit simulates nothing: the warm pass must never execute a task
+    monkeypatch.setattr(parallel, "_execute_task", no_simulation)
     warm = run_repetitions(FIG5_SPEC, runs=3, jitter_cv=0.05,
                            use_cache=True, cache_dir=str(tmp_path))
     assert fingerprints(cold) == fingerprints(warm)
-    uncached = run_repetitions(FIG5_SPEC, runs=3, jitter_cv=0.05)
     assert fingerprints(uncached) == fingerprints(warm)
 
 

@@ -9,8 +9,12 @@ no jitter:
   violations, at the exact and hybrid tiers, and each streaming edge
   issues exactly one credit per frame;
 - at the exact tier, nbuffer is the windowed W=2 schedule for every
-  shape: same makespan, same bytes on the fabric and the SSDs.
+  shape: same makespan, same bytes on the fabric and the SSDs;
+- the hybrid tier's makespan matches the exact tier's within the
+  documented 1e-3 relative tolerance for every spec.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +25,8 @@ from repro.workflow.spec import (
 )
 
 SYNCS = tuple(SyncMode)
+#: Documented agreement of the hybrid tier with the exact tier.
+TIER_REL_TOL = 1e-3
 BYTE_COUNTERS = ("fabric_bytes_moved", "ssd_bytes_written", "ssd_bytes_read")
 
 
@@ -52,26 +58,27 @@ def edges(spec):
             else spec.streams)
 
 
-@given(
-    shape=shapes(),
-    system=st.sampled_from(tuple(System)),
-    sync=st.sampled_from(SYNCS),
-    window=st.integers(min_value=1, max_value=4),
-    frames=st.integers(min_value=2, max_value=4),
-    fidelity=st.sampled_from(("exact", "hybrid")),
-)
+@st.composite
+def specs(draw):
+    """Any shape x system x sync x window x 2-4 frames (nbuffer: W=2)."""
+    topology, sizes = draw(shapes())
+    sync = draw(st.sampled_from(SYNCS))
+    window = (2 if sync is SyncMode.NBUFFER
+              else draw(st.integers(min_value=1, max_value=4)))
+    return make_spec(draw(st.sampled_from(tuple(System))), topology, sizes,
+                     sync, draw(st.integers(min_value=2, max_value=4)),
+                     window)
+
+
+@given(spec=specs(), fidelity=st.sampled_from(("exact", "hybrid")))
 @settings(max_examples=100, deadline=None)
-def test_any_spec_runs_clean(shape, system, sync, window, frames, fidelity):
-    topology, sizes = shape
-    if sync is SyncMode.NBUFFER:
-        window = 2
-    spec = make_spec(system, topology, sizes, sync, frames, window)
+def test_any_spec_runs_clean(spec, fidelity):
     result = run_workflow(spec, jitter_cv=0.0, fidelity=fidelity)
     assert result.invariant_violations == []
     stats = result.system_stats
     assert stats["invariant_violations"] == 0.0
     if spec.is_streaming:
-        expected = float(edges(spec) * frames)
+        expected = float(edges(spec) * spec.frames)
         assert stats["stream_credits_issued"] == expected
         assert stats["stream_credits_returned"] == expected
 
@@ -91,3 +98,13 @@ def test_nbuffer_is_windowed_w2_for_every_shape(shape, system, frames):
     assert nbuffer.makespan == windowed.makespan
     for key in BYTE_COUNTERS:
         assert nbuffer.system_stats[key] == windowed.system_stats[key], key
+
+
+@given(spec=specs())
+@settings(max_examples=50, deadline=None)
+def test_hybrid_makespan_matches_exact(spec):
+    exact = run_workflow(spec, jitter_cv=0.0, fidelity="exact")
+    hybrid = run_workflow(spec, jitter_cv=0.0, fidelity="hybrid")
+    assert math.isclose(hybrid.makespan, exact.makespan,
+                        rel_tol=TIER_REL_TOL), (hybrid.makespan,
+                                                exact.makespan)

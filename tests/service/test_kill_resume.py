@@ -62,6 +62,7 @@ def test_sigkill_resume_loses_nothing_and_matches_uninterrupted(tmp_path):
     assert reference["outcomes"]["failed"] == 0
     assert reference["divergent_fingerprints"] == {}
     assert len(reference["fingerprints"]) == LOAD["distinct_jobs"]
+    assert 0 < reference["latency_p50"] <= reference["latency_p99"]
 
     # -- run B: SIGKILL the server mid-campaign, restart on the same
     # journal + cache ----------------------------------------------------

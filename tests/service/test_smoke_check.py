@@ -1,0 +1,63 @@
+"""The chaos smoke's verdict (``_check``), fed synthetic reports.
+
+Besides exactly-once delivery, ``python -m repro.service smoke`` gates
+the serving hot path on same-run ratios that do not depend on machine
+speed: journal events per fsync, LRU hit ratio, in-flight dedup and
+batched dispatch.
+"""
+
+import pytest
+
+from repro.service.__main__ import _check
+
+
+def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
+            dedup=168, jobs=10, batches=3):
+    """A passing smoke report, shaped like the real one (counts from a
+    200-client run); keyword overrides break one gate at a time."""
+    return {
+        "lost_jobs": 0,
+        "submitted": 400,
+        "outcomes": {"done": 400, "failed": 0},
+        "divergent_fingerprints": {},
+        "server_kills": 1,
+        "sustained": {"lost_jobs": 0, "submitted": 5000,
+                      "outcomes": {"done": 5000, "failed": 0}},
+        "delivery": {"fetches": 400, "delivered": 400},
+        "server_stats": {
+            "counters": {"retries": 2, "dedup_inflight": dedup},
+            "journal": {"records": records, "syncs": syncs},
+            "store": {"lru_hits": lru_hits, "lru_misses": lru_misses},
+            "dispatch": {"jobs": jobs, "batches": batches},
+        },
+    }
+
+
+def test_passing_report_has_no_failures():
+    assert _check(_report(), chaos=True) == []
+
+
+@pytest.mark.parametrize("broken,failure", [
+    # syncs == records: the group-commit window collapsed
+    ({"records": 10000, "syncs": 10000},
+     "journal group commit collapsed: 1.0 events per fsync (floor 20)"),
+    ({"records": 199, "syncs": 10},
+     "journal group commit collapsed: 19.9 events per fsync (floor 20)"),
+    ({"lru_hits": 300, "lru_misses": 700},
+     "result-store LRU hit ratio 0.30 below 0.50"),
+    ({"dedup": 0}, "duplicate submissions were never deduplicated in flight"),
+    ({"jobs": 0, "batches": 0},
+     "dispatch accounting off: 0 jobs in 0 batches"),
+    ({"jobs": 2, "batches": 3},
+     "dispatch accounting off: 2 jobs in 3 batches"),
+])
+def test_each_hot_path_floor_fails_alone(broken, failure):
+    assert _check(_report(**broken), chaos=True) == [failure]
+
+
+def test_hot_path_floors_apply_to_smoke_only():
+    """``bench`` mode records the ratios but does not gate on them."""
+    report = _report(records=100, syncs=100, lru_hits=0, dedup=0,
+                     jobs=0, batches=0)
+    assert _check(report, chaos=False) == []
+    assert len(_check(report, chaos=True)) == 4

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.sim.core import Environment, Process
+from repro.sim.core import Environment, Event, Process
 from repro.sim.reference import ReferenceSharedBandwidth
 from repro.sim.resources import SharedBandwidth
 
@@ -148,6 +148,44 @@ def test_matches_reference_with_mid_stream_cap_changes(seed):
         )
     assert math.isclose(got_bytes, want_bytes, rel_tol=REL_TOL)
     assert math.isclose(got_end, want_end, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def _burst_rounds(cls, flows=64, rounds=300):
+    """``rounds`` bursts of ``flows`` mixed-size transfers into one channel,
+    each drained before the next: a many-pair fan-out on one OSS or NIC."""
+    env = Environment()
+    chan = cls(env, bandwidth=1e9)
+    rng = random.Random(42)
+    sizes = [rng.choice((1e5, 1e6, 5e6, 2e7)) for _ in range(flows)]
+
+    def driver():
+        for _ in range(rounds):
+            gate = Event(env)
+            left = [flows]
+
+            def _done(_ev, gate=gate, left=left):
+                left[0] -= 1
+                if not left[0]:
+                    gate.succeed(None)
+
+            for size in sizes:
+                chan.transfer(size).callbacks.append(_done)
+            yield gate
+
+    Process(env, driver())
+    env.run()
+    assert chan.bytes_moved == rounds * sum(sizes)
+    return env, chan
+
+
+def test_64_flow_bursts_match_reference():
+    """Same event timeline as the oracle, with pinned channel counters."""
+    env, chan = _burst_rounds(SharedBandwidth)
+    ref_env, _ = _burst_rounds(ReferenceSharedBandwidth)
+    assert env._seq == ref_env._seq == 39_602
+    assert env.now == ref_env.now
+    assert chan.reschedules == 20_100
+    assert chan.stale_wakeups_defused == 18_900
 
 
 def test_equal_flows_complete_fifo_together():

@@ -7,7 +7,8 @@ channel's differential suite — because a one-link FluidNetwork *is* a
 processor-sharing channel and must time flows identically. On top of
 that, multi-link max-min rates, weighted flows (the chunk-collapse
 mechanism), per-slot caps, mid-stream mutations, and the tail/latency
-folding contract are checked against hand-computed scenarios.
+folding contract are checked against hand-computed scenarios. Three
+scale gates at the end pin the tiers' cost in exact counts.
 """
 
 import math
@@ -15,6 +16,8 @@ import random
 
 import pytest
 
+from repro.cluster.topology import Cluster, ClusterConfig
+from repro.dyad.rdma import RdmaTransport
 from repro.errors import ConfigError
 from repro.sim.core import Environment, Process
 from repro.sim.fluid import Fidelity, FluidNetwork
@@ -341,3 +344,91 @@ def test_fidelity_coerce():
         Fidelity.coerce("approximate")
     with pytest.raises(ConfigError):
         Fidelity.coerce(3)
+
+
+# ---------------------------------------------------------------------------
+# Scale gates. Kernel events, epochs and rate solves are exact counts of a
+# deterministic simulation: they pin the tiers' cost on any machine.
+# ---------------------------------------------------------------------------
+
+MIB = 1 << 20
+
+#: Kernel events per tier for the 64-puller chunked-RDMA fan-in: 57x
+#: fewer on the fluid tier than on the exact one.
+FAN_IN_EVENTS = {"exact": 83_328, "hybrid": 2_728, "fluid": 1_448}
+#: The documented tier-agreement tolerance on makespans.
+TIER_REL_TOL = 1e-3
+
+
+def _fan_in(fidelity, pullers=64, frame=32 * MIB, chunk=4 * MIB, rounds=20):
+    """``pullers`` nodes each pull ``rounds`` chunked frames from node 0,
+    up to ``pullers * frame / chunk`` concurrent flows on its egress."""
+    cluster = Cluster(ClusterConfig(nodes=pullers + 1, fidelity=fidelity))
+    transport = RdmaTransport(cluster.fabric, chunk)
+    target = cluster.node(0).node_id
+
+    def puller(me):
+        for _ in range(rounds):
+            yield from transport.get(me, target, frame)
+
+    for node in cluster.nodes[1:]:
+        cluster.env.process(puller(node.node_id))
+    cluster.env.run()
+    return cluster
+
+
+def test_contended_fan_in_tiers():
+    clusters = {tier: _fan_in(tier) for tier in FAN_IN_EVENTS}
+    assert {tier: c.env._seq for tier, c in clusters.items()} == FAN_IN_EVENTS
+    exact = clusters["exact"].env.now
+    for tier in ("hybrid", "fluid"):
+        assert math.isclose(clusters[tier].env.now, exact,
+                            rel_tol=TIER_REL_TOL), tier
+        net = clusters[tier].fluid
+        assert (net.fluid_epochs, net.rate_solves, net.flows_admitted) == (
+            20, 40, 1_280), tier
+
+
+def test_fanout_10k_nodes_matches_analytic_makespan():
+    nodes, frame, rounds = 10_000, MIB, 2
+    cluster = Cluster(ClusterConfig(nodes=nodes, fidelity="fluid"))
+    fabric = cluster.fabric
+    src = cluster.node(0).node_id
+
+    def pusher(dst):
+        for _ in range(rounds):
+            yield from fabric.transfer(src, dst, frame)
+
+    for node in cluster.nodes[1:]:
+        cluster.env.process(pusher(node.node_id))
+    cluster.env.run()
+    flows = rounds * (nodes - 1)
+    # every push shares the source's egress link
+    analytic = flows * frame / fabric.config.link_bandwidth
+    net = cluster.fluid
+    assert net.flows_completed == flows
+    # folded latencies add microseconds to a multi-second makespan
+    assert abs(cluster.env.now - analytic) / analytic < 1e-2
+    assert (net.fluid_epochs, net.rate_solves) == (9, 11)
+
+
+def test_burst_workload_drains_every_flow():
+    """80,000 flows in four 20k bursts over 64 two-hop paths."""
+    total, burst, npaths = 80_000, 20_000, 64
+    env = Environment()
+    net = FluidNetwork(env)
+    # two bandwidth tiers, so every burst drains in distinct epochs
+    paths = [(net.link(4e9 if i % 2 else 2e9), net.link(4e9))
+             for i in range(npaths)]
+    sizes = (1e5, 1e6, 5e6, 2e7)
+
+    def driver():
+        for round_no in range(total // burst):
+            yield env.all_of([net.transfer(sizes[round_no], paths[j % npaths])
+                              for j in range(burst)])
+
+    Process(env, driver())
+    env.run()
+    assert net.flows_completed == total
+    assert net.active_flows == 0
+    assert (net.fluid_epochs, net.rate_solves) == (16, 20)
