@@ -5,8 +5,11 @@ Every experiment module exposes
 - ``run(runs=None, frames=None, quick=False)`` returning a structured
   result object, and
 - ``main()`` printing the same rows/series the paper reports (the
-  textual equivalent of the figure) plus the headline ratios with the
-  paper's values alongside.
+  textual equivalent of the figure).
+
+The paper's claims about each figure live in
+:mod:`repro.experiments.claims`; the CLI prints a figure's claims table
+after its series, and ``report`` renders them all into EXPERIMENTS.md.
 
 Run from the command line::
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.experiments.claims import CLAIMS
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all
+from repro.experiments.report import FIGURES, claims_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +106,12 @@ def _dispatch(args) -> int:
             result = module.run(runs=args.runs, frames=args.frames,
                                 quick=args.quick)
     print(result.render())
+    if args.experiment in dict(FIGURES):
+        # the paper figures also print their claims (rows that compare
+        # two figures need the full report)
+        print()
+        print(claims_table([c for c in CLAIMS if c.figure == args.experiment
+                            and not c.needs], {args.experiment: result}))
     if args.svg_dir and hasattr(result, "cells") and hasattr(result, "systems"):
         from repro.experiments.svgplot import save_figure_svg
 

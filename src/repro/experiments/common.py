@@ -85,12 +85,17 @@ class Stat:
 
 @dataclass(frozen=True)
 class Cell:
-    """Per-frame metrics of one configuration, aggregated over runs."""
+    """Per-frame metrics of one configuration, aggregated over runs.
+
+    ``makespan`` is the whole run's simulated wall time, not a per-frame
+    figure; it shows whether producers and consumers overlap.
+    """
 
     production_movement: Stat
     production_idle: Stat
     consumption_movement: Stat
     consumption_idle: Stat
+    makespan: Stat = Stat(0.0, 0.0)
 
     @property
     def production_time(self) -> float:
@@ -109,6 +114,7 @@ class Cell:
             production_idle=Stat.of([r.production_idle for r in results]),
             consumption_movement=Stat.of([r.consumption_movement for r in results]),
             consumption_idle=Stat.of([r.consumption_idle for r in results]),
+            makespan=Stat.of([r.makespan for r in results]),
         )
 
 
@@ -154,24 +160,25 @@ class FigureResult:
         """Cell for one x-value and system."""
         return self.cells[(x, system)]
 
+    def value(self, metric: str, system: str, x: object) -> float:
+        """Mean of one :class:`Cell` field (or total) for ``system`` at ``x``."""
+        attr = getattr(self.cell(x, system), metric)
+        return attr.mean if isinstance(attr, Stat) else float(attr)
+
     def ratio(self, metric: str, numerator: str, denominator: str,
               x: Optional[object] = None) -> float:
         """Ratio of a metric between two systems.
 
-        ``metric`` is one of ``production_movement``, ``production_time``,
-        ``consumption_movement``, ``consumption_time``. Without ``x`` the
+        ``metric`` is a :class:`Cell` field or total, e.g.
+        ``production_movement`` or ``consumption_time``. Without ``x`` the
         ratio of across-x means is returned (how the paper states most of
         its headline factors).
         """
-        def value(system: str, x_val: object) -> float:
-            cell = self.cell(x_val, system)
-            attr = getattr(cell, metric)
-            return attr.mean if isinstance(attr, Stat) else float(attr)
-
         if x is not None:
-            return value(numerator, x) / value(denominator, x)
-        num = np.mean([value(numerator, xv) for xv in self.xs])
-        den = np.mean([value(denominator, xv) for xv in self.xs])
+            return (self.value(metric, numerator, x)
+                    / self.value(metric, denominator, x))
+        num = np.mean([self.value(metric, numerator, xv) for xv in self.xs])
+        den = np.mean([self.value(metric, denominator, xv) for xv in self.xs])
         return float(num / den)
 
     # -- reporting ------------------------------------------------------------

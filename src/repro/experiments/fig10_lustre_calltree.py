@@ -21,35 +21,18 @@ consistent; we follow Fig. 8b and report the measured ratio here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.common import default_frames, default_runs
-from repro.experiments.fig9_dyad_calltree import CallTreeFigure
+from repro.experiments.fig9_dyad_calltree import CallTreeFigure, consumer_tree
 from repro.md.models import JAC, STMV
 from repro.perf.calltree import CallTree
-from repro.perf.thicket import Thicket
-from repro.units import to_msec
 from repro.workflow.emulator import READ_REGION, SYNC_REGION
-from repro.workflow.runner import run_repetitions
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["PAPER", "run", "main"]
+__all__ = ["run", "main"]
 
 PAIRS = 16
-
-PAPER = {
-    "data_ratio_stmv_over_jac": 45.3,
-    "movement_ratio_stmv_over_jac": 12.3,
-    "sync_constant": True,
-}
-
-
-def _consumer_tree(spec: WorkflowSpec, runs: int) -> CallTree:
-    ensemble = Thicket()
-    for result in run_repetitions(spec, runs=runs):
-        ensemble.extend(result.thicket().filter(role="consumer"))
-    return ensemble.aggregate("mean")
 
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
@@ -64,7 +47,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             system=System.LUSTRE, model=model, stride=model.paper_stride,
             frames=frames, pairs=PAIRS, placement=Placement.SPLIT,
         )
-        tree = _consumer_tree(spec, runs)
+        tree = consumer_tree(spec, runs)
         tree.label = f"Lustre consumer, {model.name}"
         trees[model.name] = tree
         read = tree.find(READ_REGION)
@@ -74,35 +57,13 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             SYNC_REGION: (sync.time / frames) if sync else 0.0,
         }
 
-    data_ratio = STMV.frame_bytes / JAC.frame_bytes
-    movement_ratio = (
-        per_frame["STMV"][READ_REGION] / per_frame["JAC"][READ_REGION]
-        if per_frame["JAC"][READ_REGION]
-        else 0.0
-    )
-    sync_ratio = (
-        per_frame["STMV"][SYNC_REGION] / per_frame["JAC"][SYNC_REGION]
-        if per_frame["JAC"][SYNC_REGION]
-        else 0.0
-    )
-    fig = CallTreeFigure(
+    return CallTreeFigure(
         figure_id="Fig10: Lustre call trees (JAC vs STMV)",
         trees=trees,
         per_frame=per_frame,
         runs=runs,
         frames=frames,
     )
-    fig.notes = [
-        f"data ratio STMV/JAC = {data_ratio:.1f}x "
-        f"(paper: {PAPER['data_ratio_stmv_over_jac']}x)",
-        f"Lustre read movement ratio STMV/JAC = {movement_ratio:.1f}x "
-        f"(paper: {PAPER['movement_ratio_stmv_over_jac']}x; see module note)",
-        f"explicit_sync per frame: JAC "
-        f"{to_msec(per_frame['JAC'][SYNC_REGION]):.1f} ms, STMV "
-        f"{to_msec(per_frame['STMV'][SYNC_REGION]):.1f} ms "
-        f"(ratio {sync_ratio:.2f}x, paper: constant)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> CallTreeFigure:

@@ -19,16 +19,10 @@ from repro.experiments.common import FigureResult, default_frames, default_runs,
 from repro.md.models import JAC
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["STRIDES", "PAPER", "run", "main"]
+__all__ = ["STRIDES", "run", "main"]
 
 STRIDES = (1, 5, 10, 50)
 PAIRS = 16
-
-PAPER = {
-    "production_ratio_lustre_over_dyad": 4.8,
-    "movement_flat_across_strides": True,
-    "idle_grows_with_stride": True,
-}
 
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
@@ -45,7 +39,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             )
             cell, _ = measure(spec, runs=runs)
             cells[(stride, system.value)] = cell
-    fig = FigureResult(
+    return FigureResult(
         figure_id="Fig11",
         title="frame frequency scaling, JAC, 16 pairs (DYAD vs Lustre)",
         x_name="stride",
@@ -55,24 +49,6 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         runs=runs,
         frames=frames,
     )
-    lo, hi = STRIDES[0], STRIDES[-1]
-    fig.notes = [
-        f"production movement lustre/dyad = "
-        f"{fig.ratio('production_movement', 'lustre', 'dyad'):.2f}x "
-        f"(paper: {PAPER['production_ratio_lustre_over_dyad']}x)",
-        f"dyad movement stride {lo}->{hi}: "
-        f"{cells[(lo, 'dyad')].consumption_movement.mean * 1e3:.3f} -> "
-        f"{cells[(hi, 'dyad')].consumption_movement.mean * 1e3:.3f} ms "
-        "(paper: flat)",
-        f"dyad idle stride {lo}->{hi}: "
-        f"{cells[(lo, 'dyad')].consumption_idle.mean * 1e3:.3f} -> "
-        f"{cells[(hi, 'dyad')].consumption_idle.mean * 1e3:.3f} ms; "
-        f"lustre idle: "
-        f"{cells[(lo, 'lustre')].consumption_idle.mean * 1e3:.3f} -> "
-        f"{cells[(hi, 'lustre')].consumption_idle.mean * 1e3:.3f} ms "
-        "(paper: both grow; DYAD stays far lower)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> FigureResult:

@@ -20,16 +20,10 @@ from repro.experiments.common import FigureResult, default_frames, default_runs,
 from repro.md.models import STMV
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["STRIDES", "PAPER", "run", "main"]
+__all__ = ["STRIDES", "run", "main"]
 
 STRIDES = (1, 5, 10, 50)
 PAIRS = 16
-
-PAPER = {
-    "production_ratio_lustre_over_dyad": 2.0,
-    "dyad_movement_improvement_high_stride": 1.4,
-    "consumption_ratio_band": (13.0, 192.2),
-}
 
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
@@ -46,7 +40,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             )
             cell, _ = measure(spec, runs=runs)
             cells[(stride, system.value)] = cell
-    fig = FigureResult(
+    return FigureResult(
         figure_id="Fig12",
         title="frame frequency scaling, STMV, 16 pairs (DYAD vs Lustre)",
         x_name="stride",
@@ -56,27 +50,6 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         runs=runs,
         frames=frames,
     )
-    lo, hi = STRIDES[0], STRIDES[-1]
-    dyad_improvement = (
-        cells[(lo, "dyad")].consumption_movement.mean
-        / cells[(hi, "dyad")].consumption_movement.mean
-        if cells[(hi, "dyad")].consumption_movement.mean
-        else 0.0
-    )
-    fig.notes = [
-        f"production movement lustre/dyad = "
-        f"{fig.ratio('production_movement', 'lustre', 'dyad'):.2f}x "
-        f"(paper: {PAPER['production_ratio_lustre_over_dyad']}x)",
-        f"dyad consumption movement improvement stride {lo}->{hi}: "
-        f"{dyad_improvement:.2f}x "
-        f"(paper: up to {PAPER['dyad_movement_improvement_high_stride']}x)",
-        f"overall consumption lustre/dyad: stride {lo}: "
-        f"{fig.ratio('consumption_time', 'lustre', 'dyad', x=lo):.1f}x, "
-        f"stride {hi}: "
-        f"{fig.ratio('consumption_time', 'lustre', 'dyad', x=hi):.1f}x "
-        f"(paper band: {PAPER['consumption_ratio_band']}, widening)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> FigureResult:

@@ -16,26 +16,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.common import (
-    Cell,
-    FigureResult,
-    default_frames,
-    default_runs,
-    measure,
-)
+from repro.experiments.common import FigureResult, default_frames, default_runs, measure
 from repro.md.models import JAC
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["PAIRS", "PAPER", "run", "main"]
+__all__ = ["PAIRS", "run", "main"]
 
 PAIRS = (1, 2, 4)
-
-#: The paper's reported factors, used in reports and shape assertions.
-PAPER = {
-    "production_ratio_dyad_over_xfs": 1.4,
-    "consumption_ratio_xfs_over_dyad": 192.9,
-}
-
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
@@ -51,7 +38,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             )
             cell, _ = measure(spec, runs=runs)
             cells[(pairs, system.value)] = cell
-    fig = FigureResult(
+    return FigureResult(
         figure_id="Fig5",
         title="single-node ensemble scaling, JAC (DYAD vs XFS)",
         x_name="pairs",
@@ -61,15 +48,6 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         runs=runs,
         frames=frames,
     )
-    prod = fig.ratio("production_movement", "dyad", "xfs")
-    cons = fig.ratio("consumption_time", "xfs", "dyad")
-    fig.notes = [
-        f"production movement dyad/xfs = {prod:.2f}x "
-        f"(paper: {PAPER['production_ratio_dyad_over_xfs']}x slower)",
-        f"overall consumption xfs/dyad = {cons:.1f}x "
-        f"(paper: {PAPER['consumption_ratio_xfs_over_dyad']}x faster with DYAD)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> FigureResult:

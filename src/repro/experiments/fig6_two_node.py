@@ -19,15 +19,9 @@ from repro.experiments.common import FigureResult, default_frames, default_runs,
 from repro.md.models import JAC
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["PAIRS", "PAPER", "run", "main"]
+__all__ = ["PAIRS", "run", "main"]
 
 PAIRS = (1, 2, 4, 8)
-
-PAPER = {
-    "production_ratio_lustre_over_dyad": 7.5,
-    "consumption_movement_ratio_lustre_over_dyad": 6.9,
-    "consumption_ratio_lustre_over_dyad": 197.4,
-}
 
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
@@ -44,7 +38,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             )
             cell, _ = measure(spec, runs=runs)
             cells[(pairs, system.value)] = cell
-    fig = FigureResult(
+    return FigureResult(
         figure_id="Fig6",
         title="two-node distributed workflow, JAC (DYAD vs Lustre)",
         x_name="pairs",
@@ -54,18 +48,6 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         runs=runs,
         frames=frames,
     )
-    fig.notes = [
-        f"production movement lustre/dyad = "
-        f"{fig.ratio('production_movement', 'lustre', 'dyad'):.2f}x "
-        f"(paper: {PAPER['production_ratio_lustre_over_dyad']}x)",
-        f"consumption movement lustre/dyad = "
-        f"{fig.ratio('consumption_movement', 'lustre', 'dyad'):.2f}x "
-        f"(paper: {PAPER['consumption_movement_ratio_lustre_over_dyad']}x)",
-        f"overall consumption lustre/dyad = "
-        f"{fig.ratio('consumption_time', 'lustre', 'dyad'):.1f}x "
-        f"(paper: {PAPER['consumption_ratio_lustre_over_dyad']}x)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> FigureResult:

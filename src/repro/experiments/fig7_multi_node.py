@@ -23,15 +23,9 @@ from repro.experiments.common import FigureResult, default_frames, default_runs,
 from repro.md.models import JAC
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["PAIRS", "PAPER", "run", "main"]
+__all__ = ["PAIRS", "run", "main"]
 
 PAIRS = (8, 16, 32, 64, 128, 256)
-
-PAPER = {
-    "production_ratio_lustre_over_dyad": 5.3,
-    "consumption_movement_ratio_lustre_over_dyad": 5.8,
-    "consumption_ratio_lustre_over_dyad": 192.0,
-}
 
 
 def _runs_for(pairs: int, base_runs: int) -> int:
@@ -58,7 +52,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             )
             cell, _ = measure(spec, runs=_runs_for(pairs, base_runs))
             cells[(pairs, system.value)] = cell
-    fig = FigureResult(
+    return FigureResult(
         figure_id="Fig7",
         title="multi-node ensemble scaling, JAC (DYAD vs Lustre)",
         x_name="pairs",
@@ -68,29 +62,6 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         runs=base_runs,
         frames=frames,
     )
-    first, last = xs[0], xs[-1]
-    dyad_growth = (
-        cells[(last, "dyad")].production_movement.mean
-        / cells[(first, "dyad")].production_movement.mean
-    )
-    lustre_growth = (
-        cells[(last, "lustre")].production_movement.mean
-        / cells[(first, "lustre")].production_movement.mean
-    )
-    fig.notes = [
-        f"production movement lustre/dyad = "
-        f"{fig.ratio('production_movement', 'lustre', 'dyad'):.2f}x "
-        f"(paper: {PAPER['production_ratio_lustre_over_dyad']}x)",
-        f"consumption movement lustre/dyad = "
-        f"{fig.ratio('consumption_movement', 'lustre', 'dyad'):.2f}x "
-        f"(paper: {PAPER['consumption_movement_ratio_lustre_over_dyad']}x)",
-        f"overall consumption lustre/dyad = "
-        f"{fig.ratio('consumption_time', 'lustre', 'dyad'):.1f}x "
-        f"(paper: {PAPER['consumption_ratio_lustre_over_dyad']}x)",
-        f"production growth {first}->{last} pairs: dyad {dyad_growth:.2f}x, "
-        f"lustre {lustre_growth:.2f}x (paper: stable for both)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> FigureResult:

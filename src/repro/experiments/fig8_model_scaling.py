@@ -26,15 +26,9 @@ from repro.experiments.common import FigureResult, default_frames, default_runs,
 from repro.md.models import MODELS
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["PAPER", "run", "main"]
+__all__ = ["run", "main"]
 
 PAIRS = 16
-
-PAPER = {
-    "production_ratio_band": (2.1, 6.3),
-    "consumption_movement_ratio_band": (1.6, 6.0),
-    "consumption_ratio_band": (121.0, 333.8),
-}
 
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
@@ -52,7 +46,7 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             )
             cell, _ = measure(spec, runs=runs)
             cells[(model.name, system.value)] = cell
-    fig = FigureResult(
+    return FigureResult(
         figure_id="Fig8",
         title="molecular model size scaling, 16 pairs (DYAD vs Lustre)",
         x_name="model",
@@ -62,21 +56,6 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         runs=runs,
         frames=frames,
     )
-    fig.notes = []
-    for model in models:
-        prod = fig.ratio("production_movement", "lustre", "dyad", x=model.name)
-        move = fig.ratio("consumption_movement", "lustre", "dyad", x=model.name)
-        total = fig.ratio("consumption_time", "lustre", "dyad", x=model.name)
-        fig.notes.append(
-            f"{model.name}: production lustre/dyad = {prod:.2f}x, "
-            f"consumption movement = {move:.2f}x, overall = {total:.1f}x"
-        )
-    fig.notes.append(
-        f"paper bands: production {PAPER['production_ratio_band']}, "
-        f"cons movement {PAPER['consumption_movement_ratio_band']} (widening), "
-        f"overall {PAPER['consumption_ratio_band']}"
-    )
-    return fig
 
 
 def main(quick: bool = False) -> FigureResult:

@@ -16,26 +16,21 @@ Paper's observations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.experiments.common import default_frames, default_runs
 from repro.md.models import JAC, STMV
 from repro.perf.calltree import CallTree
 from repro.perf.thicket import Thicket
-from repro.units import to_msec
 from repro.workflow.runner import run_repetitions
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["PAPER", "MOVEMENT_REGIONS", "run", "main", "CallTreeFigure"]
+__all__ = [
+    "MOVEMENT_REGIONS", "run", "main", "CallTreeFigure", "consumer_tree",
+]
 
 PAIRS = 16
-
-PAPER = {
-    "data_ratio_stmv_over_jac": 45.3,
-    "movement_ratio_stmv_over_jac": 33.6,
-    "fetch_ratio_jac_over_stmv": 2.1,
-}
 
 #: Per-frame movement = the sum of these consumer regions (as in Fig. 9).
 MOVEMENT_REGIONS = (
@@ -49,27 +44,25 @@ FETCH_PATH = ("dyad_consume", "dyad_fetch")
 
 @dataclass
 class CallTreeFigure:
-    """Aggregated call trees per model plus derived ratios."""
+    """Aggregated call trees per model."""
 
     figure_id: str
     trees: Dict[str, CallTree]
     per_frame: Dict[str, Dict[str, float]]  # model -> path-string -> seconds
     runs: int
     frames: int
-    notes: List[str] = field(default_factory=list)
 
     def render(self) -> str:
-        """Rendered call trees (ms/frame) plus the derived ratios."""
+        """Rendered call trees (ms/frame)."""
         parts = [f"=== {self.figure_id} (runs={self.runs}, frames={self.frames}) ==="]
         for model, tree in self.trees.items():
             parts.append(f"-- {model} (mean consumer tree, ms per frame) --")
             parts.append(tree.render(metric="time", unit=1e-3 * self.frames,
                                      fmt="{:.3f} ms"))
-        parts.extend(self.notes)
         return "\n".join(parts)
 
 
-def _consumer_tree(spec: WorkflowSpec, runs: int) -> CallTree:
+def consumer_tree(spec: WorkflowSpec, runs: int) -> CallTree:
     """Mean consumer call tree across pairs and repetitions."""
     ensemble = Thicket()
     for result in run_repetitions(spec, runs=runs):
@@ -97,38 +90,18 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
             system=System.DYAD, model=model, stride=model.paper_stride,
             frames=frames, pairs=PAIRS, placement=Placement.SPLIT,
         )
-        tree = _consumer_tree(spec, runs)
+        tree = consumer_tree(spec, runs)
         tree.label = f"DYAD consumer, {model.name}"
         trees[model.name] = tree
         per_frame[model.name] = _per_frame_times(tree, frames)
 
-    movement = {
-        name: sum(values["/".join(p)] for p in MOVEMENT_REGIONS)
-        for name, values in per_frame.items()
-    }
-    fetch = {name: values["/".join(FETCH_PATH)] for name, values in per_frame.items()}
-    data_ratio = STMV.frame_bytes / JAC.frame_bytes
-    movement_ratio = movement["STMV"] / movement["JAC"] if movement["JAC"] else 0.0
-    fetch_ratio = fetch["JAC"] / fetch["STMV"] if fetch["STMV"] else 0.0
-
-    fig = CallTreeFigure(
+    return CallTreeFigure(
         figure_id="Fig9: DYAD call trees (JAC vs STMV)",
         trees=trees,
         per_frame=per_frame,
         runs=runs,
         frames=frames,
     )
-    fig.notes = [
-        f"data ratio STMV/JAC = {data_ratio:.1f}x "
-        f"(paper: {PAPER['data_ratio_stmv_over_jac']}x)",
-        f"DYAD movement ratio STMV/JAC = {movement_ratio:.1f}x "
-        f"(paper: {PAPER['movement_ratio_stmv_over_jac']}x — sublinear in data)",
-        f"dyad_fetch per frame: JAC {to_msec(fetch['JAC']):.3f} ms, "
-        f"STMV {to_msec(fetch['STMV']):.3f} ms "
-        f"(ratio {fetch_ratio:.2f}x, paper: {PAPER['fetch_ratio_jac_over_stmv']}x "
-        "cheaper for STMV)",
-    ]
-    return fig
 
 
 def main(quick: bool = False) -> CallTreeFigure:

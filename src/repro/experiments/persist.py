@@ -58,6 +58,7 @@ _METRICS = (
     "production_idle",
     "consumption_movement",
     "consumption_idle",
+    "makespan",
 )
 
 
@@ -70,9 +71,10 @@ def _cell_to_dict(cell: Cell) -> Dict:
 
 
 def _cell_from_dict(payload: Dict) -> Cell:
+    # Files written before ``makespan`` joined the cell load with its default.
     return Cell(**{
         metric: Stat(payload[metric]["mean"], payload[metric]["std"])
-        for metric in _METRICS
+        for metric in _METRICS if metric in payload
     })
 
 

@@ -82,13 +82,16 @@ def test_figure_tables_render(figure):
 
 def test_table1_contents():
     rows = table1_rows()
-    assert rows[0][0] == "JAC" and rows[0][2] == "644.21 KiB"
-    assert rows[-1][0] == "STMV" and rows[-1][2] == "28.48 MiB"
+    assert [r[0] for r in rows] == ["JAC", "ApoA1", "F1 ATPase", "STMV"]
+    assert [r[2] for r in rows] == [
+        "644.21 KiB", "2.46 MiB", "8.75 MiB", "28.48 MiB"]
+    assert rows[0][3] == "1072.92"
 
 
 def test_table2_contents():
     rows = table2_rows()
     assert [r[3] for r in rows] == ["880", "294", "92", "28"]
+    assert [r[2] for r in rows] == ["0.93", "2.79", "8.64", "29.29"]
 
 
 def test_fig3_deviation_small():
