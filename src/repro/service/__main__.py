@@ -13,7 +13,7 @@
   jobs, zero failed jobs, consistent fingerprints, observed
   crash-retry activity, and the serving hot path's same-run ratios
   (journal events per fsync, LRU hit ratio, in-flight dedup, batched
-  dispatch). Exit status is the assertion result.
+  and pipelined dispatch). Exit status is the assertion result.
 """
 
 from __future__ import annotations
@@ -387,6 +387,9 @@ def _check(report: Dict[str, Any], chaos: bool) -> List[str]:
         if not jobs >= batches >= 1:
             failures.append(f"dispatch accounting off: {jobs} jobs in "
                             f"{batches} batches")
+        if server_stats["dispatch"]["pipelined"] < 1:
+            failures.append("pipelined dispatch never observed: no job was "
+                            "handed to a busy worker")
     return failures
 
 

@@ -22,7 +22,7 @@ API. One JSON object per line in each direction over a unix socket:
 
 Robustness model (PR 7's headline) — admission control with explicit
 backpressure, shedding to cheaper fidelity tiers under pressure,
-crash-isolated ``spawn`` workers with bounded retries, per-kind circuit
+crash-isolated ``forkserver`` workers with bounded retries, per-kind circuit
 breaking, journal-before-ack crash consistency, and drain-on-SIGTERM —
 is unchanged. What this revision rebuilds is the *hot path*, applying
 the paper's core lesson (per-operation overheads dominate at scale;
@@ -43,6 +43,11 @@ batched/staged paths amortize them) to the serving layer itself:
   repair, one commit window), and small degradable jobs are fused into
   multi-job worker tasks (``fuse_small_jobs``) so a worker round trip
   is paid once per batch, not once per job.
+- **pipelined dispatch** — each worker has its next job waiting in the
+  pool behind the one it runs, so the server's per-result bookkeeping
+  (fingerprint, store publish, journal) overlaps the worker's next
+  computation instead of idling it. Timeouts and crash charges still
+  apply only from the moment a worker actually takes a job.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ from repro.service.shedding import SheddingPolicy
 from repro.service.store import SharedResultStore
 
 __all__ = ["ServerConfig", "ExperimentServer"]
+
+#: pool tasks in flight per worker: the one it runs plus the next, which
+#: waits in the pool so the worker never idles on the server's bookkeeping
+PIPELINE_DEPTH = 2
 
 
 def _execute_task_batch(tasks) -> List[Tuple[bool, Any]]:
@@ -107,6 +116,18 @@ def _warm_worker() -> int:
     except Exception:
         pass
     return os.getpid()
+
+
+@dataclass(eq=False)
+class _Handoff:
+    """One task handed to the worker pool, in hand-off order."""
+
+    #: the task's outcome, as the executor reports it
+    future: asyncio.Future
+    #: True once a worker has taken the task; False when the pool was
+    #: replaced before any worker did (the task never ran)
+    started: asyncio.Future
+    generation: int
 
 
 def _worker_context():
@@ -229,7 +250,9 @@ class ExperimentServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool = None
         self._pool_generation = 0
-        self._prewarm_tasks: List[asyncio.Future] = []
+        #: the current pool's unfinished tasks in hand-off order; the
+        #: first ``workers`` of them are running, the rest wait
+        self._handoffs: List[_Handoff] = []
         #: submissions staged for the current event-loop tick's batch
         self._staged: List[Tuple[JobRecord, asyncio.Future]] = []
         self._flush_scheduled = False
@@ -245,7 +268,7 @@ class ExperimentServer:
         }
         self.dispatch = {
             "batches": 0, "jobs": 0, "fused_batches": 0, "fused_jobs": 0,
-            "max_batch": 0, "fallbacks": 0,
+            "max_batch": 0, "fallbacks": 0, "pipelined": 0,
         }
         self.admission = {"batches": 0, "jobs": 0, "max_batch": 0}
         self.latencies: List[float] = []
@@ -280,7 +303,7 @@ class ExperimentServer:
         )
         self._runners = [
             asyncio.ensure_future(self._runner())
-            for _ in range(self.config.workers)
+            for _ in range(PIPELINE_DEPTH * self.config.workers)
         ]
         if handle_signals:
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -663,14 +686,17 @@ class ExperimentServer:
     def _event(self, job_id: str) -> asyncio.Event:
         event = self._events.get(job_id)
         if event is None:
-            event = self._events[job_id] = asyncio.Event()
+            event = asyncio.Event()
             if self.records[job_id].terminal:
-                event.set()
+                event.set()  # nothing left to wake: keep no reference
+            else:
+                self._events[job_id] = event
         return event
 
     # -- execution ---------------------------------------------------------
     async def _runner(self) -> None:
-        """One dispatch loop; ``config.workers`` of these run concurrently."""
+        """One dispatch loop; ``PIPELINE_DEPTH * config.workers`` of these
+        run concurrently, each with at most one task in the pool."""
         while not self._stopping:
             batch = self._claim_batch()
             if not batch:
@@ -757,15 +783,11 @@ class ExperimentServer:
         """One worker round trip for the whole batch, with fallback."""
         records = [record for record, _ in runnable]
         tasks = [task for _, task in runnable]
-        loop = asyncio.get_running_loop()
         timeout = (self.task_timeout * len(tasks)
                    if self.task_timeout is not None else None)
-        generation = self._pool_generation
-        pool = self._ensure_pool()
-        started = time.monotonic()
-        future = loop.run_in_executor(pool, _execute_task_batch, tasks)
         try:
-            outcomes = await asyncio.wait_for(future, timeout)
+            outcomes, elapsed = await self._run_on_pool(
+                timeout, len(tasks), _execute_task_batch, tasks)
         except asyncio.CancelledError:
             for record in records:
                 record.state = QUEUED  # server stopping; resume re-runs
@@ -773,7 +795,6 @@ class ExperimentServer:
         except (asyncio.TimeoutError, BrokenProcessPool) as exc:
             reason = ("task timeout" if isinstance(exc, asyncio.TimeoutError)
                       else "worker crashed")
-            self._recycle_pool(generation)
             self.dispatch["fallbacks"] += 1
             # the whole batch shared the worker, so every member charges
             # one attempt; survivors re-run individually, which isolates
@@ -782,7 +803,6 @@ class ExperimentServer:
                 if self._note_retry(record, f"{reason} (fused batch)"):
                     await self._execute_single(record, task)
             return
-        elapsed = time.monotonic() - started
         self._observe_service_time(elapsed / len(tasks))
         for (record, _task), (ok, payload) in zip(runnable, outcomes):
             if not ok:
@@ -796,14 +816,10 @@ class ExperimentServer:
 
     async def _execute_single(self, record: JobRecord, task) -> None:
         """PR 7's crash-isolated single-job execution loop."""
-        loop = asyncio.get_running_loop()
-        started = time.monotonic()
         while True:
-            generation = self._pool_generation
-            pool = self._ensure_pool()
-            future = loop.run_in_executor(pool, _execute_task, task)
             try:
-                result = await asyncio.wait_for(future, self.task_timeout)
+                result, elapsed = await self._run_on_pool(
+                    self.task_timeout, 1, _execute_task, task)
                 break
             except asyncio.TimeoutError:
                 reason = "task timeout"
@@ -816,16 +832,80 @@ class ExperimentServer:
             except asyncio.CancelledError:
                 record.state = QUEUED  # server stopping; resume re-runs it
                 raise
-            self._recycle_pool(generation)
             if not self._note_retry(record, reason):
                 return
-        elapsed = time.monotonic() - started
         self._observe_service_time(elapsed)
         fingerprint = result_fingerprint(result)
         self.store.store(record.key, result, record.spec.tenant,
                          fingerprint=fingerprint)
         self._finish(record, makespan=result.makespan,
                      fingerprint=fingerprint, source="computed")
+
+    async def _run_on_pool(self, timeout: Optional[float], jobs: int,
+                           fn, *args) -> Tuple[Any, float]:
+        """Run ``fn(*args)`` on the pool as if it had a worker to itself.
+
+        The task may wait in the pool behind a running one; ``timeout``
+        counts from when a worker takes it, and if the pool is replaced
+        before that (a batchmate crashed or hung) it is handed to the new
+        pool without costing an attempt. Returns the result and the
+        seconds it ran; raises ``asyncio.TimeoutError`` (the pool is
+        recycled), ``BrokenProcessPool`` (the worker died while running
+        it) or the task's own error.
+        """
+        while True:
+            handoff = self._hand_off(jobs, fn, *args)
+            if await handoff.started:
+                break
+        started = time.monotonic()
+        done, _ = await asyncio.wait({handoff.future}, timeout=timeout)
+        if not done:
+            self._recycle_pool(handoff.generation)
+            raise asyncio.TimeoutError
+        return handoff.future.result(), time.monotonic() - started
+
+    def _hand_off(self, jobs: int, fn, *args) -> _Handoff:
+        """Submit one task to the pool; it starts when a worker is free.
+
+        ``jobs`` is how many jobs the task carries, for the ``pipelined``
+        count of jobs that had to wait for a busy worker.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            future = loop.run_in_executor(self._ensure_pool(), fn, *args)
+        except BrokenProcessPool:
+            # the pool broke before its failed tasks reached the loop
+            self._recycle_pool(self._pool_generation)
+            future = loop.run_in_executor(self._ensure_pool(), fn, *args)
+        handoff = _Handoff(future, loop.create_future(),
+                           self._pool_generation)
+        self._handoffs.append(handoff)
+        if len(self._handoffs) <= self.config.workers:
+            handoff.started.set_result(True)
+        else:
+            self.dispatch["pipelined"] += jobs
+        future.add_done_callback(lambda _f: self._handoff_done(handoff))
+        return handoff
+
+    def _handoff_done(self, handoff: _Handoff) -> None:
+        """A pool task ended: start the next waiting one, or, when the
+        worker died, replace the pool so no waiting task is charged."""
+        future = handoff.future
+        broken = (not future.cancelled()
+                  and isinstance(future.exception(), BrokenProcessPool))
+        if not handoff.started.done():
+            # it ended before the end of the task ahead of it was seen,
+            # or it never ran: the pool broke or shut down while it waited
+            handoff.started.set_result(not (broken or future.cancelled()))
+        if handoff.generation != self._pool_generation:
+            return
+        if broken:
+            self._recycle_pool(handoff.generation)
+            return
+        self._handoffs.remove(handoff)
+        for waiting in self._handoffs[:self.config.workers]:
+            if not waiting.started.done():
+                waiting.started.set_result(True)
 
     def _note_retry(self, record: JobRecord, reason: str) -> bool:
         """Charge one crash/timeout attempt; False when budget exhausted."""
@@ -921,7 +1001,8 @@ class ExperimentServer:
         primary.followers.clear()
 
     def _wake(self, record: JobRecord) -> None:
-        event = self._events.get(record.job_id)
+        # waiters hold the event themselves; the server forgets it
+        event = self._events.pop(record.job_id, None)
         if event is not None:
             event.set()
 
@@ -941,29 +1022,33 @@ class ExperimentServer:
         return self._pool
 
     def _prewarm_pool(self) -> None:
-        """Start spawning worker interpreters before the first job.
+        """Start booting worker processes before the first job.
 
-        A cold ``spawn`` pool costs a full interpreter boot on first
-        dispatch; warming overlaps that with socket setup so the first
-        burst of real jobs does not pay it. Fire-and-forget: failures
-        (e.g. the pool was recycled mid-warmup) are irrelevant.
+        A cold pool boots its workers on first dispatch; warming
+        overlaps that with socket setup so the first burst of real jobs
+        does not pay it. Fire-and-forget: failures (e.g. the pool was
+        recycled mid-warmup) are irrelevant.
         """
         if self.config.inline:
             return
-        pool = self._ensure_pool()
-        loop = asyncio.get_running_loop()
         for _ in range(self.config.workers):
-            future = asyncio.ensure_future(
-                loop.run_in_executor(pool, _warm_worker)
-            )
-            future.add_done_callback(lambda f: f.exception())
-            self._prewarm_tasks.append(future)
+            # through the hand-off line, so the first jobs' timeouts
+            # start only once a worker is done warming up
+            self._hand_off(0, _warm_worker)
 
     def _recycle_pool(self, generation: int) -> None:
-        """Replace a broken/hung pool exactly once per generation."""
+        """Replace a broken/hung pool exactly once per generation.
+
+        Tasks still waiting for a worker never ran: they are released
+        (``started`` False) to be handed to the new pool uncharged.
+        """
         if generation != self._pool_generation:
             return  # another victim of the same failure already recycled
         self._pool_generation += 1
+        line, self._handoffs = self._handoffs, []
+        for handoff in line:
+            if not handoff.started.done():
+                handoff.started.set_result(False)
         pool = self._pool
         self._pool = None
         if pool is not None:

@@ -3,7 +3,7 @@
 Most tests run the server in ``inline`` mode (thread pool): start it on
 a unix socket under ``tmp_path``, speak the real wire protocol through
 :class:`~repro.service.client.ServiceClient`, and shut down cleanly.
-The crash-retry test uses a real ``spawn`` worker pool with the
+The crash-retry tests use a real ``forkserver`` worker pool with the
 injected-fault hook shared with the campaign runner.
 """
 
@@ -11,6 +11,7 @@ import asyncio
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -346,16 +347,30 @@ def test_resume_folds_counters_and_compacts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# worker-crash retry (real spawn pool)
+# worker-crash retry (real forkserver pool)
 # ---------------------------------------------------------------------------
 
 
-def test_worker_crash_is_detected_and_retried(tmp_path, monkeypatch):
-    fault_dir = tmp_path / "faults"
-    fault_dir.mkdir()
+@pytest.fixture()
+def crash_seed_555(tmp_path_factory, monkeypatch):
+    """Arm the one-shot worker crash on seed 555; yields the fault dir.
+
+    The pool's forkserver starts once per test process and every worker
+    it forks inherits the environment of that moment, so all crash tests
+    share one fault directory and re-arm the fault by removing its
+    marker.
+    """
+    fault_dir = tmp_path_factory.getbasetemp() / "worker-faults"
+    fault_dir.mkdir(exist_ok=True)
+    (fault_dir / "crash-555").unlink(missing_ok=True)
     monkeypatch.setenv("REPRO_WORKER_FAULT_DIR", str(fault_dir))
     monkeypatch.setenv("REPRO_WORKER_CRASH_SEEDS", "555")
     monkeypatch.setenv("REPRO_JOBS_OVERSUBSCRIBE", "1")
+    yield fault_dir
+
+
+def test_worker_crash_is_detected_and_retried(tmp_path, crash_seed_555):
+    fault_dir = crash_seed_555
 
     async def body(server, client):
         response = await client.submit(_job(seed=555))
@@ -365,6 +380,124 @@ def test_worker_crash_is_detected_and_retried(tmp_path, monkeypatch):
         assert os.path.exists(fault_dir / "crash-555")
 
     run(_config(tmp_path, inline=False, workers=1, max_retries=2), body)
+
+
+def test_worker_crash_charges_only_the_running_job(tmp_path,
+                                                    crash_seed_555):
+    """Seed 556 waits in the pool behind 555 when 555 kills the worker:
+    it never ran, so it is re-dispatched without spending an attempt."""
+
+    async def body(server, client):
+        other = ServiceClient(server.config.socket_path)
+        try:
+            first = asyncio.ensure_future(
+                client.submit(_job(seed=555, degradable=False)))
+            while server.dispatch["jobs"] < 1:  # 555 is in the pool
+                await asyncio.sleep(0.01)
+            queued = await other.submit(_job(seed=556, degradable=False))
+            crashed = await first
+        finally:
+            await other.close()
+        assert crashed["state"] == "done" and crashed["attempts"] == 1
+        assert queued["state"] == "done" and queued["attempts"] == 0
+        assert server.counters["retries"] == 1
+
+    run(_config(tmp_path, inline=False, workers=1, max_retries=2), body)
+
+
+# ---------------------------------------------------------------------------
+# pipelined dispatch
+# ---------------------------------------------------------------------------
+
+
+async def _submit_each(server, jobs):
+    """Submit each job on its own connection and wait for all of them."""
+    clients = [ServiceClient(server.config.socket_path) for _ in jobs]
+    try:
+        return await asyncio.gather(
+            *(c.submit(job) for c, job in zip(clients, jobs)))
+    finally:
+        for c in clients:
+            await c.close()
+
+
+def test_next_job_is_handed_off_while_the_worker_is_busy(tmp_path,
+                                                          gated_execute):
+    async def body(server, client):
+        jobs = [_job(seed=700 + i, degradable=False) for i in range(2)]
+        waits = asyncio.ensure_future(_submit_each(server, jobs))
+        deadline = time.monotonic() + 10.0
+        while server.dispatch["pipelined"] < 1:
+            assert time.monotonic() < deadline, "second job never handed off"
+            await asyncio.sleep(0.01)
+        # the first job is still held at the gate: nothing has finished
+        assert server.counters["completed"] == 0
+        gated_execute.set()
+        responses = await waits
+        assert all(r["state"] == "done" for r in responses)
+        assert server.dispatch["pipelined"] == 1
+        assert server.dispatch["jobs"] == 2
+
+    run(_config(tmp_path, workers=1), body)
+
+
+def test_timeout_counts_from_when_the_job_starts(tmp_path, monkeypatch):
+    """Two 0.7 s jobs on one worker with a 1 s budget: the second waits
+    0.7 s in the pool, which must not count against its own budget."""
+    real = server_mod._execute_task
+
+    def slow(task):
+        time.sleep(0.7)
+        return real(task)
+
+    monkeypatch.setattr(server_mod, "_execute_task", slow)
+
+    async def body(server, client):
+        responses = await _submit_each(
+            server, [_job(seed=710 + i, degradable=False) for i in range(2)])
+        for response in responses:
+            assert response["state"] == "done", response.get("error")
+            assert response["attempts"] == 0
+
+    run(_config(tmp_path, workers=1, task_timeout=1.0, max_retries=0), body)
+
+
+def test_timeout_charges_only_the_running_job(tmp_path, monkeypatch):
+    """Seed 730 hangs once past its budget while 731 waits behind it:
+    the pool is replaced, 730 is charged and retried, and 731 moves to
+    the new pool without spending an attempt."""
+    real = server_mod._execute_task
+    hung = set()
+
+    def hang_once(task):
+        if task.seed == 730 and not hung:
+            hung.add(task.seed)
+            time.sleep(1.5)
+        return real(task)
+
+    monkeypatch.setattr(server_mod, "_execute_task", hang_once)
+
+    async def body(server, client):
+        hanging, queued = await asyncio.wait_for(_submit_each(
+            server, [_job(seed=730 + i, degradable=False) for i in range(2)]),
+            30)
+        assert hanging["state"] == "done" and hanging["attempts"] == 1
+        assert queued["state"] == "done" and queued["attempts"] == 0
+        assert server.counters["retries"] == 1
+
+    run(_config(tmp_path, workers=1, task_timeout=0.5, max_retries=1), body)
+
+
+def test_waiter_events_are_released_when_jobs_finish(tmp_path):
+    async def body(server, client):
+        # computed jobs, an in-flight duplicate and a store hit, all waited
+        await _submit_each(
+            server, [_job(seed=720 + i) for i in range(4)] + [_job(seed=720)])
+        await client.submit(_job(seed=721, tenant="bob"))
+        assert server.counters["completed"] == 6
+        assert server._events == {}
+
+    run(_config(tmp_path), body)
 
 
 # ---------------------------------------------------------------------------

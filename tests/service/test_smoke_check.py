@@ -2,8 +2,8 @@
 
 Besides exactly-once delivery, ``python -m repro.service smoke`` gates
 the serving hot path on same-run ratios that do not depend on machine
-speed: journal events per fsync, LRU hit ratio, in-flight dedup and
-batched dispatch.
+speed: journal events per fsync, LRU hit ratio, in-flight dedup,
+batched dispatch and pipelined dispatch.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from repro.service.__main__ import _check
 
 
 def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
-            dedup=168, jobs=10, batches=3):
+            dedup=168, jobs=10, batches=3, pipelined=4):
     """A passing smoke report, shaped like the real one (counts from a
     200-client run); keyword overrides break one gate at a time."""
     return {
@@ -28,7 +28,8 @@ def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
             "counters": {"retries": 2, "dedup_inflight": dedup},
             "journal": {"records": records, "syncs": syncs},
             "store": {"lru_hits": lru_hits, "lru_misses": lru_misses},
-            "dispatch": {"jobs": jobs, "batches": batches},
+            "dispatch": {"jobs": jobs, "batches": batches,
+                         "pipelined": pipelined},
         },
     }
 
@@ -50,6 +51,9 @@ def test_passing_report_has_no_failures():
      "dispatch accounting off: 0 jobs in 0 batches"),
     ({"jobs": 2, "batches": 3},
      "dispatch accounting off: 2 jobs in 3 batches"),
+    ({"pipelined": 0},
+     "pipelined dispatch never observed: no job was handed to a busy "
+     "worker"),
 ])
 def test_each_hot_path_floor_fails_alone(broken, failure):
     assert _check(_report(**broken), chaos=True) == [failure]
@@ -58,6 +62,6 @@ def test_each_hot_path_floor_fails_alone(broken, failure):
 def test_hot_path_floors_apply_to_smoke_only():
     """``bench`` mode records the ratios but does not gate on them."""
     report = _report(records=100, syncs=100, lru_hits=0, dedup=0,
-                     jobs=0, batches=0)
+                     jobs=0, batches=0, pipelined=0)
     assert _check(report, chaos=False) == []
-    assert len(_check(report, chaos=True)) == 4
+    assert len(_check(report, chaos=True)) == 5
