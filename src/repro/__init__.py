@@ -32,16 +32,9 @@ Quick start::
     print(result.consumption_time)
 """
 
-from repro.errors import ReproError
-from repro.md.models import APOA1, F1_ATPASE, JAC, MODELS, STMV
-from repro.workflow import (
-    Placement,
-    System,
-    WorkflowResult,
-    WorkflowSpec,
-    run_repetitions,
-    run_workflow,
-)
+import importlib
+import sys
+from typing import Callable, Dict, Iterable, List, Tuple
 
 __version__ = "1.0.0"
 
@@ -60,3 +53,45 @@ __all__ = [
     "run_workflow",
     "__version__",
 ]
+
+
+def lazy_exports(
+    package: str, exports: Dict[str, Iterable[str]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``(__getattr__, __dir__)`` for a package that re-exports
+    names from its submodules without importing them up front.
+
+    ``exports`` maps each defining module to the names ``package``
+    re-exports from it; a name's module is imported on the first access
+    to that name, and the value is stored in the package's namespace so
+    later reads are plain attribute reads. A process that needs one
+    light submodule — the job server's CLI, a worker that runs only the
+    simulator — then does not pay for the rest (the LJ engine, the
+    analytics, the figure registry).
+    """
+    namespace = sys.modules[package].__dict__
+    origin = {name: module for module, names in exports.items()
+              for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
+
+# the simulator loads on first use of a name, not on ``import repro``
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ["ReproError"],
+    "repro.md.models": ["APOA1", "F1_ATPASE", "JAC", "MODELS", "STMV"],
+    "repro.workflow": ["Placement", "System", "WorkflowResult",
+                       "WorkflowSpec", "run_repetitions", "run_workflow"],
+})

@@ -22,6 +22,10 @@ defaults globally (the paper uses 10 runs × 128 frames; the default here
 is 3 runs × 128 frames to keep a full reproduction under a few minutes).
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all
+from repro import lazy_exports
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_all"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.registry": __all__,
+})

@@ -15,31 +15,7 @@ Four pieces, mirroring what the paper's workflows wrap:
   helix analysis in Fig. 1).
 """
 
-from repro.md.analytics import (
-    EigenvalueTracker,
-    contact_matrix,
-    end_to_end_distance,
-    largest_eigenvalue,
-    radius_of_gyration,
-    rmsd,
-)
-from repro.md.engine import LJConfig, LJSimulation
-from repro.md.frame import ATOM_DTYPE, FRAME_HEADER_BYTES, Frame, frame_size
-from repro.md.trajectory import (
-    TrajectoryReader,
-    TrajectoryWriter,
-    read_trajectory,
-    write_trajectory,
-)
-from repro.md.models import (
-    APOA1,
-    F1_ATPASE,
-    JAC,
-    MODELS,
-    STMV,
-    MolecularModel,
-    model_by_name,
-)
+from repro import lazy_exports
 
 __all__ = [
     "EigenvalueTracker",
@@ -66,3 +42,16 @@ __all__ = [
     "read_trajectory",
     "write_trajectory",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.md.analytics": ["EigenvalueTracker", "contact_matrix",
+                           "end_to_end_distance", "largest_eigenvalue",
+                           "radius_of_gyration", "rmsd"],
+    "repro.md.engine": ["LJConfig", "LJSimulation"],
+    "repro.md.frame": ["ATOM_DTYPE", "FRAME_HEADER_BYTES", "Frame",
+                       "frame_size"],
+    "repro.md.trajectory": ["TrajectoryReader", "TrajectoryWriter",
+                            "read_trajectory", "write_trajectory"],
+    "repro.md.models": ["APOA1", "F1_ATPASE", "JAC", "MODELS", "STMV",
+                        "MolecularModel", "model_by_name"],
+})

@@ -22,36 +22,7 @@ API on a unix socket:
 resume semantics.
 """
 
-from repro.service.admission import FairQueue
-from repro.service.breaker import CircuitBreaker
-from repro.service.client import RETRYABLE, ServiceClient, SyncServiceClient
-from repro.service.jobs import (
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    JobRecord,
-    JobSpec,
-)
-from repro.service.journal import (
-    GroupCommitter,
-    Journal,
-    iter_events,
-    replay_events,
-)
-from repro.service.loadgen import (
-    build_job_pool,
-    percentile,
-    run_delivery,
-    run_load,
-)
-from repro.service.server import ExperimentServer, ServerConfig
-from repro.service.shedding import SheddingPolicy
-from repro.service.store import (
-    PayloadSegment,
-    SharedResultStore,
-    StoredResult,
-)
+from repro import lazy_exports
 
 __all__ = [
     "CircuitBreaker",
@@ -80,3 +51,22 @@ __all__ = [
     "run_delivery",
     "run_load",
 ]
+
+# ``python -m repro.service`` reaches its CLI without the simulator; the
+# server and the store load when a name from them is first used
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.admission": ["FairQueue"],
+    "repro.service.breaker": ["CircuitBreaker"],
+    "repro.service.client": ["RETRYABLE", "ServiceClient",
+                             "SyncServiceClient"],
+    "repro.service.jobs": ["DONE", "FAILED", "QUEUED", "RUNNING",
+                           "JobRecord", "JobSpec"],
+    "repro.service.journal": ["GroupCommitter", "Journal", "iter_events",
+                              "replay_events"],
+    "repro.service.loadgen": ["build_job_pool", "percentile",
+                              "run_delivery", "run_load"],
+    "repro.service.server": ["ExperimentServer", "ServerConfig"],
+    "repro.service.shedding": ["SheddingPolicy"],
+    "repro.service.store": ["PayloadSegment", "SharedResultStore",
+                            "StoredResult"],
+})

@@ -11,9 +11,12 @@
   SIGKILLs a worker (via the campaign runner's injected-fault hook) and
   SIGKILLs + restarts the *server* mid-run, then asserts zero lost
   jobs, zero failed jobs, consistent fingerprints, observed
-  crash-retry activity, and the serving hot path's same-run ratios
+  crash-retry activity, the serving hot path's same-run ratios
   (journal events per fsync, LRU hit ratio, in-flight dedup, batched
-  and pipelined dispatch). Exit status is the assertion result.
+  and pipelined dispatch), and that no process of the killed server's
+  session (its forkserver, workers, resource tracker) outlives it by
+  more than :data:`ORPHAN_DEADLINE_S`. Exit status is the assertion
+  result.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ MIN_EVENTS_PER_SYNC = 20.0
 #: Smoke-mode floor on the result-store LRU hit ratio: the load repeats
 #: a small pool of cells, so most lookups must hit the in-memory index.
 MIN_LRU_HIT_RATIO = 0.5
+#: Smoke-mode deadline for the killed server's session to empty: its
+#: pool's workers exit with the server, then the forkserver and the
+#: resource tracker see EOF and exit. Survivors past it are counted.
+ORPHAN_DEADLINE_S = 10.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _serve(args: argparse.Namespace) -> int:
+    if not args.inline:
+        from repro.service.worker import launch_forkserver
+
+        # the forkserver imports what a worker runs while this process
+        # imports the server: on two cores the two chains overlap
+        launch_forkserver()
     from repro.service.server import ExperimentServer, ServerConfig
 
     config = ServerConfig(
@@ -217,9 +230,51 @@ def server_command(socket_path: str, journal_path: str, cache_dir: str,
 
 
 def _spawn_server(cmd: List[str], env: Dict[str, str]) -> subprocess.Popen:
+    # its own session: the session id (= its pid) names every process
+    # the server starts, so a kill can be checked for survivors
     return subprocess.Popen(
-        cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
+
+
+def session_processes(sid: int) -> List[int]:
+    """Pids of the running processes of session ``sid`` (Linux
+    ``/proc``). Zombies have ended; reaping them is their parent's
+    business."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # exited while we looked
+        # fields after the parenthesised command: state, ppid, pgrp, sid
+        state, _ppid, _pgrp, session = stat.rsplit(")", 1)[1].split()[:4]
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+async def _session_survivors(sid: int, deadline_s: float) -> int:
+    """How many processes of session ``sid`` still run after waiting up
+    to ``deadline_s`` for the session to empty."""
+    deadline = time.monotonic() + deadline_s
+    while session_processes(sid) and time.monotonic() < deadline:
+        await asyncio.sleep(0.05)
+    return len(session_processes(sid))
+
+
+async def _first_ping(socket_path: str) -> None:
+    client = ServiceClient(socket_path, connect_timeout=60.0,
+                           connect_backoff=0.002, backoff_cap=0.005,
+                           backoff_jitter=0.0)
+    try:
+        await client.ping()
+    finally:
+        await client.close()
 
 
 def _journal_has_retry(path: str) -> bool:
@@ -254,6 +309,8 @@ async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
                          fuse_small_jobs=args.fuse_small_jobs)
     server = _spawn_server(cmd, env)
     kills = 0
+    restart_s: Optional[float] = None
+    survivors: Optional[asyncio.Future] = None
     try:
         load = asyncio.ensure_future(run_load(
             socket_path, clients=args.clients,
@@ -272,11 +329,18 @@ async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
                     break
                 await asyncio.sleep(0.02)
             if not load.done():
+                killed_at = time.perf_counter()
                 server.kill()  # SIGKILL: no drain, no journal flush
                 server.wait()
                 kills = 1
+                # only the server dies; its pool must follow it
+                survivors = asyncio.ensure_future(
+                    _session_survivors(server.pid, ORPHAN_DEADLINE_S))
                 server = _spawn_server(cmd, env)
+                await _first_ping(socket_path)
+                restart_s = time.perf_counter() - killed_at
         report = await load
+        orphans = await survivors if survivors is not None else 0
         # warm sustained phase: the pool is now fully cached, so this
         # measures the pure serving hot path (admission + group commit +
         # LRU store hits) without job execution in the way
@@ -311,6 +375,8 @@ async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
             server.kill()
             server.wait()
     report["server_kills"] = kills
+    report["restart_s"] = restart_s
+    report["orphans"] = orphans
     report["sustained"] = sustained
     report["delivery"] = delivery
     report["server_stats"] = {
@@ -365,6 +431,11 @@ def _check(report: Dict[str, Any], chaos: bool) -> List[str]:
             failures.append("server was never killed mid-run "
                             "(load finished too early; raise --clients "
                             "or lower --kill-after)")
+        if report["orphans"]:
+            failures.append(
+                f"{report['orphans']} processes of the killed server's "
+                f"session still running {ORPHAN_DEADLINE_S:.0f}s after "
+                f"the SIGKILL")
         # same-run ratios and counts: independent of machine speed
         journal = server_stats["journal"]
         per_sync = journal["records"] / max(journal["syncs"], 1)
@@ -426,6 +497,8 @@ def _bench(args: argparse.Namespace, chaos: bool) -> int:
         "journal_syncs":
             report["server_stats"].get("journal", {}).get("syncs"),
         "server_kills": report["server_kills"],
+        "restart_s": report["restart_s"],
+        "orphans": report["orphans"],
     }, indent=1))
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

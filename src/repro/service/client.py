@@ -27,7 +27,6 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.experiments.persist import decode_result
 
 __all__ = ["ServiceClient", "SyncServiceClient"]
 
@@ -183,6 +182,10 @@ class ServiceClient:
         if not header.get("ok"):
             return header, None
         blob = await self._reader.readexactly(int(header["length"]))
+        # the codec needs the result classes (the simulator): load them
+        # on the first fetch, not when the CLI imports the client
+        from repro.experiments.persist import decode_result
+
         return header, decode_result(blob)
 
     async def stats(self) -> Dict[str, Any]:

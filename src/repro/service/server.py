@@ -53,6 +53,7 @@ batched/staged paths amortize them) to the serving layer itself:
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import os
 import signal
@@ -60,7 +61,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import AdmissionError, ReproError, ServiceError
@@ -77,45 +77,18 @@ from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
 from repro.service.journal import GroupCommitter, Journal, iter_events
 from repro.service.shedding import SheddingPolicy
 from repro.service.store import SharedResultStore
+from repro.service.worker import (
+    _execute_task_batch,
+    _warm_worker,
+    exit_with_server,
+    worker_context,
+)
 
 __all__ = ["ServerConfig", "ExperimentServer"]
 
 #: pool tasks in flight per worker: the one it runs plus the next, which
 #: waits in the pool so the worker never idles on the server's bookkeeping
 PIPELINE_DEPTH = 2
-
-
-def _execute_task_batch(tasks) -> List[Tuple[bool, Any]]:
-    """Worker entry point for a fused batch: one round trip, many jobs.
-
-    Deterministic simulation failures are isolated per task (``(False,
-    message)``); anything harsher — a crash, a kill — takes the whole
-    worker down and the server falls back to per-job execution, so one
-    poisoned job can delay but never corrupt its batchmates.
-    """
-    out: List[Tuple[bool, Any]] = []
-    for task in tasks:
-        try:
-            out.append((True, _execute_task(task)))
-        except ReproError as exc:
-            out.append((False, f"{type(exc).__name__}: {exc}"))
-    return out
-
-
-def _warm_worker() -> int:
-    """Run one tiny throwaway repetition in a fresh pool worker.
-
-    Merely booting the interpreter leaves the first real task paying
-    the simulator's lazy setup (~80ms); executing a 1-frame job here
-    moves that cost into the prewarm window, which overlaps socket
-    setup and (after a restart) client reconnects. Best-effort: real
-    jobs surface real errors.
-    """
-    try:
-        _execute_task(JobSpec(tenant="_prewarm", frames=1, pairs=1).run_task())
-    except Exception:
-        pass
-    return os.getpid()
 
 
 @dataclass(eq=False)
@@ -128,25 +101,6 @@ class _Handoff:
     #: replaced before any worker did (the task never ran)
     started: asyncio.Future
     generation: int
-
-
-def _worker_context():
-    """Crash-isolated multiprocessing context for the worker pool.
-
-    ``forkserver`` keeps spawn's isolation guarantees (workers never
-    inherit the server's event loop or threads — the daemon is a clean
-    process) but pays the heavy import chain once, in the daemon:
-    fresh workers — including every post-crash pool recycle and the
-    pool of a just-restarted server — fork in milliseconds instead of
-    re-importing for ~700ms. Falls back to ``spawn`` where forkserver
-    is unavailable.
-    """
-    try:
-        ctx = get_context("forkserver")
-        ctx.set_forkserver_preload(["repro.service.server"])
-        return ctx
-    except ValueError:  # pragma: no cover - non-forkserver platform
-        return get_context("spawn")
 
 
 @dataclass
@@ -249,6 +203,8 @@ class ExperimentServer:
         self._runners: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._pool = None
+        #: the off-loop pool launch; pool tasks are handed off after it
+        self._pool_launch: Optional[asyncio.Task] = None
         self._pool_generation = 0
         #: the current pool's unfinished tasks in hand-off order; the
         #: first ``workers`` of them are running, the rest wait
@@ -279,14 +235,12 @@ class ExperimentServer:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self, handle_signals: bool = False) -> None:
-        """Replay the journal, bind the socket, start the runner tasks."""
+        """Replay the journal, bind the socket, start the runner tasks,
+        then launch the worker pool off the event loop."""
         loop = asyncio.get_running_loop()
         self._work = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
-        # start worker interpreters booting before anything else: the
-        # pool warms while the journal replays and the socket binds
-        self._prewarm_pool()
         # resume with the committer stopped: boot-time events append
         # synchronously, so compaction sees a settled journal
         self._resume()
@@ -301,6 +255,11 @@ class ExperimentServer:
             self._handle_client, path=self.config.socket_path,
             limit=4 * 1024 * 1024, backlog=self.config.backlog,
         )
+        # the socket answers from here on. The pool launches last and
+        # off the loop: its first submit blocks until the forkserver has
+        # imported what a worker runs, and pings, status polls and store
+        # hits must not wait for that; jobs wait in _run_on_pool
+        self._pool_launch = asyncio.ensure_future(self._launch_pool())
         self._runners = [
             asyncio.ensure_future(self._runner())
             for _ in range(PIPELINE_DEPTH * self.config.workers)
@@ -330,6 +289,8 @@ class ExperimentServer:
         for runner in self._runners:
             runner.cancel()
         await asyncio.gather(*self._runners, return_exceptions=True)
+        # a pool still launching is torn down once it exists
+        await asyncio.gather(self._pool_launch, return_exceptions=True)
         await self.committer.stop()
         if self._server is not None:
             self._server.close()
@@ -853,6 +814,9 @@ class ExperimentServer:
         recycled), ``BrokenProcessPool`` (the worker died while running
         it) or the task's own error.
         """
+        if not self._pool_launch.done():
+            # shielded: a cancelled runner must not cancel the launch
+            await asyncio.shield(self._pool_launch)
         while True:
             handoff = self._hand_off(jobs, fn, *args)
             if await handoff.started:
@@ -870,13 +834,20 @@ class ExperimentServer:
         ``jobs`` is how many jobs the task carries, for the ``pipelined``
         count of jobs that had to wait for a busy worker.
         """
-        loop = asyncio.get_running_loop()
         try:
-            future = loop.run_in_executor(self._ensure_pool(), fn, *args)
+            future = self._ensure_pool().submit(fn, *args)
         except BrokenProcessPool:
             # the pool broke before its failed tasks reached the loop
             self._recycle_pool(self._pool_generation)
-            future = loop.run_in_executor(self._ensure_pool(), fn, *args)
+            future = self._ensure_pool().submit(fn, *args)
+        return self._line_up(jobs, future)
+
+    def _line_up(self, jobs: int,
+                 submitted: concurrent.futures.Future) -> _Handoff:
+        """Put a task already submitted to the current pool at the end
+        of the hand-off line."""
+        loop = asyncio.get_running_loop()
+        future = asyncio.wrap_future(submitted, loop=loop)
         handoff = _Handoff(future, loop.create_future(),
                            self._pool_generation)
         self._handoffs.append(handoff)
@@ -1017,24 +988,36 @@ class ExperimentServer:
             else:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.config.workers,
-                    mp_context=_worker_context(),
+                    mp_context=worker_context(),
+                    initializer=exit_with_server,
+                    initargs=(os.getpid(),),
                 )
         return self._pool
 
-    def _prewarm_pool(self) -> None:
-        """Start booting worker processes before the first job.
+    async def _launch_pool(self) -> None:
+        """Start the worker processes and warm each one, off the loop.
 
-        A cold pool boots its workers on first dispatch; warming
-        overlaps that with socket setup so the first burst of real jobs
-        does not pay it. Fire-and-forget: failures (e.g. the pool was
-        recycled mid-warmup) are irrelevant.
+        The warm-up tasks join the hand-off line before any job can
+        (jobs wait for this launch), so the first jobs' timeouts start
+        only once a worker is done warming up.
         """
         if self.config.inline:
             return
-        for _ in range(self.config.workers):
-            # through the hand-off line, so the first jobs' timeouts
-            # start only once a worker is done warming up
-            self._hand_off(0, _warm_worker)
+        pool = self._ensure_pool()
+        try:
+            warm = await asyncio.to_thread(self._start_pool, pool)
+        except BrokenProcessPool:
+            return  # the first job's hand-off recycles the pool
+        for submitted in warm:
+            self._line_up(0, submitted)
+
+    def _start_pool(
+        self, pool: ProcessPoolExecutor
+    ) -> List[concurrent.futures.Future]:
+        """Submit one warm-up task per worker. Runs on a thread: the
+        first submit forks the first worker, which waits for the
+        forkserver's preload."""
+        return [pool.submit(_warm_worker) for _ in range(self.config.workers)]
 
     def _recycle_pool(self, generation: int) -> None:
         """Replace a broken/hung pool exactly once per generation.

@@ -1,0 +1,136 @@
+"""The worker side of the job server's process pool.
+
+Nothing here imports the simulator at module level. The ``serve`` CLI
+imports this module to launch the pool's forkserver *before* it imports
+:mod:`repro.service.server`, so the server process and the forkserver
+import their code at the same time, on different cores:
+
+- :func:`worker_context` — the crash-isolated multiprocessing context;
+- :func:`launch_forkserver` — start the forkserver now, preloading only
+  what a worker runs (:data:`PRELOAD`);
+- :func:`exit_with_server` — the pool initializer that ends a worker
+  once the server process is gone;
+- :func:`_execute_task_batch` and :func:`_warm_worker` — worker entry
+  points beside the campaign runner's ``_execute_task``.
+"""
+
+from __future__ import annotations
+
+import os
+import select
+import threading
+import time
+from multiprocessing import get_context
+from typing import Any, List, Tuple
+
+from repro.errors import ReproError
+
+__all__ = ["PRELOAD", "worker_context", "launch_forkserver",
+           "exit_with_server"]
+
+#: what a worker runs, imported once in the forkserver: the task entry
+#: points and the simulator behind them. The server's journal, store and
+#: admission code stay out — no worker runs them.
+PRELOAD = ["repro.service.worker", "repro.experiments.parallel",
+           "repro.service.jobs"]
+
+
+def worker_context():
+    """Crash-isolated multiprocessing context for the worker pool.
+
+    ``forkserver`` keeps spawn's isolation guarantees (workers never
+    inherit the server's event loop or threads — the daemon is a clean
+    process) but pays the heavy import chain once, in the daemon:
+    fresh workers — including every post-crash pool recycle — fork in
+    milliseconds instead of re-importing for ~500ms. Falls back to
+    ``spawn`` where forkserver is unavailable.
+    """
+    try:
+        ctx = get_context("forkserver")
+        ctx.set_forkserver_preload(PRELOAD)
+        return ctx
+    except ValueError:  # pragma: no cover - non-forkserver platform
+        return get_context("spawn")
+
+
+def launch_forkserver() -> None:
+    """Start the pool's forkserver now, without waiting for its preload.
+
+    The forkserver imports :data:`PRELOAD` while the caller goes on with
+    its own imports. The first worker fork waits for the preload to
+    finish; that wait belongs off the server's event loop.
+    """
+    if worker_context().get_start_method() == "forkserver":
+        from multiprocessing import forkserver
+
+        forkserver.ensure_running()
+
+
+def exit_with_server(server_pid: int) -> None:
+    """Pool initializer: end this worker once the server process is gone.
+
+    Nothing else would: a worker holds the forkserver's "alive" pipe and
+    both ends of its own call queue, so after a SIGKILL of the server no
+    process sees EOF, and the worker, the forkserver and the resource
+    tracker run on under init. Once the workers exit, the forkserver and
+    the tracker see EOF on their pipes and exit too.
+    """
+    threading.Thread(target=_wait_for_exit, args=(server_pid,),
+                     name="repro-exit-with-server", daemon=True).start()
+
+
+def _wait_for_exit(pid: int) -> None:
+    try:
+        fd = os.pidfd_open(pid)
+    except ProcessLookupError:
+        os._exit(0)
+    except (AttributeError, OSError):  # pragma: no cover - no pidfds
+        # poll instead; a zombie server still counts as running here
+        while True:
+            time.sleep(0.5)
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                os._exit(0)
+            except PermissionError:
+                pass
+    # a pidfd turns readable when its process exits, reaped or not
+    select.select([fd], [], [])
+    os._exit(0)
+
+
+def _execute_task_batch(tasks) -> List[Tuple[bool, Any]]:
+    """Worker entry point for a fused batch: one round trip, many jobs.
+
+    Deterministic simulation failures are isolated per task (``(False,
+    message)``); anything harsher — a crash, a kill — takes the whole
+    worker down and the server falls back to per-job execution, so one
+    poisoned job can delay but never corrupt its batchmates.
+    """
+    from repro.experiments.parallel import _execute_task
+
+    out: List[Tuple[bool, Any]] = []
+    for task in tasks:
+        try:
+            out.append((True, _execute_task(task)))
+        except ReproError as exc:
+            out.append((False, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def _warm_worker() -> int:
+    """Run one tiny throwaway repetition in a fresh pool worker.
+
+    A forked worker has the simulator imported but not set up: the
+    first real task would pay its lazy setup (~80ms). Executing a
+    1-frame job here moves that cost ahead of the first job.
+    Best-effort: real jobs surface real errors.
+    """
+    from repro.experiments.parallel import _execute_task
+    from repro.service.jobs import JobSpec
+
+    try:
+        _execute_task(JobSpec(tenant="_prewarm", frames=1, pairs=1).run_task())
+    except Exception:
+        pass
+    return os.getpid()

@@ -20,7 +20,8 @@ import time
 
 import pytest
 
-from repro.service.__main__ import server_command
+from repro.service.__main__ import server_command, session_processes
+from repro.service.client import ServiceClient
 from repro.service.loadgen import run_load
 
 SEED = 77
@@ -28,7 +29,7 @@ LOAD = dict(clients=10, jobs_per_client=2, distinct_jobs=6, frames=2,
             seed=SEED, degradable=False, deadline=180.0)
 
 
-def _spawn(tmp_path, name):
+def _spawn(tmp_path, name, new_session=False):
     workdir = tmp_path / name
     workdir.mkdir()
     socket_path = str(workdir / "svc.sock")
@@ -38,7 +39,8 @@ def _spawn(tmp_path, name):
                          shed_hybrid_depth=10_000)
     env = dict(os.environ, REPRO_JOBS_OVERSUBSCRIBE="1")
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+                            stderr=subprocess.DEVNULL,
+                            start_new_session=new_session)
     return proc, cmd, env, socket_path, journal_path
 
 
@@ -132,3 +134,35 @@ def test_restarted_server_resumes_from_journal(tmp_path):
         asyncio.run(drive())
     finally:
         _stop(proc)
+
+
+def test_sigkilled_server_leaves_no_process_behind(tmp_path):
+    """Kill only the server: its pool's workers exit with it, and then
+    the forkserver and resource tracker see EOF and exit too."""
+    proc, _, _, socket_path, _ = _spawn(tmp_path, "orphans",
+                                        new_session=True)
+
+    async def one_job():
+        client = ServiceClient(socket_path)
+        try:
+            return await client.submit({"tenant": "alice", "frames": 2,
+                                        "seed": SEED})
+        finally:
+            await client.close()
+
+    try:
+        assert asyncio.run(one_job())["state"] == "done"
+        # the server, the forkserver, the resource tracker, both workers
+        assert len(session_processes(proc.pid)) >= 4
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_processes(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

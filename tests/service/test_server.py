@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import repro.experiments.parallel as parallel_mod
 import repro.service.server as server_mod
 from repro.service import (
     ExperimentServer,
@@ -57,6 +58,14 @@ async def _with_server(config, body):
 
 def run(config, body):
     return asyncio.run(_with_server(config, body))
+
+
+def _patch_execute(monkeypatch, fn):
+    """Run ``fn`` in place of the task entry point on both dispatch
+    paths: single jobs call the server module's reference, fused batches
+    look it up in :mod:`repro.experiments.parallel` when they run."""
+    monkeypatch.setattr(server_mod, "_execute_task", fn)
+    monkeypatch.setattr(parallel_mod, "_execute_task", fn)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +173,7 @@ def gated_execute(monkeypatch):
         gate.wait(30)
         return real(task)
 
-    monkeypatch.setattr(server_mod, "_execute_task", slow)
+    _patch_execute(monkeypatch, slow)
     yield gate
     gate.set()
 
@@ -237,7 +246,7 @@ def test_deterministic_failure_opens_breaker(tmp_path, monkeypatch):
     def boom(task):
         raise ReproError("injected deterministic failure")
 
-    monkeypatch.setattr(server_mod, "_execute_task", boom)
+    _patch_execute(monkeypatch, boom)
 
     async def body(server, client):
         for i in range(2):
@@ -406,6 +415,58 @@ def test_worker_crash_charges_only_the_running_job(tmp_path,
 
 
 # ---------------------------------------------------------------------------
+# off-loop pool launch (real forkserver pool)
+# ---------------------------------------------------------------------------
+
+
+def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
+    """Hold the pool's launch: ping, status and a store hit answer
+    anyway, and the job queued meanwhile runs once it is released,
+    uncharged — its timeout starts when a worker takes it."""
+    config = _config(tmp_path, inline=False, workers=1, task_timeout=5.0,
+                     max_retries=0)
+    stored = JobSpec.from_wire(_job(seed=740))
+    store = SharedResultStore(config.cache_dir)
+    store.store(store.key_for(stored),
+                server_mod._execute_task(stored.run_task()), "alice")
+    store.close()
+    held = threading.Event()
+    start_pool = server_mod.ExperimentServer._start_pool
+
+    def held_start_pool(self, pool):
+        held.wait(30)
+        return start_pool(self, pool)
+
+    monkeypatch.setattr(server_mod.ExperimentServer, "_start_pool",
+                        held_start_pool)
+
+    async def body(server, client):
+        try:
+            assert await client.ping()
+            queued = await client.submit(_job(seed=741, degradable=False),
+                                         wait=False)
+            status = await client.status(queued["job_id"])
+            assert status["state"] in ("queued", "running")
+            hit = await client.submit(_job(seed=740))
+            assert hit["state"] == "done" and hit["source"] == "hit"
+            assert not server._pool_launch.done()
+        finally:
+            held.set()
+        deadline = time.monotonic() + 30.0
+        while status["state"] not in ("done", "failed"):
+            assert time.monotonic() < deadline, "queued job never ran"
+            await asyncio.sleep(0.02)
+            status = await client.status(queued["job_id"])
+        assert status["state"] == "done", status.get("error")
+        assert status["attempts"] == 0
+        assert status["source"] == "computed"
+        # it was handed off behind the warm-up task, in the same line
+        assert server.dispatch["pipelined"] == 1
+
+    run(config, body)
+
+
+# ---------------------------------------------------------------------------
 # pipelined dispatch
 # ---------------------------------------------------------------------------
 
@@ -450,7 +511,7 @@ def test_timeout_counts_from_when_the_job_starts(tmp_path, monkeypatch):
         time.sleep(0.7)
         return real(task)
 
-    monkeypatch.setattr(server_mod, "_execute_task", slow)
+    _patch_execute(monkeypatch, slow)
 
     async def body(server, client):
         responses = await _submit_each(
@@ -475,7 +536,7 @@ def test_timeout_charges_only_the_running_job(tmp_path, monkeypatch):
             time.sleep(1.5)
         return real(task)
 
-    monkeypatch.setattr(server_mod, "_execute_task", hang_once)
+    _patch_execute(monkeypatch, hang_once)
 
     async def body(server, client):
         hanging, queued = await asyncio.wait_for(_submit_each(

@@ -3,7 +3,8 @@
 Besides exactly-once delivery, ``python -m repro.service smoke`` gates
 the serving hot path on same-run ratios that do not depend on machine
 speed: journal events per fsync, LRU hit ratio, in-flight dedup,
-batched dispatch and pipelined dispatch.
+batched dispatch and pipelined dispatch. It also counts the processes
+of the SIGKILLed server's session that outlive it.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.service.__main__ import _check
 
 
 def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
-            dedup=168, jobs=10, batches=3, pipelined=4):
+            dedup=168, jobs=10, batches=3, pipelined=4, orphans=0):
     """A passing smoke report, shaped like the real one (counts from a
     200-client run); keyword overrides break one gate at a time."""
     return {
@@ -21,6 +22,8 @@ def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
         "outcomes": {"done": 400, "failed": 0},
         "divergent_fingerprints": {},
         "server_kills": 1,
+        "restart_s": 0.7,
+        "orphans": orphans,
         "sustained": {"lost_jobs": 0, "submitted": 5000,
                       "outcomes": {"done": 5000, "failed": 0}},
         "delivery": {"fetches": 400, "delivered": 400},
@@ -54,6 +57,10 @@ def test_passing_report_has_no_failures():
     ({"pipelined": 0},
      "pipelined dispatch never observed: no job was handed to a busy "
      "worker"),
+    # the killed server's forkserver, worker and resource tracker
+    ({"orphans": 3},
+     "3 processes of the killed server's session still running 10s "
+     "after the SIGKILL"),
 ])
 def test_each_hot_path_floor_fails_alone(broken, failure):
     assert _check(_report(**broken), chaos=True) == [failure]
@@ -62,6 +69,6 @@ def test_each_hot_path_floor_fails_alone(broken, failure):
 def test_hot_path_floors_apply_to_smoke_only():
     """``bench`` mode records the ratios but does not gate on them."""
     report = _report(records=100, syncs=100, lru_hits=0, dedup=0,
-                     jobs=0, batches=0, pipelined=0)
+                     jobs=0, batches=0, pipelined=0, orphans=1)
     assert _check(report, chaos=False) == []
-    assert len(_check(report, chaos=True)) == 5
+    assert len(_check(report, chaos=True)) == 6
