@@ -18,29 +18,29 @@ Three knobs, in increasing precedence:
 - explicit ``jobs=`` / ``use_cache=`` arguments to
   :func:`repro.workflow.runner.run_repetitions` or :func:`run_campaign`.
 
-Workers use the ``spawn`` start method: each worker is a fresh
-interpreter, so the executor never depends on fork-shared state and
-behaves identically on Linux/macOS/Windows. Determinism is load-bearing:
-results are returned in task order and each worker computes exactly what
-the serial path would, so ``jobs=N`` output is bit-identical to ``jobs=1``
-(asserted by ``tests/experiments/test_parallel.py``).
+Workers run on the job server's supervisor,
+:class:`repro.service.pool.WorkerPool`: ``forkserver`` workers (``spawn``
+where there is no forkserver) that never inherit the campaign's state,
+one hand-off line, a per-task timeout that counts from when a worker
+takes the task, and crash charges for the tasks that were running only;
+a charged task is retried alone once the others are done.
+Determinism is load-bearing: results are returned in task order and each
+worker computes exactly what the serial path would, so ``jobs=N`` output
+is bit-identical to ``jobs=1`` (asserted by
+``tests/experiments/test_parallel.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CampaignError, ReproError
 from repro.faults.plan import FaultPlan
@@ -57,11 +57,6 @@ __all__ = [
     "run_campaign",
     "result_fingerprint",
 ]
-
-#: Start method for worker processes. ``spawn`` is slower to start than
-#: ``fork`` but safe regardless of importing-process state (threads, open
-#: files) and uniform across platforms.
-_START_METHOD = "spawn"
 
 # Campaign-scoped defaults installed by :func:`campaign`. ``None`` means
 # "fall through to the environment". ``trace_path`` / ``metrics_path``
@@ -104,7 +99,7 @@ def default_jobs(override: Optional[int] = None) -> int:
 
     Whatever the source, the result is clamped to ``os.cpu_count()``:
     every worker is a CPU-bound pure-Python simulator, so oversubscribing
-    cores only adds scheduling churn and spawn overhead (a 4-worker
+    cores only adds scheduling churn and worker start-up (a 4-worker
     campaign on a 1-CPU box measured *slower* than serial). Set
     ``REPRO_JOBS_OVERSUBSCRIBE=1`` to skip the clamp — the worker-fault
     tests use it to get real worker processes regardless of box size.
@@ -274,7 +269,7 @@ def _export_telemetry(result: WorkflowResult, trace_path: Optional[str],
 
 def _execute_task(task: RunTask) -> WorkflowResult:
     """Worker entry point: run one repetition (must stay module-level so
-    the spawn start method can import it by qualified name)."""
+    a worker can unpickle it by qualified name)."""
     _maybe_injected_worker_fault(task.seed)
     return run_workflow(
         task.spec, seed=task.seed, jitter_cv=task.jitter_cv,
@@ -322,12 +317,13 @@ def run_campaign(
       so an interrupted campaign resumes from its survivors on the next
       invocation instead of recomputing them;
     - a worker process dying (OOM kill, ``kill -9``, segfault) breaks the
-      pool — the unfinished tasks are re-submitted to a fresh pool, up to
-      ``max_task_retries`` extra attempts each (then
+      pool — the tasks that were running are charged one attempt and,
+      once the other tasks are done, retried one at a time on a fresh
+      pool, up to ``max_task_retries`` extra attempts each (then
       :class:`~repro.errors.CampaignError`);
-    - ``task_timeout`` bounds each task's wall-clock time; a round whose
-      stragglers exceed the budget is abandoned (without waiting on hung
-      workers) and its unfinished tasks re-submitted the same way.
+    - ``task_timeout`` bounds each task's wall-clock time from when a
+      worker takes it; a task past its budget is charged and retried the
+      same way, and its pool replaced without waiting on the hung worker.
 
     Exceptions raised *by the simulation itself* (``StallError``, config
     errors, …) are deterministic — retrying cannot help — and propagate
@@ -380,61 +376,69 @@ def run_campaign(
             cache.store(keys[i], result)
 
     pending = [i for i, r in enumerate(results) if r is None]
-    if not pending:
-        return results  # type: ignore[return-value]
-
-    if jobs == 1 or len(pending) == 1:
+    if jobs == 1 or len(pending) <= 1:
         for i in pending:
             _complete(i, _execute_task(tasks[i]))
-        return results  # type: ignore[return-value]
-
-    attempts = {i: 0 for i in pending}
-    while pending:
-        workers = min(jobs, len(pending))
-        # Upper bound for the whole round if every task used its full
-        # per-task budget on a fully-loaded pool.
-        round_timeout = (
-            task_timeout * math.ceil(len(pending) / workers)
-            if task_timeout is not None else None
-        )
-        broken = False
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context(_START_METHOD)
-        )
-        try:
-            futures = {pool.submit(_execute_task, tasks[i]): i
-                       for i in pending}
-            try:
-                for future in as_completed(futures, timeout=round_timeout):
-                    _complete(futures[future], future.result())
-            except BrokenProcessPool:
-                broken = True  # a worker died; survivors are already stored
-            except FuturesTimeout:
-                broken = True  # straggler past the budget; treat like a crash
-            except BaseException:
-                # Deterministic simulation error (StallError, ConfigError,
-                # KeyboardInterrupt, ...): don't join in-flight work, just
-                # propagate. Completed repetitions are already cached.
-                broken = True
-                raise
-        finally:
-            # Never join a broken/hung pool: cancel what never started and
-            # leave stragglers to die on their own.
-            pool.shutdown(wait=not broken, cancel_futures=broken)
-        if not broken:
-            break
-        pending = [i for i in pending if results[i] is None]
-        for i in pending:
-            attempts[i] += 1
-            if attempts[i] > max_task_retries:
-                task = tasks[i]
-                raise CampaignError(
-                    f"task seed={task.seed} failed {attempts[i]} times "
-                    f"(crashed or timed-out worker); giving up after "
-                    f"{max_task_retries} retries. Completed results are "
-                    "cached; re-run to resume."
-                )
+    else:
+        _run_on_workers(tasks, pending, min(jobs, len(pending)),
+                        task_timeout, max_task_retries, _complete)
     return results  # type: ignore[return-value]
+
+
+def _run_on_workers(tasks: List[RunTask], pending: List[int], workers: int,
+                    task_timeout: Optional[float], max_task_retries: int,
+                    complete: Callable[[int, WorkflowResult], None]) -> None:
+    """Run ``tasks[i]`` for each ``i`` in ``pending``, one task per worker
+    at a time, handing each result to ``complete`` as it arrives.
+
+    A crash takes every running task down with it, so a charged task is
+    retried alone once the rest are done: a failure then is its own.
+    """
+    import asyncio
+
+    from repro.service.pool import WorkerPool
+
+    pool = WorkerPool(workers)
+    queue = iter(pending)
+    charged: List[int] = []
+
+    async def _attempt(i: int) -> bool:
+        try:
+            result, _elapsed = await pool.run(
+                task_timeout, 1, _execute_task, tasks[i])
+        except (asyncio.TimeoutError, BrokenProcessPool):
+            return False
+        complete(i, result)
+        return True
+
+    async def _runner() -> None:
+        for i in queue:
+            if not await _attempt(i):
+                charged.append(i)
+
+    async def _campaign() -> None:
+        runners = [asyncio.ensure_future(_runner()) for _ in range(workers)]
+        try:
+            await asyncio.gather(*runners)
+            for i in charged:
+                for _retry in range(max_task_retries):
+                    if await _attempt(i):
+                        break
+                else:
+                    raise CampaignError(
+                        f"task seed={tasks[i].seed} failed "
+                        f"{max_task_retries + 1} times (crashed or timed-out "
+                        f"worker); giving up after {max_task_retries} "
+                        "retries. Completed results are cached; re-run to "
+                        "resume."
+                    )
+        finally:
+            # a deterministic error propagates without joining the workers
+            for runner in runners:
+                runner.cancel()
+            await pool.close(wait=False)
+
+    asyncio.run(_campaign())
 
 
 # ---------------------------------------------------------------------------

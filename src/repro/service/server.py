@@ -53,12 +53,10 @@ batched/staged paths amortize them) to the serving layer itself:
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import json
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -75,32 +73,16 @@ from repro.service.admission import FairQueue
 from repro.service.breaker import CircuitBreaker
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
 from repro.service.journal import GroupCommitter, Journal, iter_events
+from repro.service.pool import WorkerPool
 from repro.service.shedding import SheddingPolicy
 from repro.service.store import SharedResultStore
-from repro.service.worker import (
-    _execute_task_batch,
-    _warm_worker,
-    exit_with_server,
-    worker_context,
-)
+from repro.service.worker import _execute_task_batch
 
 __all__ = ["ServerConfig", "ExperimentServer"]
 
 #: pool tasks in flight per worker: the one it runs plus the next, which
 #: waits in the pool so the worker never idles on the server's bookkeeping
 PIPELINE_DEPTH = 2
-
-
-@dataclass(eq=False)
-class _Handoff:
-    """One task handed to the worker pool, in hand-off order."""
-
-    #: the task's outcome, as the executor reports it
-    future: asyncio.Future
-    #: True once a worker has taken the task; False when the pool was
-    #: replaced before any worker did (the task never ran)
-    started: asyncio.Future
-    generation: int
 
 
 @dataclass
@@ -202,13 +184,7 @@ class ExperimentServer:
         self._idle: Optional[asyncio.Event] = None
         self._runners: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
-        self._pool = None
-        #: the off-loop pool launch; pool tasks are handed off after it
-        self._pool_launch: Optional[asyncio.Task] = None
-        self._pool_generation = 0
-        #: the current pool's unfinished tasks in hand-off order; the
-        #: first ``workers`` of them are running, the rest wait
-        self._handoffs: List[_Handoff] = []
+        self.pool = WorkerPool(config.workers, inline=config.inline)
         #: submissions staged for the current event-loop tick's batch
         self._staged: List[Tuple[JobRecord, asyncio.Future]] = []
         self._flush_scheduled = False
@@ -224,7 +200,7 @@ class ExperimentServer:
         }
         self.dispatch = {
             "batches": 0, "jobs": 0, "fused_batches": 0, "fused_jobs": 0,
-            "max_batch": 0, "fallbacks": 0, "pipelined": 0,
+            "max_batch": 0, "fallbacks": 0,
         }
         self.admission = {"batches": 0, "jobs": 0, "max_batch": 0}
         self.latencies: List[float] = []
@@ -258,8 +234,8 @@ class ExperimentServer:
         # the socket answers from here on. The pool launches last and
         # off the loop: its first submit blocks until the forkserver has
         # imported what a worker runs, and pings, status polls and store
-        # hits must not wait for that; jobs wait in _run_on_pool
-        self._pool_launch = asyncio.ensure_future(self._launch_pool())
+        # hits must not wait for that; jobs wait in WorkerPool.run
+        self.pool.launch()
         self._runners = [
             asyncio.ensure_future(self._runner())
             for _ in range(PIPELINE_DEPTH * self.config.workers)
@@ -289,13 +265,12 @@ class ExperimentServer:
         for runner in self._runners:
             runner.cancel()
         await asyncio.gather(*self._runners, return_exceptions=True)
-        # a pool still launching is torn down once it exists
-        await asyncio.gather(self._pool_launch, return_exceptions=True)
         await self.committer.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        self._teardown_pool()
+        # a pool still launching is torn down once it exists
+        await self.pool.close()
         if self.config.metrics_path:
             self.timeline.write_json(self.config.metrics_path)
         self.journal.close()
@@ -747,7 +722,7 @@ class ExperimentServer:
         timeout = (self.task_timeout * len(tasks)
                    if self.task_timeout is not None else None)
         try:
-            outcomes, elapsed = await self._run_on_pool(
+            outcomes, elapsed = await self.pool.run(
                 timeout, len(tasks), _execute_task_batch, tasks)
         except asyncio.CancelledError:
             for record in records:
@@ -779,7 +754,7 @@ class ExperimentServer:
         """PR 7's crash-isolated single-job execution loop."""
         while True:
             try:
-                result, elapsed = await self._run_on_pool(
+                result, elapsed = await self.pool.run(
                     self.task_timeout, 1, _execute_task, task)
                 break
             except asyncio.TimeoutError:
@@ -801,82 +776,6 @@ class ExperimentServer:
                          fingerprint=fingerprint)
         self._finish(record, makespan=result.makespan,
                      fingerprint=fingerprint, source="computed")
-
-    async def _run_on_pool(self, timeout: Optional[float], jobs: int,
-                           fn, *args) -> Tuple[Any, float]:
-        """Run ``fn(*args)`` on the pool as if it had a worker to itself.
-
-        The task may wait in the pool behind a running one; ``timeout``
-        counts from when a worker takes it, and if the pool is replaced
-        before that (a batchmate crashed or hung) it is handed to the new
-        pool without costing an attempt. Returns the result and the
-        seconds it ran; raises ``asyncio.TimeoutError`` (the pool is
-        recycled), ``BrokenProcessPool`` (the worker died while running
-        it) or the task's own error.
-        """
-        if not self._pool_launch.done():
-            # shielded: a cancelled runner must not cancel the launch
-            await asyncio.shield(self._pool_launch)
-        while True:
-            handoff = self._hand_off(jobs, fn, *args)
-            if await handoff.started:
-                break
-        started = time.monotonic()
-        done, _ = await asyncio.wait({handoff.future}, timeout=timeout)
-        if not done:
-            self._recycle_pool(handoff.generation)
-            raise asyncio.TimeoutError
-        return handoff.future.result(), time.monotonic() - started
-
-    def _hand_off(self, jobs: int, fn, *args) -> _Handoff:
-        """Submit one task to the pool; it starts when a worker is free.
-
-        ``jobs`` is how many jobs the task carries, for the ``pipelined``
-        count of jobs that had to wait for a busy worker.
-        """
-        try:
-            future = self._ensure_pool().submit(fn, *args)
-        except BrokenProcessPool:
-            # the pool broke before its failed tasks reached the loop
-            self._recycle_pool(self._pool_generation)
-            future = self._ensure_pool().submit(fn, *args)
-        return self._line_up(jobs, future)
-
-    def _line_up(self, jobs: int,
-                 submitted: concurrent.futures.Future) -> _Handoff:
-        """Put a task already submitted to the current pool at the end
-        of the hand-off line."""
-        loop = asyncio.get_running_loop()
-        future = asyncio.wrap_future(submitted, loop=loop)
-        handoff = _Handoff(future, loop.create_future(),
-                           self._pool_generation)
-        self._handoffs.append(handoff)
-        if len(self._handoffs) <= self.config.workers:
-            handoff.started.set_result(True)
-        else:
-            self.dispatch["pipelined"] += jobs
-        future.add_done_callback(lambda _f: self._handoff_done(handoff))
-        return handoff
-
-    def _handoff_done(self, handoff: _Handoff) -> None:
-        """A pool task ended: start the next waiting one, or, when the
-        worker died, replace the pool so no waiting task is charged."""
-        future = handoff.future
-        broken = (not future.cancelled()
-                  and isinstance(future.exception(), BrokenProcessPool))
-        if not handoff.started.done():
-            # it ended before the end of the task ahead of it was seen,
-            # or it never ran: the pool broke or shut down while it waited
-            handoff.started.set_result(not (broken or future.cancelled()))
-        if handoff.generation != self._pool_generation:
-            return
-        if broken:
-            self._recycle_pool(handoff.generation)
-            return
-        self._handoffs.remove(handoff)
-        for waiting in self._handoffs[:self.config.workers]:
-            if not waiting.started.done():
-                waiting.started.set_result(True)
 
     def _note_retry(self, record: JobRecord, reason: str) -> bool:
         """Charge one crash/timeout attempt; False when budget exhausted."""
@@ -977,72 +876,6 @@ class ExperimentServer:
         if event is not None:
             event.set()
 
-    # -- worker pool -------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            if self.config.inline:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.config.workers,
-                    thread_name_prefix="repro-service",
-                )
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    mp_context=worker_context(),
-                    initializer=exit_with_server,
-                    initargs=(os.getpid(),),
-                )
-        return self._pool
-
-    async def _launch_pool(self) -> None:
-        """Start the worker processes and warm each one, off the loop.
-
-        The warm-up tasks join the hand-off line before any job can
-        (jobs wait for this launch), so the first jobs' timeouts start
-        only once a worker is done warming up.
-        """
-        if self.config.inline:
-            return
-        pool = self._ensure_pool()
-        try:
-            warm = await asyncio.to_thread(self._start_pool, pool)
-        except BrokenProcessPool:
-            return  # the first job's hand-off recycles the pool
-        for submitted in warm:
-            self._line_up(0, submitted)
-
-    def _start_pool(
-        self, pool: ProcessPoolExecutor
-    ) -> List[concurrent.futures.Future]:
-        """Submit one warm-up task per worker. Runs on a thread: the
-        first submit forks the first worker, which waits for the
-        forkserver's preload."""
-        return [pool.submit(_warm_worker) for _ in range(self.config.workers)]
-
-    def _recycle_pool(self, generation: int) -> None:
-        """Replace a broken/hung pool exactly once per generation.
-
-        Tasks still waiting for a worker never ran: they are released
-        (``started`` False) to be handed to the new pool uncharged.
-        """
-        if generation != self._pool_generation:
-            return  # another victim of the same failure already recycled
-        self._pool_generation += 1
-        line, self._handoffs = self._handoffs, []
-        for handoff in line:
-            if not handoff.started.done():
-                handoff.started.set_result(False)
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _teardown_pool(self) -> None:
-        pool = self._pool
-        self._pool = None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
     # -- reporting ---------------------------------------------------------
     def _retry_after(self, depth: int) -> float:
         """Backpressure hint: projected time to drain the backlog.
@@ -1082,7 +915,7 @@ class ExperimentServer:
             "queue": self.queue.stats(),
             "breaker": self.breaker.stats(),
             "store": self.store.stats(),
-            "dispatch": dict(self.dispatch),
+            "dispatch": {**self.dispatch, "pipelined": self.pool.pipelined},
             "admission_batches": dict(self.admission),
             "journal": {
                 "records": self.journal.appended,

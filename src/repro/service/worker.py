@@ -1,15 +1,16 @@
-"""The worker side of the job server's process pool.
+"""The worker side of the process pool (:mod:`repro.service.pool`).
 
 Nothing here imports the simulator at module level. The ``serve`` CLI
 imports this module to launch the pool's forkserver *before* it imports
 :mod:`repro.service.server`, so the server process and the forkserver
 import their code at the same time, on different cores:
 
-- :func:`worker_context` — the crash-isolated multiprocessing context;
+- :func:`worker_context` — the crash-isolated multiprocessing context,
+  the one start method of every pool;
 - :func:`launch_forkserver` — start the forkserver now, preloading only
   what a worker runs (:data:`PRELOAD`);
-- :func:`exit_with_server` — the pool initializer that ends a worker
-  once the server process is gone;
+- :func:`init_worker` — the pool initializer: a worker takes its
+  owner's fault-hook environment and ends once the owner is gone;
 - :func:`_execute_task_batch` and :func:`_warm_worker` — worker entry
   points beside the campaign runner's ``_execute_task``.
 """
@@ -21,12 +22,11 @@ import select
 import threading
 import time
 from multiprocessing import get_context
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["PRELOAD", "worker_context", "launch_forkserver",
-           "exit_with_server"]
+__all__ = ["PRELOAD", "worker_context", "launch_forkserver", "init_worker"]
 
 #: what a worker runs, imported once in the forkserver: the task entry
 #: points and the simulator behind them. The server's journal, store and
@@ -66,17 +66,25 @@ def launch_forkserver() -> None:
         forkserver.ensure_running()
 
 
-def exit_with_server(server_pid: int) -> None:
-    """Pool initializer: end this worker once the server process is gone.
+def init_worker(owner_pid: int, fault_env: Dict[str, str]) -> None:
+    """Pool initializer: take the owner's worker-fault hooks, and end
+    this worker once the owner (the server or a campaign) is gone.
 
-    Nothing else would: a worker holds the forkserver's "alive" pipe and
-    both ends of its own call queue, so after a SIGKILL of the server no
-    process sees EOF, and the worker, the forkserver and the resource
-    tracker run on under init. Once the workers exit, the forkserver and
-    the tracker see EOF on their pipes and exit too.
+    A forkserver worker inherits the forkserver's environment, not its
+    owner's current one, so the owner's ``REPRO_WORKER_*`` variables
+    arrive as ``fault_env`` and replace the forkserver's.
+
+    Nothing else would end the worker: it holds the forkserver's
+    "alive" pipe and both ends of its own call queue, so after a SIGKILL
+    of the owner no process sees EOF, and the worker, the forkserver and
+    the resource tracker run on under init. Once the workers exit, the
+    forkserver and the tracker see EOF on their pipes and exit too.
     """
-    threading.Thread(target=_wait_for_exit, args=(server_pid,),
-                     name="repro-exit-with-server", daemon=True).start()
+    for name in [n for n in os.environ if n.startswith("REPRO_WORKER_")]:
+        del os.environ[name]
+    os.environ.update(fault_env)
+    threading.Thread(target=_wait_for_exit, args=(owner_pid,),
+                     name="repro-exit-with-owner", daemon=True).start()
 
 
 def _wait_for_exit(pid: int) -> None:
@@ -123,14 +131,16 @@ def _warm_worker() -> int:
 
     A forked worker has the simulator imported but not set up: the
     first real task would pay its lazy setup (~80ms). Executing a
-    1-frame job here moves that cost ahead of the first job.
-    Best-effort: real jobs surface real errors.
+    1-frame job here moves that cost ahead of the first job. It calls
+    the runner directly, not the task entry point, so no worker-fault
+    test hook fires on it. Best-effort: real jobs surface real errors.
     """
-    from repro.experiments.parallel import _execute_task
     from repro.service.jobs import JobSpec
+    from repro.workflow.runner import run_workflow
 
+    task = JobSpec(tenant="_prewarm", frames=1, pairs=1).run_task()
     try:
-        _execute_task(JobSpec(tenant="_prewarm", frames=1, pairs=1).run_task())
+        run_workflow(task.spec, seed=task.seed, fidelity=task.fidelity)
     except Exception:
         pass
     return os.getpid()

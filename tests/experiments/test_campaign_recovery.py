@@ -56,6 +56,18 @@ def test_worker_crash_is_retried_and_results_match_serial(fault_env):
             == [result_fingerprint(r) for r in serial])
 
 
+def test_crash_charges_only_the_tasks_it_killed(fault_env):
+    """Two one-shot crashes in one campaign, one retry each. Each crash
+    breaks the whole pool, but only the tasks it killed are charged, and
+    each of those is retried alone, so no task is charged twice."""
+    fault_env.setenv("REPRO_WORKER_CRASH_SEEDS", "0,4")
+    tasks = [RunTask(spec=SPEC, seed=s, jitter_cv=0.05) for s in range(6)]
+    serial = run_campaign(tasks, jobs=1)
+    parallel = run_campaign(tasks, jobs=2, max_task_retries=1)
+    assert ([result_fingerprint(r) for r in parallel]
+            == [result_fingerprint(r) for r in serial])
+
+
 def test_worker_crash_past_retry_budget_raises(fault_env, tmp_path):
     # Crash the *last* queued task: with two workers over three tasks, at
     # least one earlier repetition completes (and caches) before seed
@@ -92,6 +104,16 @@ def test_hung_worker_times_out_and_retry_succeeds(fault_env):
     parallel = run_campaign(TASKS, jobs=2, task_timeout=2.0)
     assert ([result_fingerprint(r) for r in parallel]
             == [result_fingerprint(r) for r in serial])
+
+
+def test_timeout_counts_from_when_the_task_starts(fault_env):
+    """Seed 0 hangs 2.5 s against a 1 s budget among eight tasks on two
+    workers: its budget runs out, whatever the other tasks take."""
+    fault_env.setenv("REPRO_WORKER_HANG_SEEDS", "0")
+    fault_env.setenv("REPRO_WORKER_HANG_SECONDS", "2.5")
+    tasks = [RunTask(spec=SPEC, seed=s, jitter_cv=0.05) for s in range(8)]
+    with pytest.raises(CampaignError, match=r"seed=0 failed 1 times"):
+        run_campaign(tasks, jobs=2, task_timeout=1.0, max_task_retries=0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import time
 import pytest
 
 import repro.experiments.parallel as parallel_mod
+import repro.service.pool as pool_mod
 import repro.service.server as server_mod
 from repro.service import (
     ExperimentServer,
@@ -315,7 +316,10 @@ def test_resume_completes_from_store_without_recompute(tmp_path):
     key = store.key_for(spec)
     from repro.experiments.parallel import _execute_task
 
-    store.store(key, _execute_task(spec.run_task()), "alice")
+    try:
+        store.store(key, _execute_task(spec.run_task()), "alice")
+    finally:
+        store.close()
     journal = Journal(config.journal_path)
     journal.append({"ev": "submit", "id": "job-0", "job": spec.to_wire(),
                     "key": key, "t": 0.0})
@@ -350,8 +354,8 @@ def test_resume_folds_counters_and_compacts(tmp_path):
 
     run(config, body)
     # boot-time compaction folded the journal but kept the attempts
-    events = [json.loads(line)
-              for line in open(config.journal_path) if line.strip()]
+    with open(config.journal_path) as journal_file:
+        events = [json.loads(line) for line in journal_file if line.strip()]
     assert {"ev": "retry", "id": "job-0", "attempts": 2} in events
 
 
@@ -361,17 +365,10 @@ def test_resume_folds_counters_and_compacts(tmp_path):
 
 
 @pytest.fixture()
-def crash_seed_555(tmp_path_factory, monkeypatch):
-    """Arm the one-shot worker crash on seed 555; yields the fault dir.
-
-    The pool's forkserver starts once per test process and every worker
-    it forks inherits the environment of that moment, so all crash tests
-    share one fault directory and re-arm the fault by removing its
-    marker.
-    """
-    fault_dir = tmp_path_factory.getbasetemp() / "worker-faults"
-    fault_dir.mkdir(exist_ok=True)
-    (fault_dir / "crash-555").unlink(missing_ok=True)
+def crash_seed_555(tmp_path, monkeypatch):
+    """Arm the one-shot worker crash on seed 555; yields the fault dir."""
+    fault_dir = tmp_path / "worker-faults"
+    fault_dir.mkdir()
     monkeypatch.setenv("REPRO_WORKER_FAULT_DIR", str(fault_dir))
     monkeypatch.setenv("REPRO_WORKER_CRASH_SEEDS", "555")
     monkeypatch.setenv("REPRO_JOBS_OVERSUBSCRIBE", "1")
@@ -431,14 +428,13 @@ def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
                 server_mod._execute_task(stored.run_task()), "alice")
     store.close()
     held = threading.Event()
-    start_pool = server_mod.ExperimentServer._start_pool
+    start_pool = pool_mod.WorkerPool._start_pool
 
-    def held_start_pool(self, pool):
+    def held_start_pool(self):
         held.wait(30)
-        return start_pool(self, pool)
+        return start_pool(self)
 
-    monkeypatch.setattr(server_mod.ExperimentServer, "_start_pool",
-                        held_start_pool)
+    monkeypatch.setattr(pool_mod.WorkerPool, "_start_pool", held_start_pool)
 
     async def body(server, client):
         try:
@@ -449,7 +445,7 @@ def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
             assert status["state"] in ("queued", "running")
             hit = await client.submit(_job(seed=740))
             assert hit["state"] == "done" and hit["source"] == "hit"
-            assert not server._pool_launch.done()
+            assert not server.pool._launch.done()
         finally:
             held.set()
         deadline = time.monotonic() + 30.0
@@ -461,7 +457,7 @@ def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
         assert status["attempts"] == 0
         assert status["source"] == "computed"
         # it was handed off behind the warm-up task, in the same line
-        assert server.dispatch["pipelined"] == 1
+        assert server.pool.pipelined == 1
 
     run(config, body)
 
@@ -488,7 +484,7 @@ def test_next_job_is_handed_off_while_the_worker_is_busy(tmp_path,
         jobs = [_job(seed=700 + i, degradable=False) for i in range(2)]
         waits = asyncio.ensure_future(_submit_each(server, jobs))
         deadline = time.monotonic() + 10.0
-        while server.dispatch["pipelined"] < 1:
+        while server.pool.pipelined < 1:
             assert time.monotonic() < deadline, "second job never handed off"
             await asyncio.sleep(0.01)
         # the first job is still held at the gate: nothing has finished
@@ -496,7 +492,7 @@ def test_next_job_is_handed_off_while_the_worker_is_busy(tmp_path,
         gated_execute.set()
         responses = await waits
         assert all(r["state"] == "done" for r in responses)
-        assert server.dispatch["pipelined"] == 1
+        assert server.pool.pipelined == 1
         assert server.dispatch["jobs"] == 2
 
     run(_config(tmp_path, workers=1), body)

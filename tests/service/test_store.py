@@ -2,8 +2,25 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.service.jobs import JobSpec
 from repro.service.store import SharedResultStore
+
+
+@pytest.fixture()
+def open_store(tmp_path):
+    """Open stores over ``tmp_path``; each one is closed after the test."""
+    opened = []
+
+    def _open(**kwargs):
+        store = SharedResultStore(str(tmp_path), **kwargs)
+        opened.append(store)
+        return store
+
+    yield _open
+    for store in opened:
+        store.close()
 
 
 def _spec(**kwargs):
@@ -12,22 +29,22 @@ def _spec(**kwargs):
     return JobSpec(**kwargs)
 
 
-def test_key_is_content_addressed_not_tenant_addressed(tmp_path):
-    store = SharedResultStore(str(tmp_path))
+def test_key_is_content_addressed_not_tenant_addressed(open_store):
+    store = open_store()
     alice = store.key_for(_spec(tenant="alice"))
     bob = store.key_for(_spec(tenant="bob"))
     assert alice == bob  # same computation, same address
 
 
-def test_key_depends_on_effective_fidelity(tmp_path):
-    store = SharedResultStore(str(tmp_path))
+def test_key_depends_on_effective_fidelity(open_store):
+    store = open_store()
     spec = _spec()
     assert store.key_for(spec) != store.key_for(spec, "fluid")
     assert store.key_for(spec, "exact") == store.key_for(spec)
 
 
-def test_per_tenant_counters_and_cross_tenant_dedup(tmp_path):
-    store = SharedResultStore(str(tmp_path))
+def test_per_tenant_counters_and_cross_tenant_dedup(open_store):
+    store = open_store()
     key = store.key_for(_spec())
     assert store.load(key, "alice") is None
     assert store.misses["alice"] == 1
@@ -50,10 +67,10 @@ def test_per_tenant_counters_and_cross_tenant_dedup(tmp_path):
 
 # -- zero-copy delivery structures ----------------------------------------
 
-def test_fetch_resolves_metadata_and_zero_copy_payload(tmp_path):
+def test_fetch_resolves_metadata_and_zero_copy_payload(open_store):
     from repro.experiments.persist import decode_result
 
-    store = SharedResultStore(str(tmp_path))
+    store = open_store()
     key = store.key_for(_spec())
     store.store(key, SimpleNamespace(makespan=2.5), "alice", fingerprint="fp-1")
     stored = store.fetch(key, "bob")
@@ -68,8 +85,8 @@ def test_fetch_resolves_metadata_and_zero_copy_payload(tmp_path):
     assert stored.result() == SimpleNamespace(makespan=2.5)
 
 
-def test_handle_is_an_index_only_lookup(tmp_path):
-    store = SharedResultStore(str(tmp_path))
+def test_handle_is_an_index_only_lookup(open_store):
+    store = open_store()
     key = store.key_for(_spec())
     assert store.handle(key) is None
     store.store(key, SimpleNamespace(makespan=1.0), "alice")
@@ -79,8 +96,8 @@ def test_handle_is_an_index_only_lookup(tmp_path):
     assert len(view) == handle["length"]
 
 
-def test_lru_eviction_falls_back_to_cache_directory(tmp_path):
-    store = SharedResultStore(str(tmp_path), lru_entries=2)
+def test_lru_eviction_falls_back_to_cache_directory(open_store):
+    store = open_store(lru_entries=2)
     keys = []
     for seed in range(3):
         key = store.key_for(_spec(seed=seed))
@@ -96,8 +113,8 @@ def test_lru_eviction_falls_back_to_cache_directory(tmp_path):
     assert store.handle(keys[0]) is not None
 
 
-def test_lru_hit_counters_feed_the_perf_gate(tmp_path):
-    store = SharedResultStore(str(tmp_path))
+def test_lru_hit_counters_feed_the_perf_gate(open_store):
+    store = open_store()
     key = store.key_for(_spec())
     store.store(key, SimpleNamespace(makespan=1.0), "alice")
     for _ in range(5):
