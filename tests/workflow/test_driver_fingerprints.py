@@ -15,7 +15,11 @@ leave out:
 - one faulted windowed pairwise run (``link_flap`` on the producer
   node: lost wake-ups held, then redelivered) and one faulted fan-out
   run (``dyad_crash`` plus transfer faults: refused gets, retries and
-  dropped KVS watches, all checked by the recovery accounting).
+  dropped KVS watches, all checked by the recovery accounting);
+- one pairwise DYAD run at the ``hybrid`` tier and one pairwise Lustre
+  run at the ``fluid`` tier (non-zero ``fluid_epochs``/``rate_solves``);
+- one faulted Lustre run (``lustre_slowdown``) and one faulted XFS run
+  (``ssd_degrade``), the POSIX systems' ``faults_*`` counters.
 
 Every run uses ``jitter_cv=0.05`` so the per-process compute-sample
 streams are exercised: a renamed sample key or a reordered draw changes
@@ -97,6 +101,22 @@ def tasks():
         fault_plan=FaultPlan(events=(
             FaultEvent("dyad_crash", at=0.9, target="0", duration=0.2),
         ), transfer_fault_rate=0.2))
+    out["fidelity/hybrid/pairwise/coarse/dyad"] = dict(
+        spec=_spec(System.DYAD, SyncMode.COARSE), fidelity="hybrid")
+    out["fidelity/fluid/pairwise/coarse/lustre"] = dict(
+        spec=_spec(System.LUSTRE, SyncMode.COARSE), fidelity="fluid")
+    out["faulted/pairwise/coarse/lustre/lustre_slowdown"] = dict(
+        spec=_spec(System.LUSTRE, SyncMode.COARSE, frames=4),
+        fault_plan=FaultPlan(events=(
+            FaultEvent("lustre_slowdown", at=1.0, duration=1.5,
+                       severity=4.0),
+        )))
+    out["faulted/pairwise/coarse/xfs/ssd_degrade"] = dict(
+        spec=_spec(System.XFS, SyncMode.COARSE, frames=4),
+        fault_plan=FaultPlan(events=(
+            FaultEvent("ssd_degrade", at=1.0, target="0", duration=1.5,
+                       severity=4.0),
+        )))
     return out
 
 
