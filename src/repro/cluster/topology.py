@@ -9,7 +9,7 @@ the :class:`~repro.cluster.network.Fabric`, and the list of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.cluster.network import Fabric, FabricConfig
 from repro.cluster.node import Node, NodeConfig
@@ -81,6 +81,35 @@ class Cluster:
             if node.node_id == node_id:
                 return node
         raise ConfigError(f"no node with id {node_id!r}")
+
+    def channels(self) -> List:
+        """Every fluid-flow channel of the fabric and the node SSDs."""
+        channels = list(self.fabric.channels())
+        for node in self.nodes:
+            channels.extend(node.ssd.channels())
+        return channels
+
+    def attach_metrics(self, timeline) -> None:
+        """Meter the fabric and every node's SSD onto ``timeline``."""
+        self.fabric.attach_metrics(timeline)
+        for node in self.nodes:
+            node.ssd.attach_metrics(timeline, f"ssd.{node.node_id}")
+
+    def stats(self) -> Dict[str, float]:
+        """Fabric and SSD traffic plus the fidelity tier's counters; the
+        tier is its ordinal (``system_stats`` values are floats)."""
+        fabric = self.fabric.stats
+        out = {f"fabric_{name}": float(getattr(fabric, name))
+               for name in ("transfers", "rdma_transfers", "messages",
+                            "bytes_moved", "link_stalls")}
+        for name in ("bytes_written", "bytes_read"):
+            out[f"ssd_{name}"] = float(
+                sum(getattr(node.ssd.stats, name) for node in self.nodes))
+        fluid = self.fluid
+        out["fidelity"] = float(self.fidelity.ordinal)
+        out["fluid_epochs"] = float(fluid.fluid_epochs if fluid else 0)
+        out["rate_solves"] = float(fluid.rate_solves if fluid else 0)
+        return out
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -242,3 +242,16 @@ class DyadRuntime:
         from repro.dyad.client import DyadConsumerClient
 
         return DyadConsumerClient(self, node_id, name)
+
+    def stats(self) -> Dict[str, float]:
+        """Transport faults, service crashes and refusals, and the KVS's
+        dropped watches and lost wake-ups (the consumer clients' own
+        counters are reported by the topology that owns them)."""
+        services = self.services.values()
+        return {
+            "dyad_transport_faults": float(self.rdma.faults_injected),
+            "dyad_service_crashes": float(sum(s.crashes for s in services)),
+            "dyad_refused_gets": float(sum(s.refused_gets for s in services)),
+            "dyad_dropped_watches": float(self.kvs.stats.dropped_watches),
+            "dyad_lost_wakeups": float(self.kvs.stats.lost_wakeups),
+        }

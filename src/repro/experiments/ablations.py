@@ -124,8 +124,8 @@ def _check_recovery(variant: str, model: str, spec: WorkflowSpec,
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> AblationResult:
     """Measure every variant for JAC and STMV."""
-    runs = default_runs(1 if quick else runs)
-    frames = default_frames(16 if quick else frames)
+    runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 16 if quick else None)
     models = (JAC,) if quick else (JAC, STMV)
     cells: Dict[str, Dict[str, Cell]] = {}
     retry_counts: Dict[str, float] = {}

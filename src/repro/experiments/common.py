@@ -37,18 +37,25 @@ __all__ = [
 JITTER_CV = 0.05
 
 
-def default_runs(override: Optional[int] = None) -> int:
-    """Repetitions per configuration (paper: 10; default here: 3)."""
-    if override is not None:
-        return max(1, int(override))
-    return max(1, int(os.environ.get("REPRO_RUNS", "3")))
+def default_runs(override: Optional[int] = None,
+                 preset: Optional[int] = None) -> int:
+    """Repetitions per configuration (paper: 10; default here: 3): an
+    explicit ``override``, else the experiment's ``--quick`` ``preset``
+    (``None`` outside quick mode), else ``REPRO_RUNS``."""
+    value = preset if override is None else override
+    if value is None:
+        value = os.environ.get("REPRO_RUNS", "3")
+    return max(1, int(value))
 
 
-def default_frames(override: Optional[int] = None) -> int:
-    """Frames per producer (paper: 128)."""
-    if override is not None:
-        return max(1, int(override))
-    return max(1, int(os.environ.get("REPRO_FRAMES", "128")))
+def default_frames(override: Optional[int] = None,
+                   preset: Optional[int] = None) -> int:
+    """Frames per producer (paper: 128); precedence as in
+    :func:`default_runs`, falling back to ``REPRO_FRAMES``."""
+    value = preset if override is None else override
+    if value is None:
+        value = os.environ.get("REPRO_FRAMES", "128")
+    return max(1, int(value))
 
 
 def median_run(runs: Sequence, key: Callable[[object], float]):

@@ -28,8 +28,8 @@ PAIRS = 16
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
     """Measure the Fig. 11 grid."""
-    runs = default_runs(1 if quick else runs)
-    frames = default_frames(32 if quick else frames)
+    runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 32 if quick else None)
     cells = {}
     for stride in STRIDES:
         for system in (System.DYAD, System.LUSTRE):

@@ -27,8 +27,8 @@ PAIRS = (1, 2, 4, 8)
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
     """Measure the Fig. 6 grid."""
-    runs = default_runs(1 if quick else runs)
-    frames = default_frames(32 if quick else frames)
+    runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 32 if quick else None)
     cells = {}
     for pairs in PAIRS:
         for system in (System.DYAD, System.LUSTRE):

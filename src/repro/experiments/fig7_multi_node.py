@@ -40,8 +40,8 @@ def _runs_for(pairs: int, base_runs: int) -> int:
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
     """Measure the Fig. 7 grid."""
-    base_runs = default_runs(1 if quick else runs)
-    frames = default_frames(16 if quick else frames)
+    base_runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 16 if quick else None)
     xs = PAIRS[:3] if quick else PAIRS
     cells = {}
     for pairs in xs:

@@ -34,8 +34,8 @@ PAIRS = 16
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
     """Measure the Fig. 8 grid."""
-    runs = default_runs(1 if quick else runs)
-    frames = default_frames(16 if quick else frames)
+    runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 16 if quick else None)
     models = (MODELS[0], MODELS[-1]) if quick else MODELS
     cells = {}
     for model in models:

@@ -81,8 +81,8 @@ def _per_frame_times(tree: CallTree, frames: int) -> Dict[str, float]:
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> CallTreeFigure:
     """Measure and aggregate the Fig. 9 call trees."""
-    runs = default_runs(1 if quick else runs)
-    frames = default_frames(16 if quick else frames)
+    runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 16 if quick else None)
     trees: Dict[str, CallTree] = {}
     per_frame: Dict[str, Dict[str, float]] = {}
     for model in (JAC, STMV):

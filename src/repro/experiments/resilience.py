@@ -127,8 +127,8 @@ def build_plan(system: System, intensity: float,
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
     """Measure the degradation grid."""
-    runs = default_runs(1 if quick else runs)
-    frames = default_frames(16 if quick else frames)
+    runs = default_runs(runs, 1 if quick else None)
+    frames = default_frames(frames, 16 if quick else None)
     intensities = (0.0, 0.25, 0.5) if quick else INTENSITIES
     cells = {}
     makespans = {}

@@ -125,9 +125,8 @@ def grids(quick: bool, frames: Optional[int] = None) -> List[Grid]:
     figures — three transports x two tiers multiply every point six-fold
     and fig5/fig7/fig8 already cover the full scaling curves; topology
     runs cap at 32 frames."""
-    stream_frames = default_frames(8 if quick else frames)
-    shape_frames = default_frames(
-        8 if quick else min(default_frames(frames), 32))
+    stream_frames = default_frames(frames, 8 if quick else None)
+    shape_frames = min(default_frames(frames, 8 if quick else None), 32)
     fig5_pairs = (1, 2) if quick else (1, 2, 4)
     # one split grid subsumes fig6's small two-node ensembles and
     # fig7's multi-node scaling foot
@@ -297,7 +296,7 @@ def _amplification(spec: WorkflowSpec, results) -> Dict[str, float]:
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> ScenarioReport:
     """Sweep every grid cell at every fidelity tier; gate the sweep."""
-    runs = default_runs(1 if quick else runs)
+    runs = default_runs(runs, 1 if quick else None)
     report = ScenarioReport()
     for figure_id, title, x_name, cells in grids(quick, frames):
         for fidelity in FIDELITIES:

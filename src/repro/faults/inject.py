@@ -453,6 +453,13 @@ class FaultInjector:
             float(self.applied - self.reverted)
         )
 
+    def stats(self) -> Dict[str, float]:
+        """Fault windows applied and reverted so far."""
+        return {
+            "faults_applied": float(self.applied),
+            "faults_reverted": float(self.reverted),
+        }
+
     def start(self) -> None:
         """Spawn one simulation process per scheduled fault window."""
         for event, apply, revert in self._actions:

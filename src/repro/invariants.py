@@ -413,3 +413,10 @@ class InvariantChecker:
     def violation_count(self) -> int:
         """How many violations were recorded."""
         return len(self.violations)
+
+    def stats(self) -> Dict[str, float]:
+        """Checks evaluated and violations recorded, as run counters."""
+        return {
+            "invariant_checks": float(self.checks),
+            "invariant_violations": float(self.violation_count),
+        }

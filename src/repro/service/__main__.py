@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--journal", required=True)
     serve.add_argument("--cache-dir", default=None)
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--queue-depth", type=int, default=64)
     serve.add_argument("--tenant-budget", type=int, default=16)
     serve.add_argument("--shed-hybrid-depth", type=int, default=16)
     serve.add_argument("--shed-fluid-depth", type=int, default=48)
@@ -74,17 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--commit-window", type=float, default=0.002,
                        help="group-commit gather window in seconds "
                             "(0 syncs every batch immediately)")
-    serve.add_argument("--commit-max-batch", type=int, default=512)
-    serve.add_argument("--compact-min-bytes", type=int, default=1 << 20,
-                       help="boot-time journal compaction threshold")
-    serve.add_argument("--lru-entries", type=int, default=512,
-                       help="result-store LRU index capacity")
     serve.add_argument("--fuse-small-jobs", type=int, default=4,
                        help="fuse up to N small degradable jobs per "
                             "worker round trip (1 disables)")
-    serve.add_argument("--fuse-max-cost", type=int, default=16)
-    serve.add_argument("--backlog", type=int, default=512,
-                       help="unix-socket listen backlog")
     serve.add_argument("--metrics-path", default=None,
                        help="write the perf-metrics timeline here at "
                             "shutdown")
@@ -155,7 +146,7 @@ def _serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         socket_path=args.socket, journal_path=args.journal,
         cache_dir=args.cache_dir, workers=args.workers,
-        queue_depth=args.queue_depth, tenant_budget=args.tenant_budget,
+        tenant_budget=args.tenant_budget,
         shed_hybrid_depth=args.shed_hybrid_depth,
         shed_fluid_depth=args.shed_fluid_depth,
         breaker_threshold=args.breaker_threshold,
@@ -163,12 +154,7 @@ def _serve(args: argparse.Namespace) -> int:
         task_timeout=args.task_timeout, max_retries=args.max_retries,
         inline=args.inline,
         commit_window=args.commit_window,
-        commit_max_batch=args.commit_max_batch,
-        compact_min_bytes=args.compact_min_bytes,
-        lru_entries=args.lru_entries,
         fuse_small_jobs=args.fuse_small_jobs,
-        fuse_max_cost=args.fuse_max_cost,
-        backlog=args.backlog,
         metrics_path=args.metrics_path,
     )
 

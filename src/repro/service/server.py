@@ -58,7 +58,7 @@ import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import AdmissionError, ReproError, ServiceError
@@ -83,6 +83,21 @@ __all__ = ["ServerConfig", "ExperimentServer"]
 #: pool tasks in flight per worker: the one it runs plus the next, which
 #: waits in the pool so the worker never idles on the server's bookkeeping
 PIPELINE_DEPTH = 2
+#: admitted jobs queued across all tenants before submits are rejected
+#: with ``queue_full``; every tenant has the same fair-share weight
+QUEUE_DEPTH = 64
+#: size bound of one group commit
+COMMIT_MAX_BATCH = 512
+#: boot-time journal compaction triggers at this size (bytes); small
+#: journals replay faster than they compact
+COMPACT_MIN_BYTES = 1 << 20
+#: result-store LRU index capacity (keys resolved without disk I/O)
+LRU_ENTRIES = 512
+#: only jobs with cost() at or below this are fusable
+FUSE_MAX_COST = 16
+#: unix-socket listen backlog: it must absorb a client herd's
+#: simultaneous connects (the asyncio default of 100 drops them)
+BACKLOG = 512
 
 
 @dataclass
@@ -93,10 +108,7 @@ class ServerConfig:
     journal_path: str
     cache_dir: Optional[str] = None
     workers: int = 2
-    queue_depth: int = 64
     tenant_budget: int = 16
-    tenant_weights: Dict[str, float] = field(default_factory=dict)
-    tenant_budgets: Dict[str, int] = field(default_factory=dict)
     shed_hybrid_depth: int = 16
     shed_fluid_depth: int = 48
     breaker_threshold: int = 3
@@ -111,21 +123,9 @@ class ServerConfig:
     #: group-commit latency bound: how long the journal waits for more
     #: events to share an fsync (0 = sync every batch immediately)
     commit_window: float = 0.002
-    #: size bound of one group commit
-    commit_max_batch: int = 512
-    #: boot-time journal compaction triggers at this size (bytes);
-    #: small journals replay faster than they compact
-    compact_min_bytes: int = 1 << 20
-    #: result-store LRU index capacity (keys resolved without disk I/O)
-    lru_entries: int = 512
     #: fuse up to this many small degradable jobs into one worker round
     #: trip (1 disables fusion)
     fuse_small_jobs: int = 4
-    #: only jobs with cost() at or below this are fusable
-    fuse_max_cost: int = 16
-    #: unix-socket listen backlog — must absorb a client herd's
-    #: simultaneous connects (the asyncio default of 100 drops them)
-    backlog: int = 512
     #: write the perf-metrics timeline (commit window / LRU / batch
     #: gauges) to this JSON file at shutdown
     metrics_path: Optional[str] = None
@@ -141,8 +141,6 @@ class ServerConfig:
             raise ServiceError(
                 f"fuse_small_jobs must be >= 1, got {self.fuse_small_jobs}"
             )
-        if self.backlog < 1:
-            raise ServiceError(f"backlog must be >= 1, got {self.backlog}")
 
 
 class ExperimentServer:
@@ -150,19 +148,16 @@ class ExperimentServer:
 
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
-        self.store = SharedResultStore(
-            config.cache_dir, lru_entries=config.lru_entries
-        )
+        self.store = SharedResultStore(config.cache_dir,
+                                       lru_entries=LRU_ENTRIES)
         self.journal = Journal(config.journal_path)
         self.committer = GroupCommitter(
             self.journal, window=config.commit_window,
-            max_batch=config.commit_max_batch,
+            max_batch=COMMIT_MAX_BATCH,
         )
         self.queue = FairQueue(
-            max_depth=config.queue_depth,
+            max_depth=QUEUE_DEPTH,
             default_budget=config.tenant_budget,
-            weights=config.tenant_weights,
-            budgets=config.tenant_budgets,
             retry_after=self._retry_after,
         )
         self.shedding = SheddingPolicy(
@@ -229,7 +224,7 @@ class ExperimentServer:
             pass
         self._server = await asyncio.start_unix_server(
             self._handle_client, path=self.config.socket_path,
-            limit=4 * 1024 * 1024, backlog=self.config.backlog,
+            limit=4 * 1024 * 1024, backlog=BACKLOG,
         )
         # the socket answers from here on. The pool launches last and
         # off the loop: its first submit blocks until the forkserver has
@@ -356,7 +351,7 @@ class ExperimentServer:
             requested_key = self.store.key_for(record.spec)
             self._inflight.setdefault(requested_key, record.job_id)
             self.counters["resumed"] += 1
-        if replayed and self.journal.size() >= self.config.compact_min_bytes:
+        if replayed and self.journal.size() >= COMPACT_MIN_BYTES:
             self._compact()
         if self.queue.depth:
             self._work.set()
@@ -654,7 +649,7 @@ class ExperimentServer:
 
     def _fusable(self, record: JobRecord) -> bool:
         return (record.spec.degradable
-                and record.spec.cost() <= self.config.fuse_max_cost)
+                and record.spec.cost() <= FUSE_MAX_COST)
 
     def _claim_batch(self) -> List[JobRecord]:
         """Pop the next job plus any fusable followers, in fair order."""

@@ -34,14 +34,13 @@ __all__ = ["Resource", "Store", "SharedBandwidth", "Signal", "channel_health"]
 
 
 def channel_health(channels) -> dict:
-    """Aggregate kernel-health counters over an iterable of channels.
+    """Kernel-health counters over an iterable of channels.
 
-    Returns ``stale_wakeups_defused`` and ``reschedules`` summed across
-    the channels and ``peak_concurrent_flows`` as the maximum seen on any
-    single channel — the numbers :mod:`repro.workflow.runner` surfaces as
-    ``channel_*`` entries in ``system_stats`` so a kernel-bench regression
-    (e.g. a re-schedule storm after a fault) is diagnosable straight from
-    experiment output.
+    Returns ``channel_stale_wakeups`` and ``channel_reschedules`` summed
+    across the channels and ``channel_peak_flows`` as the maximum seen on
+    any single channel, as the floats :mod:`repro.workflow.runner` puts in
+    ``system_stats``, so a kernel-bench regression (e.g. a re-schedule
+    storm after a fault) is diagnosable straight from experiment output.
     """
     stale = reschedules = peak = 0
     for chan in channels:
@@ -50,9 +49,9 @@ def channel_health(channels) -> dict:
         if chan.peak_concurrent_flows > peak:
             peak = chan.peak_concurrent_flows
     return {
-        "stale_wakeups_defused": stale,
-        "peak_concurrent_flows": peak,
-        "reschedules": reschedules,
+        "channel_stale_wakeups": float(stale),
+        "channel_peak_flows": float(peak),
+        "channel_reschedules": float(reschedules),
     }
 
 

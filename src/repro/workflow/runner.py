@@ -237,9 +237,7 @@ def run_workflow(
     if timeline is not None:
         # Attach probes after every substrate exists but before the first
         # event runs; attachment only registers gauges, it never schedules.
-        cluster.fabric.attach_metrics(timeline)
-        for node in cluster.nodes:
-            node.ssd.attach_metrics(timeline, f"ssd.{node.node_id}")
+        cluster.attach_metrics(timeline)
         if runtime is not None:
             runtime.attach_metrics(timeline)
         if servers is not None:
@@ -329,46 +327,11 @@ def run_workflow(
             raise WorkflowError(
                 "; ".join(errors) + " — recovery accounting is inconsistent"
             )
-    fabric = cluster.fabric
-    system_stats = {
-        "fabric_transfers": float(fabric.stats.transfers),
-        "fabric_rdma_transfers": float(fabric.stats.rdma_transfers),
-        "fabric_messages": float(fabric.stats.messages),
-        "fabric_bytes_moved": float(fabric.stats.bytes_moved),
-        "fabric_link_stalls": float(fabric.stats.link_stalls),
-        "ssd_bytes_written": float(
-            sum(node.ssd.stats.bytes_written for node in cluster.nodes)
-        ),
-        "ssd_bytes_read": float(
-            sum(node.ssd.stats.bytes_read for node in cluster.nodes)
-        ),
-    }
-    # Kernel-health counters over every fluid-flow channel in the run, so
-    # a kernel-bench regression (wake-up churn, re-schedule storms) is
-    # diagnosable from experiment output alone.
-    channels = list(fabric.channels())
-    for node in cluster.nodes:
-        channels.extend(node.ssd.channels())
-    if servers is not None:
-        channels.extend(servers.channels())
-    health = channel_health(channels)
-    system_stats.update({
-        "channel_stale_wakeups": float(health["stale_wakeups_defused"]),
-        "channel_peak_flows": float(health["peak_concurrent_flows"]),
-        "channel_reschedules": float(health["reschedules"]),
-    })
-    # Fidelity-tier metadata + flow-level kernel-health counters. The tier
-    # is stored as its numeric ordinal (system_stats values are floats by
-    # contract — they render as float.hex in result fingerprints).
-    system_stats["fidelity"] = float(tier.ordinal)
-    if cluster.fluid is not None:
-        system_stats["fluid_epochs"] = float(cluster.fluid.fluid_epochs)
-        system_stats["rate_solves"] = float(cluster.fluid.rate_solves)
-    else:
-        system_stats["fluid_epochs"] = 0.0
-        system_stats["rate_solves"] = 0.0
     # End-of-run invariants: no leaked locks or in-flight flows, and every
     # consumer drained its full frame sequence.
+    channels = cluster.channels()
+    if servers is not None:
+        channels.extend(servers.channels())
     lock_tables = []
     if fs is not None:
         lock_tables.append(fs.locks)
@@ -383,86 +346,13 @@ def run_workflow(
         # credit returns.
         checker.check_stream_drain(edges, spec.frames)
     graph.check_complete(checker)
-    system_stats["invariant_checks"] = float(checker.checks)
-    system_stats["invariant_violations"] = float(checker.violation_count)
-    if edges:
-        system_stats.update({
-            "stream_window": float(spec.effective_window),
-            "stream_credits_issued": float(
-                sum(c.credits_issued for c in edges)
-            ),
-            "stream_credits_returned": float(
-                sum(c.credits_returned for c in edges)
-            ),
-            "stream_peak_in_flight": float(
-                max((c.peak_in_flight for c in edges), default=0)
-            ),
-            "stream_producer_blocks": float(
-                sum(c.producer_blocks for c in edges)
-            ),
-            "stream_blocked_time": float(
-                sum(c.blocked_time for c in edges)
-            ),
-            "stream_spurious_wakeups": float(
-                sum(c.spurious_wakeups for c in edges)
-            ),
-            "stream_lost_wakeups": float(
-                sum(c.lost_wakeups for c in edges)
-            ),
-            "stream_redeliveries": float(
-                sum(c.redeliveries for c in edges)
-            ),
-            "stream_deferred_returns": float(
-                sum(c.deferred_return_count for c in edges)
-            ),
-        })
-        broker = graph.broker
-        if broker is not None:
-            system_stats.update({
-                "stream_broker_commits": float(broker.stats.commits),
-                "stream_broker_watches": float(broker.stats.watches),
-                "stream_broker_dropped_watches": float(
-                    broker.stats.dropped_watches
-                ),
-                "stream_broker_lost_wakeups": float(
-                    broker.stats.lost_wakeups
-                ),
-            })
-    if runtime is not None:
-        consumers = graph.consumers
-        system_stats.update({
-            "dyad_kvs_waits": float(sum(c.kvs_waits for c in consumers)),
-            "dyad_fast_hits": float(sum(c.fast_hits for c in consumers)),
-            "dyad_cache_hits": float(sum(c.cache_hits for c in consumers)),
-            "dyad_shared_read_waits": float(
-                sum(c.shared_read_waits for c in consumers)
-            ),
-            "dyad_transfer_retries": float(
-                sum(c.transfer_retries for c in consumers)
-            ),
-            "dyad_transport_faults": float(runtime.rdma.faults_injected),
-            "dyad_service_crashes": float(
-                sum(s.crashes for s in runtime.services.values())
-            ),
-            "dyad_refused_gets": float(
-                sum(s.refused_gets for s in runtime.services.values())
-            ),
-            "dyad_dropped_watches": float(runtime.kvs.stats.dropped_watches),
-            "dyad_lost_wakeups": float(runtime.kvs.stats.lost_wakeups),
-        })
-    if graph.queue is not None:
-        claimed = graph.queue.per_worker()
-        loads = [claimed.get(f"consumer{j}", 0)
-                 for j in range(spec.consumers)]
-        system_stats.update({
-            "pool_tasks_total": float(graph.queue.total),
-            "pool_workers": float(spec.consumers),
-            "pool_max_claimed": float(max(loads)),
-            "pool_min_claimed": float(min(loads)),
-        })
-    if injector is not None:
-        system_stats["faults_applied"] = float(injector.applied)
-        system_stats["faults_reverted"] = float(injector.reverted)
+    # Each part of the run reports its own counters; kernel health over
+    # every fluid-flow channel makes a kernel-bench regression (wake-up
+    # churn, re-schedule storms) diagnosable from experiment output alone.
+    system_stats = channel_health(channels)
+    for part in (cluster, checker, graph, runtime, injector):
+        if part is not None:
+            system_stats.update(part.stats())
     return WorkflowResult(
         spec=spec,
         seed=seed,

@@ -99,6 +99,20 @@ class TaskQueue:
         return {role: len(tasks) for role, tasks in self.claimed.items()}
 
 
+#: ``stream_*`` key -> the :class:`StreamChannel` counter summed over
+#: every edge
+_EDGE_SUMS = (
+    ("stream_credits_issued", "credits_issued"),
+    ("stream_credits_returned", "credits_returned"),
+    ("stream_producer_blocks", "producer_blocks"),
+    ("stream_blocked_time", "blocked_time"),
+    ("stream_spurious_wakeups", "spurious_wakeups"),
+    ("stream_lost_wakeups", "lost_wakeups"),
+    ("stream_redeliveries", "redeliveries"),
+    ("stream_deferred_returns", "deferred_return_count"),
+)
+
+
 @dataclass
 class TopologySetup:
     """Everything the runner needs back from :func:`spawn_topology`."""
@@ -136,6 +150,45 @@ class TopologySetup:
                 [f"consumer{j}" for j in range(spec.consumers)],
                 spec.streams, spec.frames,
             )
+
+    def stats(self) -> Dict[str, float]:
+        """Flow-control, broker, DYAD consumer-client and pool counters.
+
+        Each group is present only when the run has that part: the
+        ``stream_*`` keys under the streaming sync modes (plus
+        ``stream_broker_*`` under POSIX pub/sub), the ``dyad_*`` client
+        counters on DYAD, the ``pool_*`` keys under the pool topology.
+        """
+        spec = self.spec
+        out: Dict[str, float] = {}
+        edges = self.channels
+        if edges:
+            out["stream_window"] = float(spec.effective_window)
+            out["stream_peak_in_flight"] = float(
+                max(c.peak_in_flight for c in edges))
+            for key, attr in _EDGE_SUMS:
+                out[key] = float(sum(getattr(c, attr) for c in edges))
+            if self.broker is not None:
+                for name in ("commits", "watches", "dropped_watches",
+                             "lost_wakeups"):
+                    out[f"stream_broker_{name}"] = float(
+                        getattr(self.broker.stats, name))
+        if self.consumers:
+            for name in ("kvs_waits", "fast_hits", "cache_hits",
+                         "shared_read_waits", "transfer_retries"):
+                out[f"dyad_{name}"] = float(
+                    sum(getattr(c, name) for c in self.consumers))
+        if self.queue is not None:
+            claimed = self.queue.per_worker()
+            loads = [claimed.get(f"consumer{j}", 0)
+                     for j in range(spec.consumers)]
+            out.update({
+                "pool_tasks_total": float(self.queue.total),
+                "pool_workers": float(spec.consumers),
+                "pool_max_claimed": float(max(loads)),
+                "pool_min_claimed": float(min(loads)),
+            })
+        return out
 
     def recovery_errors(self) -> List[str]:
         """Per-consumer completion accounting after a faulted run.

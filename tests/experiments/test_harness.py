@@ -27,6 +27,9 @@ def test_default_runs_env(monkeypatch):
     assert default_runs(2) == 2
     monkeypatch.setenv("REPRO_FRAMES", "64")
     assert default_frames() == 64
+    # a --quick preset beats the environment; an explicit value beats both
+    assert default_runs(None, 1) == 1 and default_runs(2, 1) == 2
+    assert default_frames(None, 32) == 32 and default_frames(8, 32) == 8
 
 
 def make_cell(pm, pi, cm, ci):
@@ -143,3 +146,5 @@ def test_cli_quick_fig5(capsys):
     assert main(["fig5", "--quick", "--frames", "8"]) == 0
     out = capsys.readouterr().out
     assert "Fig5" in out and "paper" in out
+    # the explicit --frames wins over the quick preset (32 frames)
+    assert "(runs=1, frames=8)" in out

@@ -135,7 +135,8 @@ def test_cache_truncated_entry_self_heals(tmp_path):
     result = run_workflow(FIG5_SPEC, seed=0, jitter_cv=0.05)
     key = cache.key(FIG5_SPEC, 0, 0.05, {})
     path = cache.store(key, result)
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     assert blob[:4] == b"RPRC"
     with open(path, "wb") as fh:
         fh.write(blob[: len(blob) // 2])  # torn write
@@ -152,7 +153,8 @@ def test_cache_bitflip_entry_self_heals(tmp_path):
     result = run_workflow(FIG5_SPEC, seed=0, jitter_cv=0.05)
     key = cache.key(FIG5_SPEC, 0, 0.05, {})
     path = cache.store(key, result)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
     blob[-1] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
