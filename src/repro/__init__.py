@@ -34,6 +34,7 @@ Quick start::
 
 import importlib
 import sys
+import types
 from typing import Callable, Dict, Iterable, List, Tuple
 
 __version__ = "1.0.0"
@@ -68,10 +69,24 @@ def lazy_exports(
     light submodule — the job server's CLI, a worker that runs only the
     simulator — then does not pay for the rest (the LJ engine, the
     analytics, the figure registry).
+
+    A name may share its defining submodule's name (``repro.cluster``
+    re-exports the function ``corona`` of ``repro.cluster.corona``).
+    Importing that submodule binds it to the package attribute, so the
+    package keeps the re-exported value in its place.
     """
     namespace = sys.modules[package].__dict__
     origin = {name: module for module, names in exports.items()
               for name in names}
+
+    class _Package(types.ModuleType):
+        def __setattr__(self, name: str, value: object) -> None:
+            if (isinstance(value, types.ModuleType)
+                    and value.__name__ == origin.get(name)):
+                value = getattr(value, name)
+            super().__setattr__(name, value)
+
+    sys.modules[package].__class__ = _Package
 
     def __getattr__(name: str) -> object:
         module = origin.get(name)

@@ -17,11 +17,7 @@ Public API
 - :func:`~repro.cluster.corona.corona` — the Corona machine preset.
 """
 
-from repro.cluster.corona import CORONA_NODE, corona
-from repro.cluster.network import NIC, Fabric, FabricConfig
-from repro.cluster.node import Node, NodeConfig
-from repro.cluster.ssd import SSDConfig, SSDModel
-from repro.cluster.topology import Cluster, ClusterConfig
+from repro import lazy_exports
 
 __all__ = [
     "CORONA_NODE",
@@ -36,3 +32,11 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.corona": ["CORONA_NODE", "corona"],
+    "repro.cluster.network": ["NIC", "Fabric", "FabricConfig"],
+    "repro.cluster.node": ["Node", "NodeConfig"],
+    "repro.cluster.ssd": ["SSDConfig", "SSDModel"],
+    "repro.cluster.topology": ["Cluster", "ClusterConfig"],
+})

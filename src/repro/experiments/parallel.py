@@ -40,13 +40,15 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CampaignError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.invariants import InvariantConfig
-from repro.workflow.runner import WorkflowResult, run_workflow
 from repro.workflow.spec import WorkflowSpec
+
+if TYPE_CHECKING:  # the runner loads the simulator; only workers need it
+    from repro.workflow.runner import WorkflowResult
 
 __all__ = [
     "RunTask",
@@ -270,6 +272,8 @@ def _export_telemetry(result: WorkflowResult, trace_path: Optional[str],
 def _execute_task(task: RunTask) -> WorkflowResult:
     """Worker entry point: run one repetition (must stay module-level so
     a worker can unpickle it by qualified name)."""
+    from repro.workflow.runner import run_workflow
+
     _maybe_injected_worker_fault(task.seed)
     return run_workflow(
         task.spec, seed=task.seed, jitter_cv=task.jitter_cv,
@@ -359,6 +363,8 @@ def run_campaign(
         # but it carries the instrument payloads, so it bypasses the
         # cache in both directions (load above is overwritten, key
         # cleared so _complete never stores it).
+        from repro.workflow.runner import run_workflow
+
         task = tasks[0]
         instrumented = run_workflow(
             task.spec, seed=task.seed, jitter_cv=task.jitter_cv,

@@ -15,13 +15,14 @@ EXPERIMENTS.md or re-running a campaign skips already-computed cells; see
 
 CLI-free API: :func:`save_figure`, :func:`load_figure`,
 :func:`compare_figures`, :func:`save_campaign`, :func:`load_campaign`,
-:class:`ResultCache`, :func:`encode_result`, :func:`decode_result`.
+:class:`ResultCache`, :func:`encode_result`, :func:`encode_cacheable`,
+:func:`decode_result`.
 
 The CRC-framed wire format (:func:`encode_result` / :func:`decode_result`)
 is shared with the service layer: the exact bytes the cache publishes are
 what the server streams to clients and what the mmap payload segment
-stores, so a result is encoded once at store time and never re-serialized
-on the read path.
+stores. The job server's workers encode each result where it was
+computed; the server only moves the bytes.
 """
 
 from __future__ import annotations
@@ -34,10 +35,12 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.common import Cell, FigureResult, Stat
+
+if TYPE_CHECKING:  # the figure model loads the simulator
+    from repro.experiments.common import Cell, FigureResult
 
 __all__ = [
     "save_figure",
@@ -49,6 +52,7 @@ __all__ = [
     "ResultCache",
     "default_cache_root",
     "encode_result",
+    "encode_cacheable",
     "decode_result",
 ]
 
@@ -71,6 +75,8 @@ def _cell_to_dict(cell: Cell) -> Dict:
 
 
 def _cell_from_dict(payload: Dict) -> Cell:
+    from repro.experiments.common import Cell, Stat
+
     # Files written before ``makespan`` joined the cell load with its default.
     return Cell(**{
         metric: Stat(payload[metric]["mean"], payload[metric]["std"])
@@ -101,6 +107,8 @@ def figure_to_dict(fig: FigureResult) -> Dict:
 
 def figure_from_dict(payload: Dict) -> FigureResult:
     """Inverse of :func:`figure_to_dict`."""
+    from repro.experiments.common import FigureResult
+
     if payload.get("format") != _FORMAT_VERSION:
         raise ReproError(
             f"unsupported result format {payload.get('format')!r}"
@@ -259,6 +267,19 @@ def encode_result(result) -> bytes:
         _ENTRY_MAGIC, len(payload), zlib.crc32(payload)
     )
     return header + payload
+
+
+def encode_cacheable(result) -> bytes:
+    """:func:`encode_result` for a result a cache may hold.
+
+    A traced or metered run carries its instruments, which no cache
+    entry keeps, so it is refused.
+    """
+    if getattr(result, "tracer", None) is not None:
+        raise ReproError("refusing to cache a traced run")
+    if getattr(result, "metrics", None) is not None:
+        raise ReproError("refusing to cache a metered run")
+    return encode_result(result)
 
 
 def decode_result(blob: bytes):
@@ -422,12 +443,7 @@ class ResultCache:
         entry, and racing writers of the same key overwrite each other
         with byte-equivalent content.
         """
-        if getattr(result, "tracer", None) is not None:
-            raise ReproError("refusing to cache a traced run")
-        if getattr(result, "metrics", None) is not None:
-            raise ReproError("refusing to cache a metered run")
-        self.store_bytes(key, encode_result(result))
-        return self.path(key)
+        return self.store_bytes(key, encode_cacheable(result))
 
     def store_bytes(self, key: str, blob: bytes) -> str:
         """Atomically publish an already-framed blob under ``key``."""

@@ -9,7 +9,11 @@ faulty runs are exactly as reproducible as fault-free ones.
 See ``docs/resilience.md`` for the schema and recovery semantics.
 """
 
-from repro.faults.inject import FaultInjector
-from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
+from repro import lazy_exports
 
 __all__ = ["FaultPlan", "FaultEvent", "FaultInjector", "FAULT_KINDS"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.inject": ["FaultInjector"],
+    "repro.faults.plan": ["FAULT_KINDS", "FaultEvent", "FaultPlan"],
+})

@@ -48,10 +48,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                            "end_to_end_distance", "largest_eigenvalue",
                            "radius_of_gyration", "rmsd"],
     "repro.md.engine": ["LJConfig", "LJSimulation"],
-    "repro.md.frame": ["ATOM_DTYPE", "FRAME_HEADER_BYTES", "Frame",
-                       "frame_size"],
+    "repro.md.frame": ["ATOM_DTYPE", "Frame"],
     "repro.md.trajectory": ["TrajectoryReader", "TrajectoryWriter",
                             "read_trajectory", "write_trajectory"],
     "repro.md.models": ["APOA1", "F1_ATPASE", "JAC", "MODELS", "STMV",
-                        "MolecularModel", "model_by_name"],
+                        "FRAME_HEADER_BYTES", "MolecularModel", "frame_size",
+                        "model_by_name"],
 })

@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import IntegrityError, ReproError
+from repro.md.models import ATOM_RECORD_BYTES, FRAME_HEADER_BYTES, frame_size
 
 __all__ = [
     "ATOM_DTYPE",
@@ -49,7 +50,7 @@ ATOM_DTYPE = np.dtype(
         ("mass", "<f4"),
     ]
 )
-assert ATOM_DTYPE.itemsize == 28
+assert ATOM_DTYPE.itemsize == ATOM_RECORD_BYTES
 
 _MAGIC = b"MDFR"
 _VERSION = 2
@@ -61,14 +62,7 @@ FLAG_CHECKSUM = 0x1
 #: Header: magic(4s) version(H) flags(H) natoms(I) checksum(I) step(Q)
 #: time(d) box(3f) — still 44 bytes, so Table I frame sizes are unchanged.
 _HEADER = struct.Struct("<4sHHIIQd3f")
-FRAME_HEADER_BYTES = _HEADER.size
-assert FRAME_HEADER_BYTES == 44
-
-def frame_size(natoms: int) -> int:
-    """Encoded size in bytes of a frame with ``natoms`` atoms."""
-    if natoms < 0:
-        raise ValueError(f"negative atom count: {natoms}")
-    return FRAME_HEADER_BYTES + ATOM_DTYPE.itemsize * natoms
+assert _HEADER.size == FRAME_HEADER_BYTES
 
 
 @dataclass

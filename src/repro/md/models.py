@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Tuple
 
-from repro.md.frame import frame_size
 from repro.units import KiB, MiB
 
 __all__ = [
@@ -30,11 +29,27 @@ __all__ = [
     "STMV",
     "MODELS",
     "model_by_name",
+    "frame_size",
+    "FRAME_HEADER_BYTES",
+    "ATOM_RECORD_BYTES",
     "TARGET_FREQUENCY",
 ]
 
 #: The common data-generation period the paper calibrates strides to.
 TARGET_FREQUENCY: float = 0.82
+
+#: An encoded frame's header and per-atom record sizes. The codec
+#: (:mod:`repro.md.frame`) asserts its layout against both; they live
+#: here so the catalogue sizes frames without loading numpy.
+FRAME_HEADER_BYTES = 44
+ATOM_RECORD_BYTES = 28
+
+
+def frame_size(natoms: int) -> int:
+    """Encoded size in bytes of a frame with ``natoms`` atoms."""
+    if natoms < 0:
+        raise ValueError(f"negative atom count: {natoms}")
+    return FRAME_HEADER_BYTES + ATOM_RECORD_BYTES * natoms
 
 
 @dataclass(frozen=True)

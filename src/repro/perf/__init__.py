@@ -22,19 +22,7 @@ Hatchet call-path query language. This package provides working equivalents:
   factors.
 """
 
-from repro.perf.caliper import Annotator, Caliper, Category
-from repro.perf.compare import SpeedupEstimate, bootstrap_speedup
-from repro.perf.metrics import (
-    Counter,
-    Gauge,
-    MetricsTimeline,
-    merge_chrome_trace,
-    write_chrome_trace,
-)
-from repro.perf.trace import SpanEvent, Tracer, TracingAnnotator
-from repro.perf.calltree import CallTree, CallTreeNode, diff_trees
-from repro.perf.query import parse_query, query
-from repro.perf.thicket import Thicket
+from repro import lazy_exports
 
 __all__ = [
     "Annotator",
@@ -57,3 +45,14 @@ __all__ = [
     "merge_chrome_trace",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.caliper": ["Annotator", "Caliper", "Category"],
+    "repro.perf.calltree": ["CallTree", "CallTreeNode", "diff_trees"],
+    "repro.perf.compare": ["SpeedupEstimate", "bootstrap_speedup"],
+    "repro.perf.metrics": ["Counter", "Gauge", "MetricsTimeline",
+                           "merge_chrome_trace", "write_chrome_trace"],
+    "repro.perf.query": ["parse_query", "query"],
+    "repro.perf.thicket": ["Thicket"],
+    "repro.perf.trace": ["SpanEvent", "Tracer", "TracingAnnotator"],
+})

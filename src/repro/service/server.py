@@ -37,6 +37,11 @@ batched/staged paths amortize them) to the serving layer itself:
   in-memory LRU index and stream from an mmap payload segment
   (:class:`~repro.service.store.SharedResultStore`); the serving path
   never re-reads, re-decodes, or re-encodes a stored result.
+- **worker-encoded results** — a worker hands back a job's result
+  already encoded, with its fingerprint and makespan
+  (:func:`~repro.service.worker._execute_job`), and the server files
+  the bytes as they are. The server process never loads the simulator
+  or numpy; ``stats`` reports both under ``loaded``.
 - **batched admission and dispatch** — every submit that arrives in one
   event-loop tick is admitted with a single
   :meth:`~repro.service.admission.FairQueue.submit_batch` (one heap
@@ -45,7 +50,7 @@ batched/staged paths amortize them) to the serving layer itself:
   is paid once per batch, not once per job.
 - **pipelined dispatch** — each worker has its next job waiting in the
   pool behind the one it runs, so the server's per-result bookkeeping
-  (fingerprint, store publish, journal) overlaps the worker's next
+  (store publish, journal) overlaps the worker's next
   computation instead of idling it. Timeouts and crash charges still
   apply only from the moment a worker actually takes a job.
 """
@@ -56,6 +61,7 @@ import asyncio
 import json
 import os
 import signal
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -65,8 +71,6 @@ from repro.errors import AdmissionError, ReproError, ServiceError
 from repro.experiments.parallel import (
     _default_task_retries,
     _default_task_timeout,
-    _execute_task,
-    result_fingerprint,
 )
 from repro.perf.metrics import MetricsTimeline
 from repro.service.admission import FairQueue
@@ -76,7 +80,7 @@ from repro.service.journal import GroupCommitter, Journal, iter_events
 from repro.service.pool import WorkerPool
 from repro.service.shedding import SheddingPolicy
 from repro.service.store import SharedResultStore
-from repro.service.worker import _execute_task_batch
+from repro.service.worker import _execute_job, _execute_task_batch
 
 __all__ = ["ServerConfig", "ExperimentServer"]
 
@@ -98,6 +102,10 @@ FUSE_MAX_COST = 16
 #: unix-socket listen backlog: it must absorb a client herd's
 #: simultaneous connects (the asyncio default of 100 drops them)
 BACKLOG = 512
+#: modules the server process never needs; ``stats`` reports whether
+#: they are loaded (a stored key the server neither published nor read
+#: from its journal is decoded, which loads them)
+SIMULATOR_MODULES = ("numpy", "repro.workflow.runner")
 
 
 @dataclass
@@ -325,6 +333,10 @@ class ExperimentServer:
                 self.counters["shed"] += 1
             if record.state == DONE:
                 self.counters["completed"] += 1
+                if record.fingerprint is not None:
+                    # a repeat is then served without decoding the result
+                    self.store.recall(record.key, record.fingerprint,
+                                      record.makespan)
             elif record.state == FAILED:
                 self.counters["failed"] += 1
         pending = [r for r in self.records.values() if not r.terminal]
@@ -736,21 +748,17 @@ class ExperimentServer:
             return
         self._observe_service_time(elapsed / len(tasks))
         for (record, _task), (ok, payload) in zip(runnable, outcomes):
-            if not ok:
+            if ok:
+                self._publish(record, *payload)
+            else:
                 self._fail(record, payload)
-                continue
-            fingerprint = result_fingerprint(payload)
-            self.store.store(record.key, payload, record.spec.tenant,
-                             fingerprint=fingerprint)
-            self._finish(record, makespan=payload.makespan,
-                         fingerprint=fingerprint, source="computed")
 
     async def _execute_single(self, record: JobRecord, task) -> None:
         """PR 7's crash-isolated single-job execution loop."""
         while True:
             try:
-                result, elapsed = await self.pool.run(
-                    self.task_timeout, 1, _execute_task, task)
+                stored, elapsed = await self.pool.run(
+                    self.task_timeout, 1, _execute_job, task)
                 break
             except asyncio.TimeoutError:
                 reason = "task timeout"
@@ -766,11 +774,15 @@ class ExperimentServer:
             if not self._note_retry(record, reason):
                 return
         self._observe_service_time(elapsed)
-        fingerprint = result_fingerprint(result)
-        self.store.store(record.key, result, record.spec.tenant,
-                         fingerprint=fingerprint)
-        self._finish(record, makespan=result.makespan,
-                     fingerprint=fingerprint, source="computed")
+        self._publish(record, *stored)
+
+    def _publish(self, record: JobRecord, blob: bytes, fingerprint: str,
+                 makespan: float) -> None:
+        """File a worker's encoded result as it is and finish its job."""
+        self.store.publish(record.key, record.spec.tenant, blob,
+                           fingerprint, makespan)
+        self._finish(record, makespan=makespan, fingerprint=fingerprint,
+                     source="computed")
 
     def _note_retry(self, record: JobRecord, reason: str) -> bool:
         """Charge one crash/timeout attempt; False when budget exhausted."""
@@ -921,4 +933,6 @@ class ExperimentServer:
             "latency_p50": pct(0.50),
             "latency_p99": pct(0.99),
             "journal_records": self.journal.appended,
+            "loaded": {name: name in sys.modules
+                       for name in SIMULATOR_MODULES},
         }

@@ -12,7 +12,10 @@ read path cheap enough for the serving hot loop:
 - an **in-memory LRU index** over keys (:attr:`lru_entries` deep).
   A hit resolves a result's location and metadata (fingerprint,
   makespan) with one ordered-dict lookup — no per-request ``stat``,
-  file read, or unpickle. Metadata is decoded at most once per key.
+  file read, or unpickle. Metadata outlives the LRU: published results
+  arrive with it and a restarted server reads it from its journal
+  (:meth:`SharedResultStore.recall`), so only a key this process was
+  never told about is decoded, once.
 - an **mmap-backed payload segment** (:class:`PayloadSegment`): an
   append-only side file holding the exact CRC-framed bytes the cache
   published. :meth:`SharedResultStore.payload` returns a ``memoryview``
@@ -36,7 +39,7 @@ from collections import OrderedDict, defaultdict
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.persist import ResultCache, decode_result, encode_result
+from repro.experiments.persist import ResultCache, decode_result
 from repro.service.jobs import JobSpec
 
 __all__ = ["PayloadSegment", "SharedResultStore", "StoredResult"]
@@ -155,15 +158,11 @@ class PayloadSegment:
 
 
 class _Entry:
-    __slots__ = ("offset", "length", "fingerprint", "makespan")
+    __slots__ = ("offset", "length")
 
-    def __init__(self, offset: int, length: int,
-                 fingerprint: Optional[str] = None,
-                 makespan: Optional[float] = None) -> None:
+    def __init__(self, offset: int, length: int) -> None:
         self.offset = offset
         self.length = length
-        self.fingerprint = fingerprint
-        self.makespan = makespan
 
 
 class StoredResult:
@@ -207,7 +206,7 @@ class SharedResultStore:
         self._index: "OrderedDict[str, _Entry]" = OrderedDict()
         for key, offset, length in self.segment.scan():
             # later records win (a re-appended key supersedes its older
-            # copy); metadata refills lazily on first fetch
+            # copy)
             self._index[key] = _Entry(offset, length)
             self._index.move_to_end(key)
         while len(self._index) > lru_entries:
@@ -223,6 +222,10 @@ class SharedResultStore:
         self.cross_tenant_dedup = 0
         #: key -> tenant that first published it (this process's view)
         self._publisher: Dict[str, str] = {}
+        #: key -> (fingerprint, makespan), kept past the LRU: a key this
+        #: process published or read from its journal (:meth:`recall`)
+        #: is served without decoding its result
+        self._known: Dict[str, Tuple[str, Optional[float]]] = {}
 
     @property
     def root(self) -> str:
@@ -244,11 +247,9 @@ class SharedResultStore:
         return key
 
     # -- index internals ---------------------------------------------------
-    def _insert(self, key: str, blob: bytes,
-                fingerprint: Optional[str] = None,
-                makespan: Optional[float] = None) -> _Entry:
+    def _insert(self, key: str, blob: bytes) -> _Entry:
         offset, length = self.segment.append(key, blob)
-        entry = _Entry(offset, length, fingerprint, makespan)
+        entry = _Entry(offset, length)
         self._index[key] = entry
         self._index.move_to_end(key)
         while len(self._index) > self.lru_entries:
@@ -282,22 +283,26 @@ class SharedResultStore:
                 return None, None
             return self._insert(key, blob), decode_result(blob)
 
-    def _meta(self, key: str, entry: _Entry) -> Optional[_Entry]:
-        """Fill fingerprint/makespan once per key (lazy decode)."""
-        if entry.fingerprint is None:
+    def _metadata(self, key: str,
+                  entry: _Entry) -> Optional[Tuple[str, Optional[float]]]:
+        """``(fingerprint, makespan)`` of an indexed key, decoding its
+        result only when this process was never told them."""
+        meta = self._known.get(key)
+        if meta is None:
             from repro.experiments.parallel import result_fingerprint
 
             entry, result = self._decode(key, entry)
             if entry is None:
                 return None
             try:
-                entry.fingerprint = result_fingerprint(result)
+                fingerprint = result_fingerprint(result)
             except Exception:
                 # not a WorkflowResult (foreign cache content): fetchers
                 # get no fingerprint, but the payload stays servable
-                entry.fingerprint = ""
-            entry.makespan = getattr(result, "makespan", None)
-        return entry
+                fingerprint = ""
+            meta = (fingerprint, getattr(result, "makespan", None))
+            self._known[key] = meta
+        return meta
 
     # -- access ------------------------------------------------------------
     def fetch(self, key: str, tenant: str) -> Optional[StoredResult]:
@@ -307,16 +312,15 @@ class SharedResultStore:
         one LRU lookup — no disk I/O, no deserialization.
         """
         entry = self._locate(key)
-        if entry is not None:
-            entry = self._meta(key, entry)
-        if entry is None:
+        meta = self._metadata(key, entry) if entry is not None else None
+        if meta is None:
             self.misses[tenant] += 1
             return None
         self.hits[tenant] += 1
         publisher = self._publisher.get(key)
         if publisher is not None and publisher != tenant:
             self.cross_tenant_dedup += 1
-        return StoredResult(key, entry.fingerprint, entry.makespan, self)
+        return StoredResult(key, *meta, self)
 
     def load(self, key: str, tenant: str):
         """Decoded result or ``None`` (compat path; pays the unpickle)."""
@@ -352,25 +356,28 @@ class SharedResultStore:
         return {"segment": self.segment.path, "offset": entry.offset,
                 "length": entry.length}
 
-    def store(self, key: str, result, tenant: str,
-              fingerprint: Optional[str] = None) -> str:
-        """Publish a result (atomic, last-writer-wins on equal bytes).
+    def publish(self, key: str, tenant: str, blob: bytes, fingerprint: str,
+                makespan: Optional[float]) -> str:
+        """Publish an encoded result (atomic, last-writer-wins on equal
+        bytes) with its metadata.
 
-        Encodes once: the same framed bytes go to the cache directory
-        (durable), the payload segment, and — untouched — to any client
-        that later fetches the result.
+        ``blob`` is what :func:`~repro.experiments.persist.encode_cacheable`
+        made of the result where it was computed. The same bytes go to
+        the cache directory (durable), the payload segment, and —
+        untouched — to any client that later fetches the result.
         """
-        if getattr(result, "tracer", None) is not None:
-            raise ReproError("refusing to cache a traced run")
-        if getattr(result, "metrics", None) is not None:
-            raise ReproError("refusing to cache a metered run")
-        blob = encode_result(result)
         path = self.cache.store_bytes(key, blob)
-        self._insert(key, blob, fingerprint=fingerprint,
-                     makespan=getattr(result, "makespan", None))
+        self._insert(key, blob)
+        self._known[key] = (fingerprint, makespan)
         self.stores[tenant] += 1
         self._publisher.setdefault(key, tenant)
         return path
+
+    def recall(self, key: str, fingerprint: str,
+               makespan: Optional[float]) -> None:
+        """Take a key's metadata from a journal record, so fetching it
+        after a restart decodes nothing."""
+        self._known[key] = (fingerprint, makespan)
 
     def close(self) -> None:
         """Close the payload segment (the cache directory needs nothing)."""

@@ -11,8 +11,11 @@ import their code at the same time, on different cores:
   what a worker runs (:data:`PRELOAD`);
 - :func:`init_worker` — the pool initializer: a worker takes its
   owner's fault-hook environment and ends once the owner is gone;
-- :func:`_execute_task_batch` and :func:`_warm_worker` — worker entry
-  points beside the campaign runner's ``_execute_task``.
+- :func:`_execute_job`, :func:`_execute_task_batch` and
+  :func:`_warm_worker` — the server's worker entry points. A job comes
+  back as its stored form: the encoded result, its fingerprint and its
+  makespan. The server files those bytes as they are and never loads
+  the simulator to read them.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ from repro.errors import ReproError
 __all__ = ["PRELOAD", "worker_context", "launch_forkserver", "init_worker"]
 
 #: what a worker runs, imported once in the forkserver: the task entry
-#: points and the simulator behind them. The server's journal, store and
-#: admission code stay out — no worker runs them.
+#: points, the result encoding and the simulator behind them (the entry
+#: points load the runner only when they run, so it is named here). The
+#: server's journal, store and admission code stay out — no worker runs
+#: them.
 PRELOAD = ["repro.service.worker", "repro.experiments.parallel",
-           "repro.service.jobs"]
+           "repro.experiments.persist", "repro.service.jobs",
+           "repro.workflow.runner"]
 
 
 def worker_context():
@@ -107,20 +113,45 @@ def _wait_for_exit(pid: int) -> None:
     os._exit(0)
 
 
+def _execute_job(task) -> Tuple[bytes, str, float]:
+    """Worker entry point for one job: run it, hand back its stored form.
+
+    Returns ``(blob, fingerprint, makespan)``: the CRC-framed bytes the
+    store publishes and the client decodes, and the two fields of the
+    job's record. Encoding here, where the result already lives, spares
+    the server an unpickle, a fingerprint and a re-encode per job.
+
+    The blob encodes the result as a reader decodes it, so decoding and
+    re-encoding it gives the same bytes, whichever process ran the job:
+    unpickling interns instance attribute names, which a fresh result
+    may share with equal dictionary keys.
+    """
+    from repro.experiments.parallel import _execute_task, result_fingerprint
+    from repro.experiments.persist import (
+        decode_result,
+        encode_cacheable,
+        encode_result,
+    )
+
+    result = _execute_task(task)
+    blob = encode_result(decode_result(encode_cacheable(result)))
+    return blob, result_fingerprint(result), result.makespan
+
+
 def _execute_task_batch(tasks) -> List[Tuple[bool, Any]]:
     """Worker entry point for a fused batch: one round trip, many jobs.
 
-    Deterministic simulation failures are isolated per task (``(False,
-    message)``); anything harsher — a crash, a kill — takes the whole
-    worker down and the server falls back to per-job execution, so one
-    poisoned job can delay but never corrupt its batchmates.
+    Each job comes back as ``(True, (blob, fingerprint, makespan))``
+    (see :func:`_execute_job`). Deterministic simulation failures are
+    isolated per task (``(False, message)``); anything harsher — a
+    crash, a kill — takes the whole worker down and the server falls
+    back to per-job execution, so one poisoned job can delay but never
+    corrupt its batchmates.
     """
-    from repro.experiments.parallel import _execute_task
-
     out: List[Tuple[bool, Any]] = []
     for task in tasks:
         try:
-            out.append((True, _execute_task(task)))
+            out.append((True, _execute_job(task)))
         except ReproError as exc:
             out.append((False, f"{type(exc).__name__}: {exc}"))
     return out

@@ -23,9 +23,7 @@ Public API
 - :class:`~repro.sim.rng.RngStreams` — named deterministic RNG streams.
 """
 
-from repro.sim.core import AllOf, AnyOf, Environment, Event, Process, Timeout
-from repro.sim.resources import Resource, SharedBandwidth, Signal, Store
-from repro.sim.rng import RngStreams
+from repro import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -40,3 +38,11 @@ __all__ = [
     "Store",
     "RngStreams",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.core": ["AllOf", "AnyOf", "Environment", "Event", "Process",
+                       "Timeout"],
+    "repro.sim.resources": ["Resource", "SharedBandwidth", "Signal",
+                            "Store"],
+    "repro.sim.rng": ["RngStreams"],
+})

@@ -19,8 +19,7 @@ sleep matched to the frame-generation frequency.
   graph, runs it, and returns instrumented results.
 """
 
-from repro.workflow.runner import WorkflowResult, run_workflow, run_repetitions
-from repro.workflow.spec import Placement, System, WorkflowSpec
+from repro import lazy_exports
 
 __all__ = [
     "WorkflowResult",
@@ -30,3 +29,9 @@ __all__ = [
     "System",
     "WorkflowSpec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workflow.runner": ["WorkflowResult", "run_workflow",
+                              "run_repetitions"],
+    "repro.workflow.spec": ["Placement", "System", "WorkflowSpec"],
+})

@@ -117,6 +117,14 @@ def test_restarted_server_resumes_from_journal(tmp_path):
                                distinct_jobs=4, frames=2, seed=SEED,
                                degradable=False, deadline=120.0)
         assert first["lost_jobs"] == 0
+        # "done" records commit without a barrier: kill once all four
+        # are durable, so the restart has each key's metadata to replay
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            with open(journal_path, "rb") as fh:
+                if fh.read().count(b'"ev": "done"') >= 4:
+                    break
+            await asyncio.sleep(0.02)
         proc.kill()
         proc.wait()
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
@@ -129,6 +137,15 @@ def test_restarted_server_resumes_from_journal(tmp_path):
         assert second["lost_jobs"] == 0
         assert second["sources"]["computed"] == 0
         assert second["fingerprints"] == first["fingerprints"]
+        # ...and nothing decoded: the journal refilled each repeat's
+        # fingerprint and makespan, so the simulator never loaded
+        client = ServiceClient(socket_path)
+        try:
+            stats = await client.stats()
+        finally:
+            await client.close()
+        assert stats["loaded"] == {"numpy": False,
+                                   "repro.workflow.runner": False}
 
     try:
         asyncio.run(drive())

@@ -26,6 +26,7 @@ from repro.service import (
     SharedResultStore,
 )
 from repro.service.jobs import JobSpec
+from repro.service.worker import _execute_job
 
 
 def _config(tmp_path, **overrides):
@@ -63,9 +64,9 @@ def run(config, body):
 
 def _patch_execute(monkeypatch, fn):
     """Run ``fn`` in place of the task entry point on both dispatch
-    paths: single jobs call the server module's reference, fused batches
-    look it up in :mod:`repro.experiments.parallel` when they run."""
-    monkeypatch.setattr(server_mod, "_execute_task", fn)
+    paths: the worker entry points of single jobs and of fused batches
+    (:mod:`repro.service.worker`) look it up in
+    :mod:`repro.experiments.parallel` when they run."""
     monkeypatch.setattr(parallel_mod, "_execute_task", fn)
 
 
@@ -168,7 +169,7 @@ def gated_execute(monkeypatch):
     than the next submit arrives and queue depth never builds.
     """
     gate = threading.Event()
-    real = server_mod._execute_task
+    real = parallel_mod._execute_task
 
     def slow(task):
         gate.wait(30)
@@ -314,10 +315,8 @@ def test_resume_completes_from_store_without_recompute(tmp_path):
     # cached result, not recompute
     store = SharedResultStore(config.cache_dir)
     key = store.key_for(spec)
-    from repro.experiments.parallel import _execute_task
-
     try:
-        store.store(key, _execute_task(spec.run_task()), "alice")
+        store.publish(key, "alice", *_execute_job(spec.run_task()))
     finally:
         store.close()
     journal = Journal(config.journal_path)
@@ -424,8 +423,8 @@ def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
                      max_retries=0)
     stored = JobSpec.from_wire(_job(seed=740))
     store = SharedResultStore(config.cache_dir)
-    store.store(store.key_for(stored),
-                server_mod._execute_task(stored.run_task()), "alice")
+    store.publish(store.key_for(stored), "alice",
+                  *_execute_job(stored.run_task()))
     store.close()
     held = threading.Event()
     start_pool = pool_mod.WorkerPool._start_pool
@@ -501,7 +500,7 @@ def test_next_job_is_handed_off_while_the_worker_is_busy(tmp_path,
 def test_timeout_counts_from_when_the_job_starts(tmp_path, monkeypatch):
     """Two 0.7 s jobs on one worker with a 1 s budget: the second waits
     0.7 s in the pool, which must not count against its own budget."""
-    real = server_mod._execute_task
+    real = parallel_mod._execute_task
 
     def slow(task):
         time.sleep(0.7)
@@ -523,7 +522,7 @@ def test_timeout_charges_only_the_running_job(tmp_path, monkeypatch):
     """Seed 730 hangs once past its budget while 731 waits behind it:
     the pool is replaced, 730 is charged and retried, and 731 moves to
     the new pool without spending an attempt."""
-    real = server_mod._execute_task
+    real = parallel_mod._execute_task
     hung = set()
 
     def hang_once(task):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.service.store as store_mod
+from repro.experiments.persist import encode_result
 from repro.service.jobs import JobSpec
 from repro.service.store import SharedResultStore
 
@@ -29,6 +31,12 @@ def _spec(**kwargs):
     return JobSpec(**kwargs)
 
 
+def _publish(store, key, result, tenant="alice", fingerprint="fp"):
+    """Publish ``result`` as a worker hands it over: already encoded."""
+    return store.publish(key, tenant, encode_result(result), fingerprint,
+                         getattr(result, "makespan", None))
+
+
 def test_key_is_content_addressed_not_tenant_addressed(open_store):
     store = open_store()
     alice = store.key_for(_spec(tenant="alice"))
@@ -49,7 +57,7 @@ def test_per_tenant_counters_and_cross_tenant_dedup(open_store):
     assert store.load(key, "alice") is None
     assert store.misses["alice"] == 1
 
-    store.store(key, {"makespan": 1.0}, "alice")
+    _publish(store, key, {"makespan": 1.0})
     assert store.load(key, "alice") == {"makespan": 1.0}
     assert store.cross_tenant_dedup == 0
 
@@ -72,7 +80,7 @@ def test_fetch_resolves_metadata_and_zero_copy_payload(open_store):
 
     store = open_store()
     key = store.key_for(_spec())
-    store.store(key, SimpleNamespace(makespan=2.5), "alice", fingerprint="fp-1")
+    _publish(store, key, SimpleNamespace(makespan=2.5), fingerprint="fp-1")
     stored = store.fetch(key, "bob")
     assert stored.key == key
     assert stored.fingerprint == "fp-1"
@@ -89,7 +97,7 @@ def test_handle_is_an_index_only_lookup(open_store):
     store = open_store()
     key = store.key_for(_spec())
     assert store.handle(key) is None
-    store.store(key, SimpleNamespace(makespan=1.0), "alice")
+    _publish(store, key, SimpleNamespace(makespan=1.0))
     handle = store.handle(key)
     assert handle["segment"] == store.segment.path
     view = store.segment.view(handle["offset"], handle["length"])
@@ -101,7 +109,7 @@ def test_lru_eviction_falls_back_to_cache_directory(open_store):
     keys = []
     for seed in range(3):
         key = store.key_for(_spec(seed=seed))
-        store.store(key, SimpleNamespace(makespan=float(seed)), "alice")
+        _publish(store, key, SimpleNamespace(makespan=float(seed)))
         keys.append(key)
     # capacity 2: the first key was evicted from the in-memory index
     assert store.handle(keys[0]) is None
@@ -116,7 +124,7 @@ def test_lru_eviction_falls_back_to_cache_directory(open_store):
 def test_lru_hit_counters_feed_the_perf_gate(open_store):
     store = open_store()
     key = store.key_for(_spec())
-    store.store(key, SimpleNamespace(makespan=1.0), "alice")
+    _publish(store, key, SimpleNamespace(makespan=1.0))
     for _ in range(5):
         assert store.fetch(key, "alice") is not None
     stats = store.stats()
@@ -128,7 +136,7 @@ def test_lru_hit_counters_feed_the_perf_gate(open_store):
 def test_segment_rebuilds_index_across_restart(tmp_path):
     store = SharedResultStore(str(tmp_path))
     key = store.key_for(_spec())
-    store.store(key, SimpleNamespace(makespan=3.0), "alice")
+    _publish(store, key, SimpleNamespace(makespan=3.0))
     store.close()
     # a fresh store over the same root re-scans the segment: the handle
     # is servable again without touching the cache directory
@@ -141,7 +149,7 @@ def test_segment_rebuilds_index_across_restart(tmp_path):
 def test_torn_segment_tail_is_truncated_not_fatal(tmp_path):
     store = SharedResultStore(str(tmp_path))
     key = store.key_for(_spec())
-    store.store(key, SimpleNamespace(makespan=1.0), "alice")
+    _publish(store, key, SimpleNamespace(makespan=1.0))
     store.close()
     seg_path = store.segment.path
     with open(seg_path, "ab") as fh:
@@ -149,4 +157,42 @@ def test_torn_segment_tail_is_truncated_not_fatal(tmp_path):
     reopened = SharedResultStore(str(tmp_path))
     assert reopened.fetch(key, "alice").makespan == 1.0
     assert reopened.segment.stats()["records"] == 0  # nothing re-appended
+    reopened.close()
+
+
+def test_publish_files_the_bytes_as_they_are(open_store):
+    store = open_store()
+    key = store.key_for(_spec())
+    blob = encode_result(SimpleNamespace(makespan=4.0))
+    path = store.publish(key, "alice", blob, "fp-4", 4.0)
+    with open(path, "rb") as fh:
+        assert fh.read() == blob
+    assert bytes(store.payload(key)) == blob
+    assert store.stats()["stores"] == {"alice": 1}
+
+
+def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
+    def no_decode(blob):
+        raise AssertionError("the store decoded a result it was told about")
+
+    store = SharedResultStore(str(tmp_path), lru_entries=1)
+    keys = [store.key_for(_spec(seed=seed)) for seed in (1, 2)]
+    for seed, key in zip((1, 2), keys):
+        _publish(store, key, SimpleNamespace(makespan=float(seed)),
+                 fingerprint=f"fp-{seed}")
+    with monkeypatch.context() as patched:
+        patched.setattr(store_mod, "decode_result", no_decode)
+        # published, evicted from the index, faulted in from the cache
+        # directory: its metadata stayed
+        assert store.fetch(keys[0], "alice").fingerprint == "fp-1"
+    store.close()
+    reopened = SharedResultStore(str(tmp_path), lru_entries=1)
+    # what a restarted server reads from its journal's "done" records
+    for seed, key in zip((1, 2), keys):
+        reopened.recall(key, f"fp-{seed}", float(seed))
+    monkeypatch.setattr(store_mod, "decode_result", no_decode)
+    for seed, key in zip((1, 2), keys):
+        stored = reopened.fetch(key, "bob")
+        assert (stored.fingerprint, stored.makespan) == (f"fp-{seed}",
+                                                         float(seed))
     reopened.close()
