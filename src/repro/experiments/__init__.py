@@ -1,6 +1,9 @@
-"""Reproduction harness: one module per table/figure of the paper.
+"""Reproduction harness: the paper's tables and figures, and extensions.
 
-Every experiment module exposes
+Figs. 5-12 are rows of one campaign grid (:mod:`repro.experiments.figures`),
+whose planner runs every distinct repetition of a request once, on one
+worker pool; the tables and the extensions are modules. Every experiment
+exposes
 
 - ``run(runs=None, frames=None, quick=False)`` returning a structured
   result object, and

@@ -6,7 +6,12 @@ import argparse
 import sys
 
 from repro.experiments.claims import CLAIMS
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    describe,
+    get_experiment,
+    run_all,
+)
 from repro.experiments.report import FIGURES, claims_table
 
 
@@ -164,9 +169,8 @@ def main(argv=None) -> int:
         parser.error(f"argument --profile-top: must be >= 1, "
                      f"got {args.profile_top}")
     if args.experiment == "list":
-        for name, module in EXPERIMENTS.items():
-            doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:8s} {doc}")
+        for name in EXPERIMENTS:
+            print(f"{name:8s} {describe(name)}")
         return 0
     if args.profile:
         return _profiled_dispatch(args)

@@ -133,8 +133,8 @@ def measure(spec: WorkflowSpec, runs: int, jitter_cv: float = JITTER_CV,
 
     ``jobs``/``use_cache`` default to the enclosing
     :func:`repro.experiments.parallel.campaign` scope (or the
-    ``REPRO_JOBS``/``REPRO_CACHE`` environment variables), so figure
-    modules calling ``measure`` inherit campaign-wide parallelism and
+    ``REPRO_JOBS``/``REPRO_CACHE`` environment variables), so
+    experiments calling ``measure`` inherit campaign-wide parallelism and
     caching without threading the knobs through their signatures.
     ``fault_plan`` makes every repetition a faulty run (see
     :mod:`repro.faults`); it participates in the cache key. ``fidelity``

@@ -14,7 +14,7 @@ Three knobs, in increasing precedence:
   variables (process-wide defaults);
 - :func:`campaign` — a context manager the bulk runner and the CLI use to
   scope ``--jobs`` / ``--no-cache`` around a whole campaign without
-  threading arguments through every figure module;
+  threading arguments through every experiment;
 - explicit ``jobs=`` / ``use_cache=`` arguments to
   :func:`repro.workflow.runner.run_repetitions` or :func:`run_campaign`.
 
@@ -53,6 +53,7 @@ if TYPE_CHECKING:  # the runner loads the simulator; only workers need it
 __all__ = [
     "RunTask",
     "campaign",
+    "repetition_tasks",
     "default_jobs",
     "default_fault_plan",
     "default_fidelity",
@@ -95,6 +96,17 @@ class RunTask:
     #: the cache key — tiers never alias even when their timings agree
     fidelity: str = "exact"
 
+    def key(self) -> str:
+        """The repetition's result-cache key
+        (:meth:`~repro.experiments.persist.ResultCache.key`): tasks with
+        equal keys compute equal results."""
+        from repro.experiments.persist import ResultCache
+
+        return ResultCache.key(
+            self.spec, self.seed, self.jitter_cv, self.system_configs,
+            self.fault_plan, self.invariants, self.fidelity,
+        )
+
 
 def default_jobs(override: Optional[int] = None) -> int:
     """Resolve the worker count: explicit > campaign scope > env > 1.
@@ -136,7 +148,7 @@ def default_fault_plan(
 
     This is how ``--fault-plan FILE`` threads a deserialized chaos repro
     into every repetition of whatever experiment the CLI dispatches,
-    without touching the figure modules' signatures.
+    without touching the experiments' signatures.
     """
     if override is not None:
         return override
@@ -171,8 +183,8 @@ def campaign(jobs: Optional[int] = None, cache: Optional[bool] = None,
     """Scope campaign-wide parallelism/caching/fault defaults.
 
     Used by :func:`repro.experiments.registry.run_all` and the CLI so the
-    individual figure modules keep their simple ``run(runs, frames)``
-    signatures while still fanning out.
+    experiments keep their simple ``run(runs, frames)`` signatures while
+    still fanning out.
 
     ``trace_path`` / ``metrics_path`` request a telemetry export: the
     first repetition executed inside the scope re-runs instrumented
@@ -270,8 +282,9 @@ def _export_telemetry(result: WorkflowResult, trace_path: Optional[str],
 
 
 def _execute_task(task: RunTask) -> WorkflowResult:
-    """Worker entry point: run one repetition (must stay module-level so
-    a worker can unpickle it by qualified name)."""
+    """Run one repetition: the serial path's step, and what the worker
+    entry point :func:`repro.service.worker._execute_job` runs (it looks
+    this function up when it runs, so tests can stand in for it)."""
     from repro.workflow.runner import run_workflow
 
     _maybe_injected_worker_fault(task.seed)
@@ -280,6 +293,27 @@ def _execute_task(task: RunTask) -> WorkflowResult:
         fault_plan=task.fault_plan, invariants=task.invariants,
         fidelity=task.fidelity, **task.system_configs,
     )
+
+
+def repetition_tasks(spec: WorkflowSpec, runs: int, base_seed: int = 0,
+                     jitter_cv: float = 0.05,
+                     fault_plan: Optional[FaultPlan] = None,
+                     invariants: Optional[InvariantConfig] = None,
+                     fidelity: Optional[str] = None,
+                     **system_configs) -> List[RunTask]:
+    """The ``runs`` repetitions of ``spec``: seeds ``base_seed``,
+    ``base_seed + 1000``, …; the fault plan and the fidelity tier default
+    to the campaign scope."""
+    fault_plan = default_fault_plan(fault_plan)
+    fidelity = default_fidelity(fidelity)
+    return [
+        RunTask(
+            spec=spec, seed=base_seed + 1000 * r, jitter_cv=jitter_cv,
+            system_configs=system_configs, fault_plan=fault_plan,
+            invariants=invariants, fidelity=fidelity,
+        )
+        for r in range(runs)
+    ]
 
 
 def _default_task_timeout(override: Optional[float]) -> Optional[float]:
@@ -315,6 +349,14 @@ def run_campaign(
     serial run: each task is a pure function of its fields, and caching
     stores the exact :class:`WorkflowResult` a cold run produced.
 
+    Workers run :func:`repro.service.worker._execute_job`, as the job
+    server's do, and hand back a result's stored form; the campaign
+    decodes the result and caches the bytes as they are. The serial path
+    caches the same canonical bytes
+    (:func:`~repro.experiments.persist.encode_cacheable`), so entries
+    are byte-equal whatever ``jobs`` wrote them. An uncached serial
+    campaign encodes nothing.
+
     The parallel path is hardened against infrastructure failures:
 
     - every completed repetition is stored into the cache *immediately*,
@@ -349,10 +391,7 @@ def run_campaign(
         cache = ResultCache(cache_dir if cache_dir is not None
                             else _SCOPED["cache_dir"])
         for i, task in enumerate(tasks):
-            keys[i] = cache.key(
-                task.spec, task.seed, task.jitter_cv, task.system_configs,
-                task.fault_plan, task.invariants, task.fidelity,
-            )
+            keys[i] = task.key()
             results[i] = cache.load(keys[i])
 
     telemetry = _claim_telemetry()
@@ -376,26 +415,31 @@ def run_campaign(
         results[0] = instrumented
         keys[0] = None
 
-    def _complete(i: int, result: WorkflowResult) -> None:
-        results[i] = result
-        if cache is not None and keys[i] is not None:
-            cache.store(keys[i], result)
-
     pending = [i for i, r in enumerate(results) if r is None]
     if jobs == 1 or len(pending) <= 1:
         for i in pending:
-            _complete(i, _execute_task(tasks[i]))
+            results[i] = _execute_task(tasks[i])
+            if cache is not None and keys[i] is not None:
+                cache.store(keys[i], results[i])
     else:
+        from repro.experiments.persist import decode_result
+
+        def _file(i: int, blob: bytes) -> None:
+            results[i] = decode_result(blob)
+            if cache is not None and keys[i] is not None:
+                cache.store_bytes(keys[i], blob)
+
         _run_on_workers(tasks, pending, min(jobs, len(pending)),
-                        task_timeout, max_task_retries, _complete)
+                        task_timeout, max_task_retries, _file)
     return results  # type: ignore[return-value]
 
 
 def _run_on_workers(tasks: List[RunTask], pending: List[int], workers: int,
                     task_timeout: Optional[float], max_task_retries: int,
-                    complete: Callable[[int, WorkflowResult], None]) -> None:
+                    complete: Callable[[int, bytes], None]) -> None:
     """Run ``tasks[i]`` for each ``i`` in ``pending``, one task per worker
-    at a time, handing each result to ``complete`` as it arrives.
+    at a time, handing each result's encoded bytes to ``complete`` as
+    they arrive.
 
     A crash takes every running task down with it, so a charged task is
     retried alone once the rest are done: a failure then is its own.
@@ -403,18 +447,25 @@ def _run_on_workers(tasks: List[RunTask], pending: List[int], workers: int,
     import asyncio
 
     from repro.service.pool import WorkerPool
+    from repro.service.worker import _execute_job
 
     pool = WorkerPool(workers)
     queue = iter(pending)
     charged: List[int] = []
+    #: why each charged task last failed
+    failures: Dict[int, str] = {}
 
     async def _attempt(i: int) -> bool:
         try:
-            result, _elapsed = await pool.run(
-                task_timeout, 1, _execute_task, tasks[i])
-        except (asyncio.TimeoutError, BrokenProcessPool):
+            (blob, _fingerprint, _makespan), _elapsed = await pool.run(
+                task_timeout, 1, _execute_job, tasks[i])
+        except asyncio.TimeoutError:
+            failures[i] = "timed out"
             return False
-        complete(i, result)
+        except BrokenProcessPool as exc:
+            failures[i] = str(exc)
+            return False
+        complete(i, blob)
         return True
 
     async def _runner() -> None:
@@ -434,9 +485,9 @@ def _run_on_workers(tasks: List[RunTask], pending: List[int], workers: int,
                     raise CampaignError(
                         f"task seed={tasks[i].seed} failed "
                         f"{max_task_retries + 1} times (crashed or timed-out "
-                        f"worker); giving up after {max_task_retries} "
-                        "retries. Completed results are cached; re-run to "
-                        "resume."
+                        f"worker; last: {failures[i]}); giving up after "
+                        f"{max_task_retries} retries. Completed results are "
+                        "cached; re-run to resume."
                     )
         finally:
             # a deterministic error propagates without joining the workers

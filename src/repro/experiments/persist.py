@@ -270,16 +270,23 @@ def encode_result(result) -> bytes:
 
 
 def encode_cacheable(result) -> bytes:
-    """:func:`encode_result` for a result a cache may hold.
+    """:func:`encode_result` for a result a cache may hold, in its
+    canonical form: the bytes every writer of the result publishes.
 
     A traced or metered run carries its instruments, which no cache
     entry keeps, so it is refused.
+
+    The bytes encode the result as a reader decodes it, so decoding and
+    re-encoding them gives the same bytes, whichever process computed
+    the result: unpickling interns instance attribute names, which a
+    fresh result may share with equal dictionary keys, so a fresh result
+    and its decoded copy pickle differently.
     """
     if getattr(result, "tracer", None) is not None:
         raise ReproError("refusing to cache a traced run")
     if getattr(result, "metrics", None) is not None:
         raise ReproError("refusing to cache a metered run")
-    return encode_result(result)
+    return encode_result(decode_result(encode_result(result)))
 
 
 def decode_result(blob: bytes):
@@ -324,9 +331,11 @@ class ResultCache:
 
     The store is safe for concurrent writers across processes and
     tenants: entries are published with fsync + ``os.replace`` (readers
-    see either nothing or a complete entry), keys are content addresses
-    (two writers racing on the same cell publish byte-equivalent
-    results, so last-rename-wins is harmless), and entries are sharded
+    see either nothing or a complete entry), keys are content addresses,
+    and every writer stores a result's canonical bytes
+    (:func:`encode_cacheable`), so two writers racing on the same cell —
+    a serial campaign, a campaign worker, the job server — publish
+    byte-equal entries and last-rename-wins is harmless. Entries are sharded
     into 256 ``root/<key[:2]>/`` directories so a campaign-scale store
     never degrades a single directory's listing.
     """
@@ -337,7 +346,8 @@ class ResultCache:
         self.misses = 0
 
     # -- keying ------------------------------------------------------------
-    def key(self, spec, seed: int, jitter_cv: float,
+    @staticmethod
+    def key(spec, seed: int, jitter_cv: float,
             system_configs: Optional[Dict[str, Any]] = None,
             fault_plan: Optional[Any] = None,
             invariants: Optional[Any] = None,
@@ -441,12 +451,14 @@ class ResultCache:
         same-shard temp file, flushed to stable storage (``fsync``), then
         published with ``os.replace`` — a reader never observes a partial
         entry, and racing writers of the same key overwrite each other
-        with byte-equivalent content.
+        with byte-equal content (the canonical bytes of
+        :func:`encode_cacheable`).
         """
         return self.store_bytes(key, encode_cacheable(result))
 
     def store_bytes(self, key: str, blob: bytes) -> str:
-        """Atomically publish an already-framed blob under ``key``."""
+        """Atomically publish an already-framed blob under ``key``: the
+        :func:`encode_cacheable` bytes a worker made of its result."""
         path = self.path(key)
         shard = os.path.dirname(path)
         os.makedirs(shard, exist_ok=True)

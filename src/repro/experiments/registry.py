@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.experiments import (
@@ -11,30 +11,17 @@ from repro.experiments import (
     resilience,
     scenarios,
     validate,
-    fig5_single_node,
-    fig6_two_node,
-    fig7_multi_node,
-    fig8_model_scaling,
-    fig9_dyad_calltree,
-    fig10_lustre_calltree,
-    fig11_jac_stride,
-    fig12_stmv_stride,
     tables,
 )
+from repro.experiments.figures import GRID, run_figures
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_all"]
 
-#: name -> module with ``run``/``main`` entry points
+#: name -> experiment with ``run``/``main`` entry points: a module, or a
+#: row of the figure grid (:mod:`repro.experiments.figures`)
 EXPERIMENTS: Dict[str, object] = {
     "tables": tables,
-    "fig5": fig5_single_node,
-    "fig6": fig6_two_node,
-    "fig7": fig7_multi_node,
-    "fig8": fig8_model_scaling,
-    "fig9": fig9_dyad_calltree,
-    "fig10": fig10_lustre_calltree,
-    "fig11": fig11_jac_stride,
-    "fig12": fig12_stmv_stride,
+    **{row.name: row for row in GRID},
     "ablations": ablations,
     "scenarios": scenarios,
     "resilience": resilience,
@@ -44,7 +31,7 @@ EXPERIMENTS: Dict[str, object] = {
 
 
 def get_experiment(name: str):
-    """Experiment module by registry name."""
+    """Experiment by registry name."""
     try:
         return EXPERIMENTS[name]
     except KeyError:
@@ -52,11 +39,19 @@ def get_experiment(name: str):
         raise ReproError(f"unknown experiment {name!r} (known: {known})") from None
 
 
+def describe(name: str) -> str:
+    """One-line description of an experiment."""
+    entry = get_experiment(name)
+    heading = getattr(entry, "heading", None)
+    return heading or (entry.__doc__ or "").strip().splitlines()[0]
+
+
 def run_all(quick: bool = False, jobs: Optional[int] = None,
             use_cache: Optional[bool] = None,
             cache_dir: Optional[str] = None) -> List[object]:
     """Run every experiment in paper order, printing each report.
 
+    The figures run first, as one plan (:func:`run_figures`).
     ``jobs``/``use_cache``/``cache_dir`` scope campaign-wide parallelism
     and result caching around all experiments (see
     :mod:`repro.experiments.parallel`); ``None`` falls through to the
@@ -66,9 +61,14 @@ def run_all(quick: bool = False, jobs: Optional[int] = None,
 
     results = []
     with campaign(jobs=jobs, cache=use_cache, cache_dir=cache_dir):
-        for name, module in EXPERIMENTS.items():
+        figures = run_figures(quick=quick)
+        for name, entry in EXPERIMENTS.items():
             print(f"\n################ {name} ################")
-            results.append(
-                module.main(quick=quick) if name != "tables" else module.main()
-            )
+            if name in figures:
+                print(figures[name].render())
+                results.append(figures[name])
+            else:
+                results.append(
+                    entry.main(quick=quick) if name != "tables" else entry.main()
+                )
     return results

@@ -9,41 +9,26 @@ full campaign and writes a markdown report with, per experiment:
   for that figure, the paper's value, the measured value, and a verdict
   (``reproduced`` / ``shape`` / ``deviates``).
 
-The verdict rule and every claim live in :mod:`repro.experiments.claims`;
-this module only runs the figures and renders.
+The verdict rule and every claim live in :mod:`repro.experiments.claims`,
+and the figures run as one plan (:func:`repro.experiments.figures.run_figures`);
+this module renders.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.experiments import ablations as ablations_mod, tables
 from repro.experiments.claims import CLAIMS, Claim
-from repro.experiments.registry import get_experiment
+from repro.experiments.figures import GRID, run_figures
 
 __all__ = [
     "FIGURES", "build_report", "claims_table", "generate", "run_figures",
 ]
 
-#: The paper figures the report runs, by registry name, in paper order.
-FIGURES = (
-    ("fig5", "Fig. 5 — single-node ensemble scaling (DYAD vs XFS)"),
-    ("fig6", "Fig. 6 — two-node distributed workflow (DYAD vs Lustre)"),
-    ("fig7", "Fig. 7 — multi-node scaling to 256 pairs (DYAD vs Lustre)"),
-    ("fig8", "Fig. 8 — molecular model size scaling (DYAD vs Lustre)"),
-    ("fig9", "Fig. 9 — DYAD call trees, JAC vs STMV (Thicket)"),
-    ("fig10", "Fig. 10 — Lustre call trees, JAC vs STMV (Thicket)"),
-    ("fig11", "Fig. 11 — frame-frequency scaling, JAC"),
-    ("fig12", "Fig. 12 — frame-frequency scaling, STMV"),
-)
-
-
-def run_figures(runs: Optional[int] = None, frames: Optional[int] = None,
-                quick: bool = False) -> Dict[str, object]:
-    """Every figure of :data:`FIGURES`, keyed by registry name."""
-    return {name: get_experiment(name).run(runs=runs, frames=frames,
-                                           quick=quick)
-            for name, _ in FIGURES}
+#: The paper figures the report runs, by registry name and section
+#: title, in paper order.
+FIGURES = tuple((row.name, row.heading) for row in GRID)
 
 
 def claims_table(claims: Sequence[Claim],

@@ -4,7 +4,9 @@
 (:func:`~repro.service.worker.worker_context`) in order, on one hand-off
 line, and owns what both callers need: when a task starts (its timeout
 counts from then), which tasks a crash charges (only those running;
-waiting ones move to a fresh pool uncharged) and pool recycling. The
+waiting ones move to a fresh pool uncharged), pool recycling, and when
+to stop recycling: workers that die before any task starts end the
+waiting tasks as start failures after :data:`START_FAILURES` pools. The
 server calls it from its event loop,
 :func:`repro.experiments.parallel.run_campaign` through
 :func:`asyncio.run`; retry budgets stay with the callers.
@@ -23,7 +25,13 @@ from typing import Any, List, Optional, Tuple
 
 from repro.service.worker import _warm_worker, init_worker, worker_context
 
-__all__ = ["WorkerPool"]
+__all__ = ["START_FAILURES", "WorkerPool"]
+
+#: pools replaced in a row with no task started in between, after which
+#: the waiting tasks fail instead of moving on to yet another pool: a
+#: worker that dies at start (its initializer, warm-up or preload
+#: fails) would otherwise be re-forked forever
+START_FAILURES = 3
 
 
 @dataclass(eq=False)
@@ -51,6 +59,8 @@ class WorkerPool:
         #: the off-loop launch of the first pool; tasks wait for it
         self._launch: Optional[asyncio.Task] = None
         self._generation = 0
+        #: pools replaced since a task last started (see START_FAILURES)
+        self._fruitless = 0
         #: the current pool's unfinished tasks in hand-off order; the
         #: first ``workers`` of them are running, the rest wait
         self._handoffs: List[_Handoff] = []
@@ -70,7 +80,8 @@ class WorkerPool:
         the task carries, for the :attr:`pipelined` count. Returns the
         result and the seconds it ran; raises ``asyncio.TimeoutError``
         (the pool is recycled), ``BrokenProcessPool`` (the worker died
-        while running it) or the task's own error.
+        while running it, or workers keep dying before any task starts)
+        or the task's own error.
         """
         if self._launch is not None and not self._launch.done():
             # shielded: a cancelled caller must not cancel the launch
@@ -78,6 +89,7 @@ class WorkerPool:
         while True:
             handoff = self._hand_off(jobs, fn, *args)
             if await handoff.started:
+                self._fruitless = 0
                 break
         started = time.monotonic()
         done, _ = await asyncio.wait({handoff.future}, timeout=timeout)
@@ -194,14 +206,23 @@ class WorkerPool:
         """Replace a broken/hung pool exactly once per generation.
 
         Tasks still waiting for a worker never ran: they are released
-        (``started`` False) to be handed to the new pool uncharged.
+        (``started`` False) to be handed to the new pool uncharged, unless
+        :data:`START_FAILURES` pools in a row were replaced before any
+        task started; then they fail as start failures.
         """
         if generation != self._generation:
             return  # another victim of the same failure already recycled
         self._generation += 1
+        self._fruitless += 1
         line, self._handoffs = self._handoffs, []
         for handoff in line:
-            if not handoff.started.done():
+            if handoff.started.done():
+                continue
+            if self._fruitless >= START_FAILURES:
+                handoff.started.set_exception(BrokenProcessPool(
+                    f"workers die at start: {self._fruitless} pools in a "
+                    "row broke before any task started"))
+            else:
                 handoff.started.set_result(False)
         pool, self._pool = self._pool, None
         if pool is not None:

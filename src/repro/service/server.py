@@ -696,8 +696,11 @@ class ExperimentServer:
                                         "to": shed_to})
             # a twin of this job may have published while it waited in
             # the queue (crash-resumed duplicates, shed-tier overlaps):
-            # one LRU lookup beats recomputing
-            stored = self.store.fetch(record.key, spec.tenant)
+            # one LRU lookup beats recomputing. Unless the job was just
+            # shed to a new key, its submit or resume already missed
+            # this key and counted the miss
+            stored = self.store.fetch(record.key, spec.tenant,
+                                      recheck=shed_to is None)
             if stored is not None:
                 self._finish(record, makespan=stored.makespan,
                              fingerprint=stored.fingerprint, source="hit")

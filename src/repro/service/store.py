@@ -236,11 +236,7 @@ class SharedResultStore:
         memo = (spec, fidelity)
         key = self._key_cache.get(memo)
         if key is None:
-            task = spec.run_task(fidelity)
-            key = self.cache.key(
-                task.spec, task.seed, task.jitter_cv, task.system_configs,
-                task.fault_plan, task.invariants, task.fidelity,
-            )
+            key = spec.run_task(fidelity).key()
             if len(self._key_cache) >= 4096:
                 self._key_cache.clear()
             self._key_cache[memo] = key
@@ -256,14 +252,16 @@ class SharedResultStore:
             self._index.popitem(last=False)
         return entry
 
-    def _locate(self, key: str) -> Optional[_Entry]:
-        """Index entry for ``key``, faulting from disk on an LRU miss."""
+    def _locate(self, key: str, recheck: bool = False) -> Optional[_Entry]:
+        """Index entry for ``key``, faulting from disk on an LRU miss (a
+        ``recheck`` miss is not counted: see :meth:`fetch`)."""
         entry = self._index.get(key)
         if entry is not None:
             self.lru_hits += 1
             self._index.move_to_end(key)
             return entry
-        self.lru_misses += 1
+        if not recheck:
+            self.lru_misses += 1
         blob = self.cache.load_bytes(key)
         if blob is None:
             return None
@@ -305,16 +303,20 @@ class SharedResultStore:
         return meta
 
     # -- access ------------------------------------------------------------
-    def fetch(self, key: str, tenant: str) -> Optional[StoredResult]:
+    def fetch(self, key: str, tenant: str,
+              recheck: bool = False) -> Optional[StoredResult]:
         """Resolved result (metadata + payload access) or ``None``.
 
         This is the hot-path read: after the first touch of a key it is
-        one LRU lookup — no disk I/O, no deserialization.
+        one LRU lookup — no disk I/O, no deserialization. A ``recheck``
+        looks again for a key the same job already missed (a twin may
+        have published it since); its miss is not counted twice.
         """
-        entry = self._locate(key)
+        entry = self._locate(key, recheck)
         meta = self._metadata(key, entry) if entry is not None else None
         if meta is None:
-            self.misses[tenant] += 1
+            if not recheck:
+                self.misses[tenant] += 1
             return None
         self.hits[tenant] += 1
         publisher = self._publisher.get(key)

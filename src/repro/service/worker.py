@@ -12,10 +12,12 @@ import their code at the same time, on different cores:
 - :func:`init_worker` — the pool initializer: a worker takes its
   owner's fault-hook environment and ends once the owner is gone;
 - :func:`_execute_job`, :func:`_execute_task_batch` and
-  :func:`_warm_worker` — the server's worker entry points. A job comes
-  back as its stored form: the encoded result, its fingerprint and its
+  :func:`_warm_worker` — the worker entry points. A job comes back as
+  its stored form: the encoded result, its fingerprint and its
   makespan. The server files those bytes as they are and never loads
-  the simulator to read them.
+  the simulator to read them; a campaign
+  (:func:`repro.experiments.parallel.run_campaign`) runs its tasks
+  through :func:`_execute_job` too and caches the same bytes.
 """
 
 from __future__ import annotations
@@ -116,26 +118,18 @@ def _wait_for_exit(pid: int) -> None:
 def _execute_job(task) -> Tuple[bytes, str, float]:
     """Worker entry point for one job: run it, hand back its stored form.
 
-    Returns ``(blob, fingerprint, makespan)``: the CRC-framed bytes the
-    store publishes and the client decodes, and the two fields of the
-    job's record. Encoding here, where the result already lives, spares
-    the server an unpickle, a fingerprint and a re-encode per job.
-
-    The blob encodes the result as a reader decodes it, so decoding and
-    re-encoding it gives the same bytes, whichever process ran the job:
-    unpickling interns instance attribute names, which a fresh result
-    may share with equal dictionary keys.
+    Returns ``(blob, fingerprint, makespan)``: the canonical CRC-framed
+    bytes (:func:`~repro.experiments.persist.encode_cacheable`) the store
+    publishes and the client decodes, and the two fields of the job's
+    record. Encoding here, where the result already lives, spares the
+    server an unpickle, a fingerprint and a re-encode per job.
     """
     from repro.experiments.parallel import _execute_task, result_fingerprint
-    from repro.experiments.persist import (
-        decode_result,
-        encode_cacheable,
-        encode_result,
-    )
+    from repro.experiments.persist import encode_cacheable
 
     result = _execute_task(task)
-    blob = encode_result(decode_result(encode_cacheable(result)))
-    return blob, result_fingerprint(result), result.makespan
+    return (encode_cacheable(result), result_fingerprint(result),
+            result.makespan)
 
 
 def _execute_task_batch(tasks) -> List[Tuple[bool, Any]]:

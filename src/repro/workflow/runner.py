@@ -394,23 +394,13 @@ def run_repetitions(
         raise WorkflowError(f"runs must be >= 1, got {runs}")
     # Imported lazily: repro.experiments depends on this module at import
     # time; at call time both are fully initialized.
-    from repro.experiments.parallel import (
-        RunTask,
-        default_fault_plan,
-        default_fidelity,
-        run_campaign,
-    )
+    from repro.experiments.parallel import repetition_tasks, run_campaign
 
-    fault_plan = default_fault_plan(fault_plan)
-    fidelity = default_fidelity(fidelity)
-    tasks = [
-        RunTask(
-            spec=spec, seed=base_seed + 1000 * r, jitter_cv=jitter_cv,
-            system_configs=system_configs, fault_plan=fault_plan,
-            invariants=invariants, fidelity=fidelity,
-        )
-        for r in range(runs)
-    ]
+    tasks = repetition_tasks(
+        spec, runs, base_seed=base_seed, jitter_cv=jitter_cv,
+        fault_plan=fault_plan, invariants=invariants, fidelity=fidelity,
+        **system_configs,
+    )
     return run_campaign(
         tasks, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir
     )

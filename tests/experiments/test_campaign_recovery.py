@@ -8,8 +8,12 @@ hooks only fire inside worker *processes*, so the serial baselines in
 these tests are never affected.
 """
 
+import functools
+import os
+
 import pytest
 
+import repro.service.pool as pool_mod
 from repro.errors import CampaignError, ReproError
 from repro.experiments.parallel import (
     RunTask,
@@ -90,6 +94,28 @@ def test_worker_crash_past_retry_budget_raises(fault_env, tmp_path):
     serial = run_campaign(TASKS, jobs=1)
     assert ([result_fingerprint(r) for r in resumed]
             == [result_fingerprint(r) for r in serial])
+
+
+def test_workers_dying_at_start_end_the_campaign(fault_env):
+    """Every worker dies before it takes a task: the campaign raises a
+    start failure after a bounded number of pools instead of forking new
+    ones forever."""
+    fault_env.setattr(pool_mod, "_warm_worker",
+                      functools.partial(os._exit, 3))
+    starts = []
+    start = pool_mod.WorkerPool._start_pool
+
+    def capped(self):
+        starts.append(1)
+        if len(starts) > 20:  # the unbounded loop must not run on
+            raise RuntimeError("more than 20 pool starts")
+        return start(self)
+
+    fault_env.setattr(pool_mod.WorkerPool, "_start_pool", capped)
+    with pytest.raises(CampaignError, match="die at start"):
+        run_campaign(TASKS[:2], jobs=2, max_task_retries=1)
+    # START_FAILURES pools for the first failures, one per retry
+    assert len(starts) == pool_mod.START_FAILURES + 1
 
 
 # ---------------------------------------------------------------------------

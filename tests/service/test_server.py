@@ -10,6 +10,9 @@ injected-fault hook shared with the campaign runner.
 import asyncio
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -25,6 +28,7 @@ from repro.service import (
     ServiceClient,
     SharedResultStore,
 )
+from repro.service.__main__ import server_command
 from repro.service.jobs import JobSpec
 from repro.service.worker import _execute_job
 
@@ -410,6 +414,64 @@ def test_worker_crash_charges_only_the_running_job(tmp_path,
     run(_config(tmp_path, inline=False, workers=1, max_retries=2), body)
 
 
+#: ``serve`` with workers that die before they take a task (their warm-up
+#: exits), and a hard cap on pool starts so an unbounded restart loop
+#: ends the server instead of forking on
+_DYING_SERVE = """\
+import functools, os, sys
+from repro.service import pool
+pool._warm_worker = functools.partial(os._exit, 3)
+start = pool.WorkerPool._start_pool
+starts = []
+def capped(self):
+    starts.append(1)
+    if len(starts) > 20:
+        os._exit(9)
+    return start(self)
+pool.WorkerPool._start_pool = capped
+from repro.service.__main__ import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_job_on_workers_that_die_at_start_fails(tmp_path):
+    """No worker ever takes the job: it spends its retry budget on start
+    failures, ends ``failed`` and feeds the breaker, instead of waiting
+    while the pool is re-forked forever."""
+    socket_path = str(tmp_path / "s.sock")
+    serve = server_command(socket_path, str(tmp_path / "j.jsonl"),
+                           str(tmp_path / "cache"), workers=1)
+    assert serve[1:4] == ["-m", "repro.service", "serve"]
+    env = dict(os.environ, REPRO_JOBS_OVERSUBSCRIBE="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DYING_SERVE, *serve[3:], "--max-retries",
+         "1"], env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
+
+    async def submit():
+        client = ServiceClient(socket_path)
+        try:
+            response = await client.submit(_job(seed=321))
+            return response, await client.stats()
+        finally:
+            await client.close()
+
+    try:
+        response, stats = asyncio.run(asyncio.wait_for(submit(), 60))
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert response["state"] == "failed"
+    assert "retry budget exhausted" in response["error"]
+    assert response["attempts"] == 2
+    assert stats["counters"]["failed"] == 1
+    assert [entry["failures"] for entry in stats["breaker"].values()] == [1]
+
+
 # ---------------------------------------------------------------------------
 # off-loop pool launch (real forkserver pool)
 # ---------------------------------------------------------------------------
@@ -689,3 +751,21 @@ def test_group_commit_amortizes_journal_syncs_over_the_wire(tmp_path):
         return journal
 
     run(_config(tmp_path, commit_window=0.005), body)
+
+
+def test_a_cold_job_counts_one_lru_miss(tmp_path):
+    """A cold job looks its key up at submit and again at dispatch (a
+    twin may have published meanwhile); the store counts one miss per
+    distinct cold job, and a repeat counts a hit."""
+
+    async def body(server, client):
+        for seed in range(70, 75):
+            assert (await client.submit(_job(seed=seed)))["state"] == "done"
+        repeat = await client.submit(_job(seed=70))
+        assert repeat["source"] == "hit"
+        store = server.store
+        assert store.lru_misses == 5
+        assert store.misses["alice"] == 5
+        assert store.lru_hits >= 1 and store.hits["alice"] == 1
+
+    run(_config(tmp_path), body)
