@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.md.models import JAC, model_by_name
 from repro.perf.report import fmt_sig, table
 from repro.units import to_msec, to_usec
 from repro.workflow.runner import WorkflowResult, run_repetitions
-from repro.workflow.spec import WorkflowSpec
+from repro.workflow.spec import Placement, System, WorkflowSpec
 
 __all__ = [
     "Stat",
@@ -30,6 +31,11 @@ __all__ = [
     "measure",
     "median_run",
     "JITTER_CV",
+    "Figure",
+    "PAIRS",
+    "jac_pairs",
+    "model_at_paper_stride",
+    "stride_of",
 ]
 
 #: Device/compute jitter used by all experiments (gives the paper's
@@ -233,3 +239,93 @@ class FigureResult:
             parts.append("")
             parts.extend(self.notes)
         return "\n".join(parts)
+
+
+# -- the figure grid's row type ---------------------------------------------
+
+#: Pairs of every two-node model and stride figure (Figs. 8-12).
+PAIRS = 16
+
+#: A figure's cells' raw runs, keyed like ``FigureResult.cells``.
+Runs = Dict[Tuple[Any, str], List[Any]]
+
+
+def _series(row: "Figure", xs: Sequence, runs: Runs, reps: int,
+            frames: int) -> FigureResult:
+    """Mean movement/idle per (x, system) cell (Figs. 5-8, 11-12)."""
+    return FigureResult(
+        figure_id=row.figure_id, title=row.title, x_name=row.x_name,
+        xs=list(xs), systems=[s.value for s in row.systems],
+        cells={cell: Cell.of(results) for cell, results in runs.items()},
+        runs=reps, frames=frames,
+    )
+
+
+def _every_x(x: Any, runs: int) -> int:
+    """Every cell runs the figure's repetitions."""
+    return runs
+
+
+def jac_pairs(placement: Placement):
+    """Spec builder ``(pairs, system, frames)``: JAC at its paper stride."""
+    def spec(pairs: int, system: System, frames: int) -> WorkflowSpec:
+        return WorkflowSpec(system=system, model=JAC, stride=JAC.paper_stride,
+                            frames=frames, pairs=pairs, placement=placement)
+    return spec
+
+
+def model_at_paper_stride(name: str, system: System,
+                          frames: int) -> WorkflowSpec:
+    """Spec builder ``(model, system, frames)``: :data:`PAIRS` split pairs
+    at the model's Table II stride."""
+    model = model_by_name(name)
+    return WorkflowSpec(system=system, model=model, stride=model.paper_stride,
+                        frames=frames, pairs=PAIRS, placement=Placement.SPLIT)
+
+
+def stride_of(model):
+    """Spec builder ``(stride, system, frames)``: :data:`PAIRS` split pairs
+    of ``model``."""
+    def spec(stride: int, system: System, frames: int) -> WorkflowSpec:
+        return WorkflowSpec(system=system, model=model, stride=stride,
+                            frames=frames, pairs=PAIRS,
+                            placement=Placement.SPLIT)
+    return spec
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure: a row of the campaign grid
+    (:data:`repro.experiments.figures.GRID`)."""
+
+    #: registry name, e.g. ``"fig5"``
+    name: str
+    figure_id: str
+    title: str
+    #: the report's section title; ``list`` prints it
+    heading: str
+    x_name: str
+    xs: Tuple
+    quick_xs: Tuple
+    systems: Tuple[System, ...]
+    spec: Callable[[Any, System, int], WorkflowSpec]
+    #: frames per producer under ``--quick`` (one repetition per cell)
+    quick_frames: int
+    #: repetitions of the cell at x, given the figure's repetitions
+    runs_for: Callable[[Any, int], int] = _every_x
+    #: the figure's result from ``(row, xs, runs, reps, frames)``
+    reduce: Callable[..., Any] = _series
+
+    def run(self, runs: Optional[int] = None, frames: Optional[int] = None,
+            quick: bool = False):
+        """Measure this figure (a plan of one row)."""
+        from repro.experiments.figures import run_figures
+
+        return run_figures([self.name], runs=runs, frames=frames,
+                           quick=quick)[self.name]
+
+    def main(self, quick: bool = False):
+        """Run and print this figure."""
+        fig = self.run(quick=quick)
+        print(fig.render())
+        return fig

@@ -1,69 +1,20 @@
 """Fig. 8 — molecular model size scaling: DYAD vs Lustre.
 
 JAC / ApoA1 / F1-ATPase / STMV on 2 nodes with 16 pairs, each model at
-its Table II stride so the frame-generation frequency (~0.82 s) is the
-same for all models.
-
-Paper's headline numbers:
-- (a) production grows with model size for both; DYAD 2.1-6.3× faster
-  (NOTE: the paper's text says the production *gap* increases with model
-  size, which conflicts with its own Fig. 6 (JAC, 7.5×) and Fig. 12
-  (STMV, 2.0×); our model follows the latter — fixed RPC costs amortize,
-  so the production gap narrows as frames grow — and stays within the
-  paper's 2.1-6.3 band);
-- (b) DYAD's consumer data-movement advantage *widens* with model size
-  (paper: 1.6→6.0×) — node-local staging + RDMA vs increasingly
-  contended cold reads from the shared OSS complex;
-- overall consumption 121.0-333.8× in the paper; idle dominates Lustre
-  at every size.
+its Table II stride so the frame-generation frequency is the same for
+all models (``--quick``: JAC and STMV only). One row of the campaign
+grid (:mod:`repro.experiments.figures`).
 """
 
-from __future__ import annotations
+from repro.experiments.common import Figure, model_at_paper_stride
+from repro.md.models import JAC, MODELS, STMV
+from repro.workflow.spec import System
 
-from typing import Optional
+__all__ = ["FIGURE"]
 
-from repro.experiments.common import FigureResult, default_frames, default_runs, measure
-from repro.md.models import MODELS
-from repro.workflow.spec import Placement, System, WorkflowSpec
-
-__all__ = ["run", "main"]
-
-PAIRS = 16
-
-
-def run(runs: Optional[int] = None, frames: Optional[int] = None,
-        quick: bool = False) -> FigureResult:
-    """Measure the Fig. 8 grid."""
-    runs = default_runs(runs, 1 if quick else None)
-    frames = default_frames(frames, 16 if quick else None)
-    models = (MODELS[0], MODELS[-1]) if quick else MODELS
-    cells = {}
-    for model in models:
-        for system in (System.DYAD, System.LUSTRE):
-            spec = WorkflowSpec(
-                system=system, model=model, stride=model.paper_stride,
-                frames=frames, pairs=PAIRS, placement=Placement.SPLIT,
-            )
-            cell, _ = measure(spec, runs=runs)
-            cells[(model.name, system.value)] = cell
-    return FigureResult(
-        figure_id="Fig8",
-        title="molecular model size scaling, 16 pairs (DYAD vs Lustre)",
-        x_name="model",
-        xs=[m.name for m in models],
-        systems=[System.DYAD.value, System.LUSTRE.value],
-        cells=cells,
-        runs=runs,
-        frames=frames,
-    )
-
-
-def main(quick: bool = False) -> FigureResult:
-    """Run and print Fig. 8."""
-    fig = run(quick=quick)
-    print(fig.render())
-    return fig
-
-
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig8", "Fig8", "molecular model size scaling, 16 pairs (DYAD vs Lustre)",
+    "Fig. 8 — molecular model size scaling (DYAD vs Lustre)",
+    "model", tuple(m.name for m in MODELS), (JAC.name, STMV.name),
+    (System.DYAD, System.LUSTRE), model_at_paper_stride, quick_frames=16,
+)

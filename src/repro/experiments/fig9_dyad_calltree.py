@@ -4,35 +4,27 @@ Reproduces the paper's drill-down: the consumer-side call tree
 ``dyad_consume{dyad_fetch, dyad_get_data, dyad_cons_store}`` +
 ``read_single_buf``, aggregated over the ensemble with the Thicket-like
 tooling, for the smallest and largest molecular models (2 nodes,
-16 pairs, Table II strides).
-
-Paper's observations:
-- STMV moves 45.3× more data than JAC but DYAD's data movement is only
-  ≈ 33.6× more expensive (fixed per-operation costs amortize with size);
-- the per-call ``dyad_fetch`` (KVS) cost is ≈ 2.1× *lower* for STMV —
-  larger data movement spreads the consumers out and relieves pressure
-  on the KVS server.
+16 pairs, Table II strides). Its runs are Fig. 8's DYAD cells, so a plan
+of both (:mod:`repro.experiments.figures`) simulates them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Sequence, Tuple
 
-from repro.experiments.common import default_frames, default_runs
+from repro.experiments.common import Figure, Runs, model_at_paper_stride
 from repro.md.models import JAC, STMV
 from repro.perf.calltree import CallTree
 from repro.perf.thicket import Thicket
-from repro.workflow.runner import run_repetitions
-from repro.workflow.spec import Placement, System, WorkflowSpec
+from repro.workflow.spec import System
 
 __all__ = [
-    "MOVEMENT_REGIONS", "run", "main", "CallTreeFigure", "consumer_tree",
+    "CallTreeFigure", "FETCH_PATH", "FIGURE", "MOVEMENT_REGIONS",
+    "call_trees",
 ]
 
-PAIRS = 16
-
-#: Per-frame movement = the sum of these consumer regions (as in Fig. 9).
+#: Per-frame DYAD movement = the sum of these consumer regions (Fig. 9).
 MOVEMENT_REGIONS = (
     ("dyad_consume", "dyad_get_data"),
     ("dyad_consume", "dyad_cons_store"),
@@ -44,7 +36,7 @@ FETCH_PATH = ("dyad_consume", "dyad_fetch")
 
 @dataclass
 class CallTreeFigure:
-    """Aggregated call trees per model."""
+    """Aggregated consumer call trees per model."""
 
     figure_id: str
     trees: Dict[str, CallTree]
@@ -62,54 +54,39 @@ class CallTreeFigure:
         return "\n".join(parts)
 
 
-def consumer_tree(spec: WorkflowSpec, runs: int) -> CallTree:
-    """Mean consumer call tree across pairs and repetitions."""
-    ensemble = Thicket()
-    for result in run_repetitions(spec, runs=runs):
-        ensemble.extend(result.thicket().filter(role="consumer"))
-    return ensemble.aggregate("mean")
+def call_trees(label: str, paths: Sequence[Tuple[str, ...]]):
+    """Reducer of a call-tree figure: per model, the mean consumer tree
+    over pairs and repetitions, and the per-frame time of each path."""
 
-
-def _per_frame_times(tree: CallTree, frames: int) -> Dict[str, float]:
-    out = {}
-    for path in list(MOVEMENT_REGIONS) + [FETCH_PATH]:
-        node = tree.find(*path)
-        out["/".join(path)] = (node.time / frames) if node else 0.0
-    return out
-
-
-def run(runs: Optional[int] = None, frames: Optional[int] = None,
-        quick: bool = False) -> CallTreeFigure:
-    """Measure and aggregate the Fig. 9 call trees."""
-    runs = default_runs(runs, 1 if quick else None)
-    frames = default_frames(frames, 16 if quick else None)
-    trees: Dict[str, CallTree] = {}
-    per_frame: Dict[str, Dict[str, float]] = {}
-    for model in (JAC, STMV):
-        spec = WorkflowSpec(
-            system=System.DYAD, model=model, stride=model.paper_stride,
-            frames=frames, pairs=PAIRS, placement=Placement.SPLIT,
+    def reduce(row: Figure, xs: Sequence, runs: Runs, reps: int,
+               frames: int) -> CallTreeFigure:
+        (system,) = row.systems
+        trees: Dict[str, CallTree] = {}
+        per_frame: Dict[str, Dict[str, float]] = {}
+        for model in xs:
+            ensemble = Thicket()
+            for result in runs[(model, system.value)]:
+                ensemble.extend(result.thicket().filter(role="consumer"))
+            tree = ensemble.aggregate("mean")
+            tree.label = f"{label} consumer, {model}"
+            trees[model] = tree
+            per_frame[model] = {}
+            for path in paths:
+                node = tree.find(*path)
+                per_frame[model]["/".join(path)] = (
+                    (node.time / frames) if node else 0.0)
+        return CallTreeFigure(
+            figure_id=f"{row.figure_id}: {row.title}", trees=trees,
+            per_frame=per_frame, runs=reps, frames=frames,
         )
-        tree = consumer_tree(spec, runs)
-        tree.label = f"DYAD consumer, {model.name}"
-        trees[model.name] = tree
-        per_frame[model.name] = _per_frame_times(tree, frames)
 
-    return CallTreeFigure(
-        figure_id="Fig9: DYAD call trees (JAC vs STMV)",
-        trees=trees,
-        per_frame=per_frame,
-        runs=runs,
-        frames=frames,
-    )
+    return reduce
 
 
-def main(quick: bool = False) -> CallTreeFigure:
-    """Run and print Fig. 9."""
-    fig = run(quick=quick)
-    print(fig.render())
-    return fig
-
-
-if __name__ == "__main__":
-    main()
+FIGURE = Figure(
+    "fig9", "Fig9", "DYAD call trees (JAC vs STMV)",
+    "Fig. 9 — DYAD call trees, JAC vs STMV (Thicket)",
+    "model", (JAC.name, STMV.name), (JAC.name, STMV.name), (System.DYAD,),
+    model_at_paper_stride, quick_frames=16,
+    reduce=call_trees("DYAD", MOVEMENT_REGIONS + (FETCH_PATH,)),
+)

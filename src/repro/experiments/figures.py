@@ -1,11 +1,13 @@
-"""The paper's Figs. 5-12 as rows of one campaign grid, and its planner.
+"""The paper's Figs. 5-12 as one campaign grid, and its planner.
 
-Every figure is one :class:`Figure` row: its x values (full and
-``--quick``), its systems, a spec builder ``(x, system, frames) ->
-WorkflowSpec``, its presets and a reducer that turns the cells' raw runs
-into the figure result (a :class:`~repro.experiments.common.FigureResult`
-series, or a :class:`CallTreeFigure` for the Thicket call trees of
-Figs. 9-10). What each figure claims lives in
+Every figure is one :class:`~repro.experiments.common.Figure` row,
+declared in its own module (``fig5_single_node`` … ``fig12_stmv_stride``):
+its x values (full and ``--quick``), its systems, a spec builder
+``(x, system, frames) -> WorkflowSpec``, its presets and a reducer that
+turns the cells' raw runs into the figure result (a
+:class:`~repro.experiments.common.FigureResult` series, or a
+:class:`~repro.experiments.fig9_dyad_calltree.CallTreeFigure` for the
+Thicket call trees of Figs. 9-10). What each figure claims lives in
 :mod:`repro.experiments.claims`.
 
 :func:`run_figures` is the planner: it collects every repetition of the
@@ -18,223 +20,29 @@ simulates each of them once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import (
-    JITTER_CV,
-    Cell,
-    FigureResult,
-    default_frames,
-    default_runs,
+from repro.experiments import (
+    fig5_single_node,
+    fig6_two_node,
+    fig7_multi_node,
+    fig8_model_scaling,
+    fig9_dyad_calltree,
+    fig10_lustre_calltree,
+    fig11_jac_stride,
+    fig12_stmv_stride,
 )
+from repro.experiments.common import JITTER_CV, default_frames, default_runs
 from repro.experiments.parallel import RunTask, repetition_tasks, run_campaign
-from repro.md.models import JAC, MODELS, STMV, model_by_name
-from repro.perf.calltree import CallTree
-from repro.perf.thicket import Thicket
-from repro.workflow.emulator import READ_REGION, SYNC_REGION
-from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = [
-    "CallTreeFigure", "Figure", "GRID", "MOVEMENT_REGIONS", "run_figures",
-]
-
-#: Per-frame DYAD movement = the sum of these consumer regions (Fig. 9).
-MOVEMENT_REGIONS = (
-    ("dyad_consume", "dyad_get_data"),
-    ("dyad_consume", "dyad_cons_store"),
-    ("read_single_buf",),
-)
-
-FETCH_PATH = ("dyad_consume", "dyad_fetch")
-
-#: Pairs of every two-node model and stride figure (Figs. 8-12).
-PAIRS = 16
-
-#: A figure's cells' raw runs, keyed like ``FigureResult.cells``.
-Runs = Dict[Tuple[Any, str], List[Any]]
-
-
-@dataclass
-class CallTreeFigure:
-    """Aggregated consumer call trees per model."""
-
-    figure_id: str
-    trees: Dict[str, CallTree]
-    per_frame: Dict[str, Dict[str, float]]  # model -> path-string -> seconds
-    runs: int
-    frames: int
-
-    def render(self) -> str:
-        """Rendered call trees (ms/frame)."""
-        parts = [f"=== {self.figure_id} (runs={self.runs}, frames={self.frames}) ==="]
-        for model, tree in self.trees.items():
-            parts.append(f"-- {model} (mean consumer tree, ms per frame) --")
-            parts.append(tree.render(metric="time", unit=1e-3 * self.frames,
-                                     fmt="{:.3f} ms"))
-        return "\n".join(parts)
-
-
-# -- reducers: a figure's raw runs -> its result ---------------------------
-
-def _series(row: "Figure", xs: Sequence, runs: Runs, reps: int,
-            frames: int) -> FigureResult:
-    """Mean movement/idle per (x, system) cell (Figs. 5-8, 11-12)."""
-    return FigureResult(
-        figure_id=row.figure_id, title=row.title, x_name=row.x_name,
-        xs=list(xs), systems=[s.value for s in row.systems],
-        cells={cell: Cell.of(results) for cell, results in runs.items()},
-        runs=reps, frames=frames,
-    )
-
-
-def _call_trees(label: str, paths: Sequence[Tuple[str, ...]]):
-    """Reducer of a call-tree figure: per model, the mean consumer tree
-    over pairs and repetitions, and the per-frame time of each path."""
-
-    def reduce(row: "Figure", xs: Sequence, runs: Runs, reps: int,
-               frames: int) -> CallTreeFigure:
-        (system,) = row.systems
-        trees: Dict[str, CallTree] = {}
-        per_frame: Dict[str, Dict[str, float]] = {}
-        for model in xs:
-            ensemble = Thicket()
-            for result in runs[(model, system.value)]:
-                ensemble.extend(result.thicket().filter(role="consumer"))
-            tree = ensemble.aggregate("mean")
-            tree.label = f"{label} consumer, {model}"
-            trees[model] = tree
-            per_frame[model] = {}
-            for path in paths:
-                node = tree.find(*path)
-                per_frame[model]["/".join(path)] = (
-                    (node.time / frames) if node else 0.0)
-        return CallTreeFigure(
-            figure_id=f"{row.figure_id}: {row.title}", trees=trees,
-            per_frame=per_frame, runs=reps, frames=frames,
-        )
-
-    return reduce
-
-
-# -- spec builders: (x, system, frames) -> WorkflowSpec --------------------
-
-def _jac_pairs(placement: Placement):
-    def spec(pairs: int, system: System, frames: int) -> WorkflowSpec:
-        return WorkflowSpec(system=system, model=JAC, stride=JAC.paper_stride,
-                            frames=frames, pairs=pairs, placement=placement)
-    return spec
-
-
-def _model_at_paper_stride(name: str, system: System,
-                           frames: int) -> WorkflowSpec:
-    model = model_by_name(name)
-    return WorkflowSpec(system=system, model=model, stride=model.paper_stride,
-                        frames=frames, pairs=PAIRS, placement=Placement.SPLIT)
-
-
-def _stride_of(model):
-    def spec(stride: int, system: System, frames: int) -> WorkflowSpec:
-        return WorkflowSpec(system=system, model=model, stride=stride,
-                            frames=frames, pairs=PAIRS,
-                            placement=Placement.SPLIT)
-    return spec
-
-
-def _every_x(x: Any, runs: int) -> int:
-    """Every cell runs the figure's repetitions."""
-    return runs
-
-
-def _fewer_for_large_ensembles(pairs: int, runs: int) -> int:
-    """Fig. 7: fewer repetitions for the largest ensembles (the mean over
-    pairs already averages hundreds of processes there)."""
-    if pairs >= 128:
-        return max(1, runs // 3)
-    if pairs >= 64:
-        return max(1, runs // 2)
-    return runs
-
-
-@dataclass(frozen=True)
-class Figure:
-    """One paper figure: a row of the campaign grid."""
-
-    #: registry name, e.g. ``"fig5"``
-    name: str
-    figure_id: str
-    title: str
-    #: the report's section title; ``list`` prints it
-    heading: str
-    x_name: str
-    xs: Tuple
-    quick_xs: Tuple
-    systems: Tuple[System, ...]
-    spec: Callable[[Any, System, int], WorkflowSpec]
-    #: frames per producer under ``--quick`` (one repetition per cell)
-    quick_frames: int
-    #: repetitions of the cell at x, given the figure's repetitions
-    runs_for: Callable[[Any, int], int] = _every_x
-    reduce: Callable[..., Any] = _series
-
-    def run(self, runs: Optional[int] = None, frames: Optional[int] = None,
-            quick: bool = False):
-        """Measure this figure (a plan of one row)."""
-        return run_figures([self.name], runs=runs, frames=frames,
-                           quick=quick)[self.name]
-
-    def main(self, quick: bool = False):
-        """Run and print this figure."""
-        fig = self.run(quick=quick)
-        print(fig.render())
-        return fig
-
-
-_DYAD_LUSTRE = (System.DYAD, System.LUSTRE)
-_JAC_STMV = (JAC.name, STMV.name)
-_STRIDES = (1, 5, 10, 50)
+__all__ = ["GRID", "run_figures"]
 
 #: Figs. 5-12 in paper order.
-GRID = (
-    Figure("fig5", "Fig5", "single-node ensemble scaling, JAC (DYAD vs XFS)",
-           "Fig. 5 — single-node ensemble scaling (DYAD vs XFS)",
-           "pairs", (1, 2, 4), (1, 2, 4), (System.DYAD, System.XFS),
-           _jac_pairs(Placement.SINGLE_NODE), quick_frames=32),
-    Figure("fig6", "Fig6", "two-node distributed workflow, JAC (DYAD vs Lustre)",
-           "Fig. 6 — two-node distributed workflow (DYAD vs Lustre)",
-           "pairs", (1, 2, 4, 8), (1, 2, 4, 8), _DYAD_LUSTRE,
-           _jac_pairs(Placement.SPLIT), quick_frames=32),
-    Figure("fig7", "Fig7", "multi-node ensemble scaling, JAC (DYAD vs Lustre)",
-           "Fig. 7 — multi-node scaling to 256 pairs (DYAD vs Lustre)",
-           "pairs", (8, 16, 32, 64, 128, 256), (8, 16, 32), _DYAD_LUSTRE,
-           _jac_pairs(Placement.SPLIT), quick_frames=16,
-           runs_for=_fewer_for_large_ensembles),
-    Figure("fig8", "Fig8",
-           "molecular model size scaling, 16 pairs (DYAD vs Lustre)",
-           "Fig. 8 — molecular model size scaling (DYAD vs Lustre)",
-           "model", tuple(m.name for m in MODELS), _JAC_STMV, _DYAD_LUSTRE,
-           _model_at_paper_stride, quick_frames=16),
-    Figure("fig9", "Fig9", "DYAD call trees (JAC vs STMV)",
-           "Fig. 9 — DYAD call trees, JAC vs STMV (Thicket)",
-           "model", _JAC_STMV, _JAC_STMV, (System.DYAD,),
-           _model_at_paper_stride, quick_frames=16,
-           reduce=_call_trees("DYAD", MOVEMENT_REGIONS + (FETCH_PATH,))),
-    Figure("fig10", "Fig10", "Lustre call trees (JAC vs STMV)",
-           "Fig. 10 — Lustre call trees, JAC vs STMV (Thicket)",
-           "model", _JAC_STMV, _JAC_STMV, (System.LUSTRE,),
-           _model_at_paper_stride, quick_frames=16,
-           reduce=_call_trees("Lustre", ((READ_REGION,), (SYNC_REGION,)))),
-    Figure("fig11", "Fig11",
-           "frame frequency scaling, JAC, 16 pairs (DYAD vs Lustre)",
-           "Fig. 11 — frame-frequency scaling, JAC",
-           "stride", _STRIDES, _STRIDES, _DYAD_LUSTRE, _stride_of(JAC),
-           quick_frames=32),
-    Figure("fig12", "Fig12",
-           "frame frequency scaling, STMV, 16 pairs (DYAD vs Lustre)",
-           "Fig. 12 — frame-frequency scaling, STMV",
-           "stride", _STRIDES, _STRIDES, _DYAD_LUSTRE, _stride_of(STMV),
-           quick_frames=16),
-)
+GRID = tuple(module.FIGURE for module in (
+    fig5_single_node, fig6_two_node, fig7_multi_node, fig8_model_scaling,
+    fig9_dyad_calltree, fig10_lustre_calltree, fig11_jac_stride,
+    fig12_stmv_stride,
+))
 
 _BY_NAME = {row.name: row for row in GRID}
 
