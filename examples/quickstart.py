@@ -11,6 +11,7 @@ Run with::
     python examples/quickstart.py
 """
 
+from repro.experiments.claims import CLAIMS
 from repro.md import JAC
 from repro.units import to_msec, to_usec
 from repro.workflow import Placement, System, WorkflowSpec, run_workflow
@@ -50,13 +51,15 @@ def main() -> None:
         )
 
     dyad, lustre = results[System.DYAD], results[System.LUSTRE]
+    paper = {claim.id: claim.paper.show() for claim in CLAIMS}
     print()
     print(f"DYAD production is "
           f"{lustre.production_movement / dyad.production_movement:.1f}x faster "
-          "(paper: ~7.5x)")
+          f"(paper: {paper['fig6.production']})")
     print(f"DYAD overall consumption is "
           f"{lustre.consumption_time / dyad.consumption_time:.1f}x faster "
-          "(paper: ~197x) — the coarse-sync idle dominates Lustre")
+          f"(paper: {paper['fig6.consumption']}) — the coarse-sync idle "
+          "dominates Lustre")
 
 
 if __name__ == "__main__":

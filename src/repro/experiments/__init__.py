@@ -1,14 +1,14 @@
 """Reproduction harness: the paper's tables and figures, and extensions.
 
-Figs. 5-12 are rows of one campaign grid (:mod:`repro.experiments.figures`),
-whose planner runs every distinct repetition of a request once, on one
-worker pool; the tables and the extensions are modules. Every experiment
-exposes
-
-- ``run(runs=None, frames=None, quick=False)`` returning a structured
-  result object, and
-- ``main()`` printing the same rows/series the paper reports (the
-  textual equivalent of the figure).
+Figs. 5-12 are rows of one campaign grid (:mod:`repro.experiments.figures`);
+the tables and the extensions are modules. Every experiment exposes
+``run(runs=None, frames=None, quick=False)`` returning a structured
+result object; the modules also expose ``main()``, printing the same
+rows/series the paper reports (the textual equivalent of the figure).
+The measured ones (the figures, the ablations, the resilience and
+scenario sweeps) also expose ``plan(...)``: their cells, which the
+planner runs together with other experiments' as one campaign of
+distinct repetitions, on one worker pool.
 
 The paper's claims about each figure live in
 :mod:`repro.experiments.claims`; the CLI prints a figure's claims table

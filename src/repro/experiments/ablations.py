@@ -29,19 +29,24 @@ from typing import Dict, List, Optional
 
 from repro.dyad.config import DyadConfig
 from repro.errors import ReproError
-from repro.experiments.common import Cell, default_frames, default_runs, measure
-from repro.md.models import JAC, STMV, MolecularModel
+from repro.experiments.common import (
+    JITTER_CV, Cell, default_frames, default_runs,
+)
+from repro.experiments.figures import Part
+from repro.experiments.parallel import repetition_tasks
+from repro.md.models import JAC, STMV
 from repro.perf.report import table
 from repro.units import to_msec
 from repro.workflow.spec import Placement, SyncMode, System, WorkflowSpec
 
-__all__ = ["VARIANTS", "AblationResult", "run", "main"]
+__all__ = ["VARIANTS", "AblationResult", "plan", "run", "main"]
 
 PAIRS = 16
 
-#: variant name -> (system, spec extras, dyad config)
+#: variant name -> (system, spec extras, dyad config); the ``dyad`` and
+#: ``lustre-coarse`` baselines are Fig. 8's cells at the same frames
 VARIANTS = {
-    "dyad": (System.DYAD, {}, DyadConfig()),
+    "dyad": (System.DYAD, {}, None),
     "dyad-eager": (System.DYAD, {}, DyadConfig(transport="eager")),
     "dyad-nocache": (System.DYAD, {}, DyadConfig(cache_on_consume=False)),
     "dyad-fsync": (System.DYAD, {}, DyadConfig(fsync_on_produce=True)),
@@ -89,8 +94,7 @@ class AblationResult:
         return "\n\n".join(parts)
 
 
-def _check_recovery(variant: str, model: str, spec: WorkflowSpec,
-                    results) -> None:
+def _check_recovery(variant: str, model: str, results) -> None:
     """Recovery invariants of a faulty variant's raw runs.
 
     Under ``fault_rate > 0`` the consumer counters must balance — every
@@ -112,7 +116,7 @@ def _check_recovery(variant: str, model: str, spec: WorkflowSpec,
         arrived = stats.get("dyad_fast_hits", 0.0) + stats.get(
             "dyad_kvs_waits", 0.0
         )
-        expected = float(spec.frames * spec.pairs)
+        expected = float(result.spec.frames * result.spec.pairs)
         if arrived != expected:
             raise ReproError(
                 f"{variant}/{model} seed={result.seed}: consumers "
@@ -121,16 +125,14 @@ def _check_recovery(variant: str, model: str, spec: WorkflowSpec,
             )
 
 
-def run(runs: Optional[int] = None, frames: Optional[int] = None,
-        quick: bool = False) -> AblationResult:
-    """Measure every variant for JAC and STMV."""
+def plan(runs: Optional[int] = None, frames: Optional[int] = None,
+         quick: bool = False) -> Part:
+    """Every variant for JAC and STMV, as a part of a plan."""
     runs = default_runs(runs, 1 if quick else None)
     frames = default_frames(frames, 16 if quick else None)
     models = (JAC,) if quick else (JAC, STMV)
-    cells: Dict[str, Dict[str, Cell]] = {}
-    retry_counts: Dict[str, float] = {}
+    tasks = {}
     for model in models:
-        cells[model.name] = {}
         for name, (system, extras, dyad_config) in VARIANTS.items():
             spec = WorkflowSpec(
                 system=system, model=model, stride=model.paper_stride,
@@ -138,38 +140,53 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
                 **extras,
             )
             kwargs = {"dyad_config": dyad_config} if dyad_config else {}
-            cell, raw = measure(spec, runs=runs, **kwargs)
-            cells[model.name][name] = cell
+            tasks[(model.name, name)] = repetition_tasks(
+                spec, runs, jitter_cv=JITTER_CV, **kwargs)
+
+    def build(raw) -> AblationResult:
+        cells: Dict[str, Dict[str, Cell]] = {}
+        retry_counts: Dict[str, float] = {}
+        for (model, name), results in raw.items():
+            cells.setdefault(model, {})[name] = Cell.of(results)
+            dyad_config = VARIANTS[name][2]
             if dyad_config is not None and dyad_config.fault_rate > 0.0:
-                _check_recovery(name, model.name, spec, raw)
-                retry_counts[model.name] = sum(
-                    r.system_stats["dyad_transfer_retries"] for r in raw
+                _check_recovery(name, model, results)
+                retry_counts[model] = sum(
+                    r.system_stats["dyad_transfer_retries"] for r in results
                 )
 
-    result = AblationResult(cells=cells, runs=runs, frames=frames)
-    for model in models:
-        row = cells[model.name]
-        base = row["dyad"]
-        result.notes.append(
-            f"{model.name}: eager transport costs "
-            f"{row['dyad-eager'].consumption_movement.mean / base.consumption_movement.mean:.2f}x "
-            f"movement; dropping the consumer cache saves "
-            f"{base.consumption_movement.mean / row['dyad-nocache'].consumption_movement.mean:.2f}x; "
-            f"per-frame fsync costs "
-            f"{row['dyad-fsync'].production_time / base.production_time:.2f}x production; "
-            f"polling sync cuts Lustre idle "
-            f"{row['lustre-coarse'].consumption_idle.mean / row['lustre-polling'].consumption_idle.mean:.2f}x "
-            "vs the coarse barrier (at the price of stat() load), but DYAD "
-            "remains "
-            f"{row['lustre-polling'].consumption_time / base.consumption_time:.1f}x faster overall."
-        )
-        result.notes.append(
-            f"{model.name}: 5% injected transfer faults cost "
-            f"{row['dyad-faulty'].consumption_time / base.consumption_time:.2f}x "
-            f"consumption ({retry_counts[model.name]:.0f} retries across "
-            f"{runs} run(s); recovery invariants verified)"
-        )
-    return result
+        result = AblationResult(cells=cells, runs=runs, frames=frames)
+        for model in models:
+            row = cells[model.name]
+            base = row["dyad"]
+            result.notes.append(
+                f"{model.name}: eager transport costs "
+                f"{row['dyad-eager'].consumption_movement.mean / base.consumption_movement.mean:.2f}x "
+                f"movement; dropping the consumer cache saves "
+                f"{base.consumption_movement.mean / row['dyad-nocache'].consumption_movement.mean:.2f}x; "
+                f"per-frame fsync costs "
+                f"{row['dyad-fsync'].production_time / base.production_time:.2f}x production; "
+                f"polling sync cuts Lustre idle "
+                f"{row['lustre-coarse'].consumption_idle.mean / row['lustre-polling'].consumption_idle.mean:.2f}x "
+                "vs the coarse barrier (at the price of stat() load), but DYAD "
+                "remains "
+                f"{row['lustre-polling'].consumption_time / base.consumption_time:.1f}x faster overall."
+            )
+            result.notes.append(
+                f"{model.name}: 5% injected transfer faults cost "
+                f"{row['dyad-faulty'].consumption_time / base.consumption_time:.2f}x "
+                f"consumption ({retry_counts[model.name]:.0f} retries across "
+                f"{runs} run(s); recovery invariants verified)"
+            )
+        return result
+
+    return Part(tasks, build)
+
+
+def run(runs: Optional[int] = None, frames: Optional[int] = None,
+        quick: bool = False) -> AblationResult:
+    """Measure every variant for JAC and STMV."""
+    return plan(runs, frames, quick).run()
 
 
 def main(quick: bool = False) -> AblationResult:

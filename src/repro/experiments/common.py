@@ -16,10 +16,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.experiments.parallel import repetition_tasks
 from repro.md.models import JAC, model_by_name
 from repro.perf.report import fmt_sig, table
 from repro.units import to_msec, to_usec
-from repro.workflow.runner import WorkflowResult, run_repetitions
+from repro.workflow.runner import WorkflowResult
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "FigureResult",
     "default_runs",
     "default_frames",
-    "measure",
     "median_run",
     "JITTER_CV",
     "Figure",
@@ -131,29 +131,6 @@ class Cell:
         )
 
 
-def measure(spec: WorkflowSpec, runs: int, jitter_cv: float = JITTER_CV,
-            jobs: Optional[int] = None, use_cache: Optional[bool] = None,
-            fault_plan=None, fidelity: Optional[str] = None,
-            **system_configs) -> Tuple[Cell, List[WorkflowResult]]:
-    """Run one spec ``runs`` times; returns the aggregated cell and raw runs.
-
-    ``jobs``/``use_cache`` default to the enclosing
-    :func:`repro.experiments.parallel.campaign` scope (or the
-    ``REPRO_JOBS``/``REPRO_CACHE`` environment variables), so
-    experiments calling ``measure`` inherit campaign-wide parallelism and
-    caching without threading the knobs through their signatures.
-    ``fault_plan`` makes every repetition a faulty run (see
-    :mod:`repro.faults`); it participates in the cache key. ``fidelity``
-    selects the simulation tier and defaults to the campaign scope (or
-    ``REPRO_FIDELITY``, or ``exact``).
-    """
-    results = run_repetitions(spec, runs=runs, jitter_cv=jitter_cv,
-                              jobs=jobs, use_cache=use_cache,
-                              fault_plan=fault_plan, fidelity=fidelity,
-                              **system_configs)
-    return Cell.of(results), results
-
-
 @dataclass
 class FigureResult:
     """One paper figure worth of measurements."""
@@ -246,8 +223,9 @@ class FigureResult:
 #: Pairs of every two-node model and stride figure (Figs. 8-12).
 PAIRS = 16
 
-#: A figure's cells' raw runs, keyed like ``FigureResult.cells``.
-Runs = Dict[Tuple[Any, str], List[Any]]
+#: An experiment's cells' raw runs, keyed like its cells (a figure's
+#: like ``FigureResult.cells``).
+Runs = Dict[Any, List[Any]]
 
 
 def _series(row: "Figure", xs: Sequence, runs: Runs, reps: int,
@@ -316,16 +294,24 @@ class Figure:
     #: the figure's result from ``(row, xs, runs, reps, frames)``
     reduce: Callable[..., Any] = _series
 
+    def plan(self, runs: Optional[int] = None, frames: Optional[int] = None,
+             quick: bool = False):
+        """This figure's cells and reducer, as a
+        :class:`~repro.experiments.figures.Part` of a plan."""
+        from repro.experiments.figures import Part
+
+        reps = default_runs(runs, 1 if quick else None)
+        length = default_frames(frames, self.quick_frames if quick else None)
+        xs = self.quick_xs if quick else self.xs
+        cells = {
+            (x, system.value): repetition_tasks(
+                self.spec(x, system, length), self.runs_for(x, reps),
+                jitter_cv=JITTER_CV)
+            for x in xs for system in self.systems
+        }
+        return Part(cells, lambda raw: self.reduce(self, xs, raw, reps, length))
+
     def run(self, runs: Optional[int] = None, frames: Optional[int] = None,
             quick: bool = False):
-        """Measure this figure (a plan of one row)."""
-        from repro.experiments.figures import run_figures
-
-        return run_figures([self.name], runs=runs, frames=frames,
-                           quick=quick)[self.name]
-
-    def main(self, quick: bool = False):
-        """Run and print this figure."""
-        fig = self.run(quick=quick)
-        print(fig.render())
-        return fig
+        """Measure this figure (a plan of one part)."""
+        return self.plan(runs, frames, quick).run()

@@ -1,4 +1,13 @@
-"""The paper's Figs. 5-12 as one campaign grid, and its planner.
+"""The experiment planner, and the paper's Figs. 5-12 as one campaign grid.
+
+Every measured experiment is a :class:`Part` of a plan: its cells' runs
+(:class:`~repro.experiments.parallel.RunTask` repetitions) and how it
+builds its result from them. :func:`run_plan` runs the distinct
+repetitions (by result-cache key) of any number of parts once, in one
+:func:`~repro.experiments.parallel.run_campaign` call — so on one worker
+pool. Experiments share cells (Fig. 8's JAC and STMV cells are Figs.
+9-10's runs and the ablations' baselines), so ``report`` and ``all``
+simulate each of them once.
 
 Every figure is one :class:`~repro.experiments.common.Figure` row,
 declared in its own module (``fig5_single_node`` … ``fig12_stmv_stride``):
@@ -9,18 +18,14 @@ turns the cells' raw runs into the figure result (a
 :class:`~repro.experiments.fig9_dyad_calltree.CallTreeFigure` for the
 Thicket call trees of Figs. 9-10). What each figure claims lives in
 :mod:`repro.experiments.claims`.
-
-:func:`run_figures` is the planner: it collects every repetition of the
-requested figures, runs each distinct one (by result-cache key) once, in
-one :func:`~repro.experiments.parallel.run_campaign` call — so on one
-worker pool — and assembles the figures from the results. Figures share
-cells (Fig. 8's JAC and STMV cells are Figs. 9-10's runs), so a report
-simulates each of them once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence,
+)
 
 from repro.experiments import (
     fig5_single_node,
@@ -32,10 +37,10 @@ from repro.experiments import (
     fig11_jac_stride,
     fig12_stmv_stride,
 )
-from repro.experiments.common import JITTER_CV, default_frames, default_runs
-from repro.experiments.parallel import RunTask, repetition_tasks, run_campaign
+from repro.experiments.common import Runs
+from repro.experiments.parallel import RunTask, run_campaign
 
-__all__ = ["GRID", "run_figures"]
+__all__ = ["GRID", "Part", "run_plan", "run_figures"]
 
 #: Figs. 5-12 in paper order.
 GRID = tuple(module.FIGURE for module in (
@@ -47,48 +52,63 @@ GRID = tuple(module.FIGURE for module in (
 _BY_NAME = {row.name: row for row in GRID}
 
 
+@dataclass(frozen=True)
+class Part:
+    """One experiment in a plan."""
+
+    #: cell -> its repetitions, in the order ``build`` visits the cells
+    cells: Dict[Hashable, List[RunTask]]
+    #: the experiment's result from its cells' runs
+    build: Callable[[Runs], Any]
+
+    def run(self) -> Any:
+        """This experiment alone: a plan of one part."""
+        return run_plan({"": self})[""]
+
+
 def _cost(task: RunTask) -> int:
     """Relative run time of a task: simulated work scales with frames
-    times pairs (within ~4x across the whole grid)."""
-    return task.spec.frames * task.spec.pairs
+    times producer and consumer processes."""
+    spec = task.spec
+    return spec.frames * (spec.n_producers + spec.n_consumers)
+
+
+def run_plan(parts: Mapping[Hashable, Part]) -> Dict[Hashable, Any]:
+    """Each part's result, keyed like ``parts``, from one campaign of
+    their distinct repetitions.
+
+    The campaign takes the first repetition in declaration order first —
+    the one ``--trace`` instruments — and the others longest first, so
+    the pool does not end on one long task. The parts are built in
+    order.
+    """
+    tasks: Dict[str, RunTask] = {}  # key -> task, in declaration order
+    keyed = {}
+    for name, part in parts.items():
+        cells = keyed[name] = {}
+        for cell, reps in part.cells.items():
+            keys = cells[cell] = [task.key() for task in reps]
+            for key, task in zip(keys, reps):
+                tasks.setdefault(key, task)
+    order = list(tasks)
+    order[1:] = sorted(order[1:], key=lambda key: -_cost(tasks[key]))
+    results = dict(zip(order, run_campaign([tasks[key] for key in order])))
+    return {
+        name: parts[name].build({cell: [results[key] for key in keys]
+                                 for cell, keys in cells.items()})
+        for name, cells in keyed.items()
+    }
 
 
 def run_figures(names: Optional[Sequence[str]] = None,
                 runs: Optional[int] = None, frames: Optional[int] = None,
                 quick: bool = False) -> Dict[str, Any]:
     """The figures ``names`` (default: all of :data:`GRID`), keyed by
-    name, from one campaign of their distinct repetitions.
+    name, from one plan.
 
     ``runs``/``frames`` override each figure's presets (``--quick``:
     one repetition, its ``quick_frames``), as the ``REPRO_RUNS`` /
-    ``REPRO_FRAMES`` defaults do outside quick mode. The campaign takes
-    the first repetition in figure order first — the one ``--trace``
-    instruments — and the others longest first, so the pool does not
-    end on one long task.
+    ``REPRO_FRAMES`` defaults do outside quick mode.
     """
     rows = [_BY_NAME[name] for name in names] if names else list(GRID)
-    tasks: Dict[str, RunTask] = {}  # key -> task, in figure order
-    parts = []
-    for row in rows:
-        reps = default_runs(runs, 1 if quick else None)
-        length = default_frames(frames, row.quick_frames if quick else None)
-        xs = row.quick_xs if quick else row.xs
-        cells: Dict[Tuple[Any, str], List[str]] = {}
-        for x in xs:
-            for system in row.systems:
-                keys = cells[(x, system.value)] = []
-                for task in repetition_tasks(row.spec(x, system, length),
-                                             row.runs_for(x, reps),
-                                             jitter_cv=JITTER_CV):
-                    keys.append(task.key())
-                    tasks.setdefault(keys[-1], task)
-        parts.append((row, xs, cells, reps, length))
-    order = list(tasks)
-    order[1:] = sorted(order[1:], key=lambda key: -_cost(tasks[key]))
-    results = dict(zip(order, run_campaign([tasks[key] for key in order])))
-    return {
-        row.name: row.reduce(
-            row, xs, {cell: [results[key] for key in keys]
-                      for cell, keys in cells.items()}, reps, length)
-        for row, xs, cells, reps, length in parts
-    }
+    return run_plan({row.name: row.plan(runs, frames, quick) for row in rows})

@@ -252,8 +252,8 @@ def _claim_telemetry() -> Optional[tuple]:
     """One-shot claim of the scope's telemetry export request.
 
     Returns ``(trace_path, metrics_path)`` exactly once per campaign
-    scope (the first :func:`run_campaign` wins — typically the first
-    figure cell), ``None`` otherwise.
+    scope (the first :func:`run_campaign` wins — typically a command's
+    plan, led by its first cell's first repetition), ``None`` otherwise.
     """
     if _SCOPED["telemetry_done"]:
         return None

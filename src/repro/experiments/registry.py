@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ReproError
 from repro.experiments import (
@@ -13,12 +13,13 @@ from repro.experiments import (
     validate,
     tables,
 )
-from repro.experiments.figures import GRID, run_figures
+from repro.experiments.figures import GRID, run_plan
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_all"]
 
 #: name -> experiment with ``run``/``main`` entry points: a module, or a
-#: row of the figure grid (:mod:`repro.experiments.figures`)
+#: row of the figure grid (:mod:`repro.experiments.figures`); the ones
+#: that measure also have ``plan``
 EXPERIMENTS: Dict[str, object] = {
     "tables": tables,
     **{row.name: row for row in GRID},
@@ -46,29 +47,30 @@ def describe(name: str) -> str:
     return heading or (entry.__doc__ or "").strip().splitlines()[0]
 
 
-def run_all(quick: bool = False, jobs: Optional[int] = None,
-            use_cache: Optional[bool] = None,
-            cache_dir: Optional[str] = None) -> List[object]:
+def run_all(quick: bool = False) -> List[object]:
     """Run every experiment in paper order, printing each report.
 
-    The figures run first, as one plan (:func:`run_figures`).
-    ``jobs``/``use_cache``/``cache_dir`` scope campaign-wide parallelism
-    and result caching around all experiments (see
-    :mod:`repro.experiments.parallel`); ``None`` falls through to the
-    ``REPRO_JOBS``/``REPRO_CACHE``/``REPRO_CACHE_DIR`` environment.
+    The measured ones — the figures, the ablations, the resilience and
+    scenario sweeps — run first, as one plan (:func:`run_plan`); the
+    scenario gate raises in its turn. Parallelism and caching come from
+    the enclosing :func:`~repro.experiments.parallel.campaign` scope
+    (or the ``REPRO_JOBS``/``REPRO_CACHE``/``REPRO_CACHE_DIR``
+    environment).
     """
-    from repro.experiments.parallel import campaign
-
+    planned = run_plan({name: entry.plan(quick=quick)
+                        for name, entry in EXPERIMENTS.items()
+                        if hasattr(entry, "plan")})
     results = []
-    with campaign(jobs=jobs, cache=use_cache, cache_dir=cache_dir):
-        figures = run_figures(quick=quick)
-        for name, entry in EXPERIMENTS.items():
-            print(f"\n################ {name} ################")
-            if name in figures:
-                print(figures[name].render())
-                results.append(figures[name])
-            else:
-                results.append(
-                    entry.main(quick=quick) if name != "tables" else entry.main()
-                )
+    for name, entry in EXPERIMENTS.items():
+        print(f"\n################ {name} ################")
+        if name in planned:
+            result = planned[name]
+            print(result.render())
+            if entry is scenarios:
+                scenarios.gate(result)
+        elif name == "tables":
+            result = entry.main()
+        else:
+            result = entry.main(quick=quick)
+        results.append(result)
     return results

@@ -25,19 +25,20 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.dyad.config import DyadConfig
 from repro.experiments.common import (
+    JITTER_CV,
+    Cell,
     FigureResult,
     default_frames,
     default_runs,
-    measure,
 )
+from repro.experiments.figures import Part
+from repro.experiments.parallel import repetition_tasks
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["INTENSITIES", "PAIRS", "build_plan", "run", "main"]
+__all__ = ["INTENSITIES", "PAIRS", "build_plan", "plan", "run", "main"]
 
 #: Producer/consumer pairs per system. 4 is the largest grid XFS's
 #: single-node placement admits (8 GPUs, 2 per pair), so all three
@@ -124,29 +125,28 @@ def build_plan(system: System, intensity: float,
     return plan, None
 
 
-def run(runs: Optional[int] = None, frames: Optional[int] = None,
-        quick: bool = False) -> FigureResult:
-    """Measure the degradation grid."""
+def plan(runs: Optional[int] = None, frames: Optional[int] = None,
+         quick: bool = False) -> Part:
+    """The degradation grid, as a part of a plan."""
     runs = default_runs(runs, 1 if quick else None)
     frames = default_frames(frames, 16 if quick else None)
     intensities = (0.0, 0.25, 0.5) if quick else INTENSITIES
-    cells = {}
-    makespans = {}
-    recovery_notes: List[str] = []
+    tasks = {}
     for intensity in intensities:
         for system in _SYSTEMS:
             spec = _spec(system, frames)
-            plan, dyad_config = build_plan(system, intensity, spec)
-            configs = {}
-            if dyad_config is not None:
-                configs["dyad_config"] = dyad_config
-            cell, results = measure(spec, runs=runs, fault_plan=plan,
-                                    **configs)
-            cells[(intensity, system.value)] = cell
-            makespans[(intensity, system.value)] = float(
-                np.mean([r.makespan for r in results])
-            )
-            if system is System.DYAD and intensity > 0.0:
+            fault_plan, dyad_config = build_plan(system, intensity, spec)
+            configs = {"dyad_config": dyad_config} if dyad_config else {}
+            tasks[(intensity, system.value)] = repetition_tasks(
+                spec, runs, jitter_cv=JITTER_CV, fault_plan=fault_plan,
+                **configs)
+
+    def build(raw) -> FigureResult:
+        cells = {}
+        recovery_notes: List[str] = []
+        for (intensity, system), results in raw.items():
+            cells[(intensity, system)] = Cell.of(results)
+            if system == System.DYAD.value and intensity > 0.0:
                 retries = sum(r.system_stats["dyad_transfer_retries"]
                               for r in results)
                 refused = sum(r.system_stats["dyad_refused_gets"]
@@ -156,33 +156,40 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
                     f"retries absorbed {refused:.0f} refused gets across "
                     f"{runs} run(s); all {frames * PAIRS} frames recovered"
                 )
-    fig = FigureResult(
-        figure_id="Resilience",
-        title="graceful degradation under injected faults "
-              f"(DYAD vs XFS vs Lustre, {PAIRS} pairs)",
-        x_name="intensity",
-        xs=list(intensities),
-        systems=[s.value for s in _SYSTEMS],
-        cells=cells,
-        runs=runs,
-        frames=frames,
-    )
-    fig.notes = ["makespan degradation (s, relative to intensity 0):"]
-    for system in _SYSTEMS:
-        base = makespans[(intensities[0], system.value)]
-        points = ", ".join(
-            f"{i}: {makespans[(i, system.value)]:.3f}"
-            f" ({makespans[(i, system.value)] / base:.2f}x)"
-            for i in intensities
+        fig = FigureResult(
+            figure_id="Resilience",
+            title="graceful degradation under injected faults "
+                  f"(DYAD vs XFS vs Lustre, {PAIRS} pairs)",
+            x_name="intensity",
+            xs=list(intensities),
+            systems=[s.value for s in _SYSTEMS],
+            cells=cells,
+            runs=runs,
+            frames=frames,
         )
-        fig.notes.append(f"  {system.value:6s} {points}")
-    fig.notes.extend(recovery_notes)
-    fig.notes.append(
-        "the workflow is producer-paced: degradation shows up in per-frame "
-        "movement time first and only reaches makespan once movement (or "
-        "DYAD's crash-recovery retries) exceeds the stride slack"
-    )
-    return fig
+        fig.notes = ["makespan degradation (s, relative to intensity 0):"]
+        for system in _SYSTEMS:
+            spans = [fig.value("makespan", system.value, i)
+                     for i in intensities]
+            points = ", ".join(f"{i}: {span:.3f} ({span / spans[0]:.2f}x)"
+                               for i, span in zip(intensities, spans))
+            fig.notes.append(f"  {system.value:6s} {points}")
+        fig.notes.extend(recovery_notes)
+        fig.notes.append(
+            "the workflow is producer-paced: degradation shows up in "
+            "per-frame movement time first and only reaches makespan once "
+            "movement (or DYAD's crash-recovery retries) exceeds the "
+            "stride slack"
+        )
+        return fig
+
+    return Part(tasks, build)
+
+
+def run(runs: Optional[int] = None, frames: Optional[int] = None,
+        quick: bool = False) -> FigureResult:
+    """Measure the degradation grid."""
+    return plan(runs, frames, quick).run()
 
 
 def main(quick: bool = False) -> FigureResult:

@@ -25,13 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import CampaignError
 from repro.experiments.common import (
+    JITTER_CV,
+    Cell,
     FigureResult,
     default_frames,
     default_runs,
-    measure,
     median_run,
 )
+from repro.experiments.figures import Part
+from repro.experiments.parallel import repetition_tasks
 from repro.md.models import JAC, MODELS
 from repro.workflow.emulator import READ_REGION
 from repro.workflow.spec import (
@@ -39,7 +43,7 @@ from repro.workflow.spec import (
 )
 
 __all__ = ["MODES", "FIDELITIES", "WINDOW", "ScenarioReport", "grids",
-           "run", "main"]
+           "plan", "run", "main"]
 
 #: The three streaming transports, swept for every Streaming-* point.
 MODES: Tuple[SyncMode, ...] = (
@@ -293,47 +297,69 @@ def _amplification(spec: WorkflowSpec, results) -> Dict[str, float]:
     return counts
 
 
+def plan(runs: Optional[int] = None, frames: Optional[int] = None,
+         quick: bool = False) -> Part:
+    """Every grid cell at every fidelity tier, as a part of a plan;
+    its result carries the sweep's gate."""
+    runs = default_runs(runs, 1 if quick else None)
+    table = grids(quick, frames)
+    tasks = {
+        (figure_id, fidelity, x, label): repetition_tasks(
+            spec, runs, jitter_cv=JITTER_CV, fidelity=fidelity)
+        for figure_id, _, _, cells in table
+        for fidelity in FIDELITIES
+        for x, label, spec in cells
+    }
+
+    def build(raw) -> ScenarioReport:
+        report = ScenarioReport()
+        for figure_id, title, x_name, cells in table:
+            for fidelity in FIDELITIES:
+                fig = FigureResult(
+                    figure_id=f"{figure_id} [{fidelity}]",
+                    title=f"{title}, {fidelity} tier",
+                    x_name=x_name, xs=[], systems=[], cells={},
+                    runs=runs, frames=cells[0][2].frames,
+                    notes=[f"windowed cells use W={WINDOW}, pubsub/nbuffer "
+                           "W=2; xfs topology cells run single-node under "
+                           "the 8 procs/node cap; checker fatal"],
+                )
+                for x, label, spec in cells:
+                    if x not in fig.xs:
+                        fig.xs.append(x)
+                    if label not in fig.systems:
+                        fig.systems.append(label)
+                    results = raw[(figure_id, fidelity, x, label)]
+                    fig.cells[(x, label)] = Cell.of(results)
+                    _account(report, f"{figure_id}/{fidelity} {label} @ {x}",
+                             spec, fidelity, results)
+                report.figures.append(fig)
+        return report
+
+    return Part(tasks, build)
+
+
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> ScenarioReport:
     """Sweep every grid cell at every fidelity tier; gate the sweep."""
-    runs = default_runs(runs, 1 if quick else None)
-    report = ScenarioReport()
-    for figure_id, title, x_name, cells in grids(quick, frames):
-        for fidelity in FIDELITIES:
-            fig = FigureResult(
-                figure_id=f"{figure_id} [{fidelity}]",
-                title=f"{title}, {fidelity} tier",
-                x_name=x_name, xs=[], systems=[], cells={},
-                runs=runs, frames=cells[0][2].frames,
-                notes=[f"windowed cells use W={WINDOW}, pubsub/nbuffer "
-                       "W=2; xfs topology cells run single-node under "
-                       "the 8 procs/node cap; checker fatal"],
-            )
-            for x, label, spec in cells:
-                if x not in fig.xs:
-                    fig.xs.append(x)
-                if label not in fig.systems:
-                    fig.systems.append(label)
-                fig.cells[(x, label)], results = measure(
-                    spec, runs=runs, fidelity=fidelity)
-                _account(report, f"{figure_id}/{fidelity} {label} @ {x}",
-                         spec, fidelity, results)
-            report.figures.append(fig)
-    return report
+    return plan(runs, frames, quick).run()
 
 
-def main(quick: bool = False) -> ScenarioReport:
-    """Run, print, and gate the sweep (raises on a broken bound)."""
-    from repro.errors import CampaignError
-
-    report = run(quick=quick)
-    print(report.render())
+def gate(report: ScenarioReport) -> ScenarioReport:
+    """Raise when the sweep's shared-read gate tripped."""
     if report.failures:
         raise CampaignError(
             f"scenario sweep failed: {len(report.failures)} cell(s) "
             "tripped the gate"
         )
     return report
+
+
+def main(quick: bool = False) -> ScenarioReport:
+    """Run, print, and gate the sweep (raises on a broken bound)."""
+    report = run(quick=quick)
+    print(report.render())
+    return gate(report)
 
 
 if __name__ == "__main__":

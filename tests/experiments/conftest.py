@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments import report, scenarios
+from repro.experiments import scenarios
 from repro.experiments.claims import CLAIMS
+from repro.experiments.figures import run_figures
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +18,7 @@ def scenario_report():
 def quick_figures():
     """Every paper figure run once at its pinned reduced configuration,
     keyed by registry name; shared by the claim-band and structure tests."""
-    return report.run_figures(quick=True)
+    return run_figures(quick=True)
 
 
 @pytest.fixture(scope="session")

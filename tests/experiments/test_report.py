@@ -148,8 +148,7 @@ def test_claims_table_rendering():
     assert "> (*) some context" in text
 
 
-def test_report_header_is_reproducible(monkeypatch, quick_figures):
-    monkeypatch.setattr(report, "run_figures", lambda **_: quick_figures)
+def test_report_header_is_reproducible():
     text = report.build_report(quick=True)
     header = text.split("## ", 1)[0]
     assert "`python -m repro.experiments report --quick`" in header
