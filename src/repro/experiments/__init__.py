@@ -3,12 +3,14 @@
 Figs. 5-12 are rows of one campaign grid (:mod:`repro.experiments.figures`);
 the tables and the extensions are modules. Every experiment exposes
 ``run(runs=None, frames=None, quick=False)`` returning a structured
-result object; the modules also expose ``main()``, printing the same
-rows/series the paper reports (the textual equivalent of the figure).
-The measured ones (the figures, the ablations, the resilience and
-scenario sweeps) also expose ``plan(...)``: their cells, which the
-planner runs together with other experiments' as one campaign of
-distinct repetitions, on one worker pool.
+result object whose ``render()`` prints the rows/series the paper
+reports (the textual equivalent of the figure), and ``plan(...)``: its
+cells, which the planner runs together with other experiments' as one
+campaign of distinct repetitions, on one worker pool (the tables, the
+calibration check and the chaos soak declare none).
+:func:`~repro.experiments.registry.run_all` is the one runner: it plans
+any set of experiments, prints each result and fails on any result's
+``failures``.
 
 The paper's claims about each figure live in
 :mod:`repro.experiments.claims`; the CLI prints a figure's claims table

@@ -5,14 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.claims import CLAIMS
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    describe,
-    get_experiment,
-    run_all,
-)
-from repro.experiments.report import FIGURES, claims_table
+from repro.errors import CampaignError
+from repro.experiments.registry import EXPERIMENTS, describe, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,9 +88,6 @@ def _dispatch(args) -> int:
                   cache_dir=args.cache_dir, fault_plan=fault_plan,
                   trace_path=args.trace, metrics_path=args.metrics,
                   fidelity=args.fidelity):
-        if args.experiment == "all":
-            run_all(quick=args.quick)
-            return 0
         if args.experiment == "report":
             from repro.experiments.report import generate
 
@@ -104,28 +95,14 @@ def _dispatch(args) -> int:
                      quick=args.quick)
             print(f"wrote {args.output}")
             return 0
-        module = get_experiment(args.experiment)
-        if args.experiment == "tables":
-            result = module.run()
-        else:
-            result = module.run(runs=args.runs, frames=args.frames,
-                                quick=args.quick)
-    print(result.render())
-    if args.experiment in dict(FIGURES):
-        # the paper figures also print their claims (rows that compare
-        # two figures need the full report)
-        print()
-        print(claims_table([c for c in CLAIMS if c.figure == args.experiment
-                            and not c.needs], {args.experiment: result}))
-    if args.svg_dir and hasattr(result, "cells") and hasattr(result, "systems"):
-        from repro.experiments.svgplot import save_figure_svg
-
-        for path in save_figure_svg(result, args.svg_dir):
-            print(f"wrote {path}")
-    # Gated experiments (the chaos soak, the scenario sweep) fail the
-    # invocation when their gate trips.
-    if getattr(result, "failures", None):
-        return 1
+        names = None if args.experiment == "all" else [args.experiment]
+        try:
+            run_all(args.quick, names, args.runs, args.frames, args.svg_dir)
+        except CampaignError as exc:
+            # a gated experiment (the chaos soak, the scenario sweep, the
+            # calibration check) fails the invocation
+            print(exc, file=sys.stderr)
+            return 1
     return 0
 
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dyad.config import DyadConfig
-from repro.errors import ReproError
 from repro.experiments.common import (
-    JITTER_CV, Cell, default_frames, default_runs,
+    JITTER_CV, Cell, check_recovery, default_frames, default_runs,
 )
 from repro.experiments.figures import Part
 from repro.experiments.parallel import repetition_tasks
@@ -39,7 +38,7 @@ from repro.perf.report import table
 from repro.units import to_msec
 from repro.workflow.spec import Placement, SyncMode, System, WorkflowSpec
 
-__all__ = ["VARIANTS", "AblationResult", "plan", "run", "main"]
+__all__ = ["VARIANTS", "AblationResult", "plan", "run"]
 
 PAIRS = 16
 
@@ -94,37 +93,6 @@ class AblationResult:
         return "\n\n".join(parts)
 
 
-def _check_recovery(variant: str, model: str, results) -> None:
-    """Recovery invariants of a faulty variant's raw runs.
-
-    Under ``fault_rate > 0`` the consumer counters must balance — every
-    injected transport fault was retried, and every frame still arrived —
-    otherwise the variant's cell is measuring a broken run and the whole
-    ablation report would be quietly wrong.
-    """
-    for result in results:
-        stats = result.system_stats
-        retries = stats.get("dyad_transfer_retries", 0.0)
-        faults = stats.get("dyad_transport_faults", 0.0)
-        refused = stats.get("dyad_refused_gets", 0.0)
-        if retries != faults + refused:
-            raise ReproError(
-                f"{variant}/{model} seed={result.seed}: "
-                f"{retries:.0f} retries != {faults:.0f} transport faults "
-                f"+ {refused:.0f} refused gets — lost or spurious retries"
-            )
-        arrived = stats.get("dyad_fast_hits", 0.0) + stats.get(
-            "dyad_kvs_waits", 0.0
-        )
-        expected = float(result.spec.frames * result.spec.pairs)
-        if arrived != expected:
-            raise ReproError(
-                f"{variant}/{model} seed={result.seed}: consumers "
-                f"completed {arrived:.0f} of {expected:.0f} frames "
-                "despite the run finishing"
-            )
-
-
 def plan(runs: Optional[int] = None, frames: Optional[int] = None,
          quick: bool = False) -> Part:
     """Every variant for JAC and STMV, as a part of a plan."""
@@ -150,7 +118,7 @@ def plan(runs: Optional[int] = None, frames: Optional[int] = None,
             cells.setdefault(model, {})[name] = Cell.of(results)
             dyad_config = VARIANTS[name][2]
             if dyad_config is not None and dyad_config.fault_rate > 0.0:
-                _check_recovery(name, model, results)
+                check_recovery(f"{name}/{model}", results)
                 retry_counts[model] = sum(
                     r.system_stats["dyad_transfer_retries"] for r in results
                 )
@@ -187,14 +155,3 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> AblationResult:
     """Measure every variant for JAC and STMV."""
     return plan(runs, frames, quick).run()
-
-
-def main(quick: bool = False) -> AblationResult:
-    """Run and print the ablation study."""
-    result = run(quick=quick)
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -24,9 +24,9 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.chaos import ChaosReport, chaos_workloads, execute_plan, soak
-from repro.errors import CampaignError
+from repro.experiments.figures import Part
 
-__all__ = ["run", "replay", "main", "DEFAULT_PLANS", "QUICK_PLANS"]
+__all__ = ["plan", "run", "replay", "DEFAULT_PLANS", "QUICK_PLANS"]
 
 #: Plans per slice in a full / quick soak. Quick stays near 20 seeded
 #: plans per slice — small enough for a CI smoke job, large enough to
@@ -77,17 +77,9 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
                 artifact_dir=artifact_dir)
 
 
-def main(quick: bool = False) -> ChaosReport:
-    """Run, print, and *gate* the soak (raises on violations/crashes)."""
-    report = run(quick=quick)
-    print(report.render())
-    if report.failures:
-        raise CampaignError(
-            f"chaos soak failed: {len(report.failures)} plan(s) violated "
-            "invariants or crashed (see the shrunk repro artifact)"
-        )
-    return report
-
-
-if __name__ == "__main__":
-    main()
+def plan(runs: Optional[int] = None, frames: Optional[int] = None,
+         quick: bool = False) -> Part:
+    """The soak as a part of a plan: no cells, its build is :func:`run`
+    (each soaked plan runs its own one-task campaign, so ``--trace``
+    instruments the soak's first run)."""
+    return Part({}, lambda raw: run(runs, frames, quick))

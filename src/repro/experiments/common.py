@@ -30,6 +30,7 @@ __all__ = [
     "default_runs",
     "default_frames",
     "median_run",
+    "check_recovery",
     "JITTER_CV",
     "Figure",
     "PAIRS",
@@ -78,6 +79,39 @@ def median_run(runs: Sequence, key: Callable[[object], float]):
         raise ValueError("median_run needs at least one run")
     ordered = sorted(runs, key=key)
     return ordered[(len(ordered) - 1) // 2]
+
+
+def check_recovery(where: str, results: Sequence[WorkflowResult]) -> None:
+    """Recovery invariants of a faulted DYAD cell's raw runs.
+
+    The consumer counters must balance — every transport fault and every
+    refused get was retried, and every frame still arrived — otherwise
+    the cell is measuring a broken run and the report built on it would
+    be quietly wrong.
+    """
+    from repro.errors import ReproError
+
+    for result in results:
+        stats = result.system_stats
+        retries = stats.get("dyad_transfer_retries", 0.0)
+        faults = stats.get("dyad_transport_faults", 0.0)
+        refused = stats.get("dyad_refused_gets", 0.0)
+        if retries != faults + refused:
+            raise ReproError(
+                f"{where} seed={result.seed}: "
+                f"{retries:.0f} retries != {faults:.0f} transport faults "
+                f"+ {refused:.0f} refused gets — lost or spurious retries"
+            )
+        arrived = stats.get("dyad_fast_hits", 0.0) + stats.get(
+            "dyad_kvs_waits", 0.0
+        )
+        expected = float(result.spec.frames * result.spec.pairs)
+        if arrived != expected:
+            raise ReproError(
+                f"{where} seed={result.seed}: consumers "
+                f"completed {arrived:.0f} of {expected:.0f} frames "
+                "despite the run finishing"
+            )
 
 
 @dataclass(frozen=True)

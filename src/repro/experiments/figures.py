@@ -80,7 +80,8 @@ def run_plan(parts: Mapping[Hashable, Part]) -> Dict[Hashable, Any]:
     The campaign takes the first repetition in declaration order first —
     the one ``--trace`` instruments — and the others longest first, so
     the pool does not end on one long task. The parts are built in
-    order.
+    order; a part with no cells (the tables, the calibration check, the
+    chaos soak) does its own work in its ``build``.
     """
     tasks: Dict[str, RunTask] = {}  # key -> task, in declaration order
     keyed = {}
@@ -92,7 +93,9 @@ def run_plan(parts: Mapping[Hashable, Part]) -> Dict[Hashable, Any]:
                 tasks.setdefault(key, task)
     order = list(tasks)
     order[1:] = sorted(order[1:], key=lambda key: -_cost(tasks[key]))
-    results = dict(zip(order, run_campaign([tasks[key] for key in order])))
+    # cell-less parts start no campaign, so they leave ``--trace`` unclaimed
+    ran = run_campaign([tasks[key] for key in order]) if order else []
+    results = dict(zip(order, ran))
     return {
         name: parts[name].build({cell: [results[key] for key in keys]
                                  for cell, keys in cells.items()})

@@ -1,10 +1,10 @@
-"""Experiment registry and bulk runner."""
+"""Experiment registry and the one runner: plan, print, gate."""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import CampaignError, ReproError
 from repro.experiments import (
     ablations,
     chaos_soak,
@@ -13,13 +13,15 @@ from repro.experiments import (
     validate,
     tables,
 )
+from repro.experiments.claims import CLAIMS
+from repro.experiments.common import FigureResult
 from repro.experiments.figures import GRID, run_plan
+from repro.experiments.report import claims_table
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_all"]
 
-#: name -> experiment with ``run``/``main`` entry points: a module, or a
-#: row of the figure grid (:mod:`repro.experiments.figures`); the ones
-#: that measure also have ``plan``
+#: name -> experiment with ``run`` and ``plan`` entry points: a module,
+#: or a row of the figure grid (:mod:`repro.experiments.figures`)
 EXPERIMENTS: Dict[str, object] = {
     "tables": tables,
     **{row.name: row for row in GRID},
@@ -47,30 +49,45 @@ def describe(name: str) -> str:
     return heading or (entry.__doc__ or "").strip().splitlines()[0]
 
 
-def run_all(quick: bool = False) -> List[object]:
-    """Run every experiment in paper order, printing each report.
+def _show(name: str, result, svg_dir: Optional[str]) -> None:
+    """Print one result: its report, its figure's claims (those that
+    need no other figure; the report judges the rest), its SVG panels."""
+    print(result.render())
+    claims = [c for c in CLAIMS if c.figure == name and not c.needs]
+    if claims:
+        print()
+        print(claims_table(claims, {name: result}))
+    if svg_dir and isinstance(result, FigureResult):
+        from repro.experiments.svgplot import save_figure_svg
 
-    The measured ones — the figures, the ablations, the resilience and
-    scenario sweeps — run first, as one plan (:func:`run_plan`); the
-    scenario gate raises in its turn. Parallelism and caching come from
-    the enclosing :func:`~repro.experiments.parallel.campaign` scope
-    (or the ``REPRO_JOBS``/``REPRO_CACHE``/``REPRO_CACHE_DIR``
-    environment).
+        for path in save_figure_svg(result, svg_dir):
+            print(f"wrote {path}")
+
+
+def run_all(quick: bool = False, names: Optional[Sequence[str]] = None,
+            runs: Optional[int] = None, frames: Optional[int] = None,
+            svg_dir: Optional[str] = None) -> Dict[str, object]:
+    """Run the experiments ``names`` (default: every one, in paper
+    order) as one plan (:func:`run_plan`), print each result, then gate.
+
+    With more than one experiment, each result is printed under a
+    ``#### name ####`` header. A result with a non-empty ``failures``
+    list fails the gate: once everything is printed,
+    :class:`~repro.errors.CampaignError` names each failed experiment
+    and its failure count. Parallelism and caching come from the
+    enclosing :func:`~repro.experiments.parallel.campaign` scope (or the
+    ``REPRO_JOBS``/``REPRO_CACHE``/``REPRO_CACHE_DIR`` environment).
     """
-    planned = run_plan({name: entry.plan(quick=quick)
-                        for name, entry in EXPERIMENTS.items()
-                        if hasattr(entry, "plan")})
-    results = []
-    for name, entry in EXPERIMENTS.items():
-        print(f"\n################ {name} ################")
-        if name in planned:
-            result = planned[name]
-            print(result.render())
-            if entry is scenarios:
-                scenarios.gate(result)
-        elif name == "tables":
-            result = entry.main()
-        else:
-            result = entry.main(quick=quick)
-        results.append(result)
+    names = list(EXPERIMENTS) if names is None else names
+    results = run_plan({name: get_experiment(name).plan(runs, frames, quick)
+                        for name in names})
+    for name, result in results.items():
+        if len(results) > 1:
+            print(f"\n################ {name} ################")
+        _show(name, result, svg_dir)
+    failed = [f"{name}: {len(result.failures)} failure(s)"
+              for name, result in results.items()
+              if getattr(result, "failures", None)]
+    if failed:
+        raise CampaignError(f"{'; '.join(failed)} tripped the gate")
     return results

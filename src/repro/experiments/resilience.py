@@ -18,7 +18,9 @@ Intensity ``0`` is the fault-free baseline; the same grid cell as the
 paper experiments, so the degradation curve is anchored to the healthy
 numbers. Every faulty cell is still a pure function of (spec, seed,
 plan), caches under a distinct key, and fans out across ``--jobs``
-workers like any other experiment.
+workers like any other experiment. A faulted DYAD cell whose retry
+counters do not balance, or whose consumers miss a frame, raises
+instead of reporting its recovery.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.experiments.common import (
     JITTER_CV,
     Cell,
     FigureResult,
+    check_recovery,
     default_frames,
     default_runs,
 )
@@ -38,7 +41,7 @@ from repro.experiments.parallel import repetition_tasks
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
-__all__ = ["INTENSITIES", "PAIRS", "build_plan", "plan", "run", "main"]
+__all__ = ["INTENSITIES", "PAIRS", "build_plan", "plan", "run"]
 
 #: Producer/consumer pairs per system. 4 is the largest grid XFS's
 #: single-node placement admits (8 GPUs, 2 per pair), so all three
@@ -147,6 +150,7 @@ def plan(runs: Optional[int] = None, frames: Optional[int] = None,
         for (intensity, system), results in raw.items():
             cells[(intensity, system)] = Cell.of(results)
             if system == System.DYAD.value and intensity > 0.0:
+                check_recovery(f"dyad @ intensity {intensity}", results)
                 retries = sum(r.system_stats["dyad_transfer_retries"]
                               for r in results)
                 refused = sum(r.system_stats["dyad_refused_gets"]
@@ -190,14 +194,3 @@ def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> FigureResult:
     """Measure the degradation grid."""
     return plan(runs, frames, quick).run()
-
-
-def main(quick: bool = False) -> FigureResult:
-    """Run and print the resilience sweep."""
-    fig = run(quick=quick)
-    print(fig.render())
-    return fig
-
-
-if __name__ == "__main__":
-    main()

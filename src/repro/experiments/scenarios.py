@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import CampaignError
 from repro.experiments.common import (
     JITTER_CV,
     Cell,
@@ -43,7 +42,7 @@ from repro.workflow.spec import (
 )
 
 __all__ = ["MODES", "FIDELITIES", "WINDOW", "ScenarioReport", "grids",
-           "plan", "run", "main"]
+           "plan", "run"]
 
 #: The three streaming transports, swept for every Streaming-* point.
 MODES: Tuple[SyncMode, ...] = (
@@ -341,26 +340,5 @@ def plan(runs: Optional[int] = None, frames: Optional[int] = None,
 
 def run(runs: Optional[int] = None, frames: Optional[int] = None,
         quick: bool = False) -> ScenarioReport:
-    """Sweep every grid cell at every fidelity tier; gate the sweep."""
+    """Sweep every grid cell at every fidelity tier."""
     return plan(runs, frames, quick).run()
-
-
-def gate(report: ScenarioReport) -> ScenarioReport:
-    """Raise when the sweep's shared-read gate tripped."""
-    if report.failures:
-        raise CampaignError(
-            f"scenario sweep failed: {len(report.failures)} cell(s) "
-            "tripped the gate"
-        )
-    return report
-
-
-def main(quick: bool = False) -> ScenarioReport:
-    """Run, print, and gate the sweep (raises on a broken bound)."""
-    report = run(quick=quick)
-    print(report.render())
-    return gate(report)
-
-
-if __name__ == "__main__":
-    main()

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.experiments.figures import Part
 from repro.md.frame import frame_size
 from repro.md.models import MODELS, MolecularModel
 from repro.perf.report import table
 from repro.units import KiB, MiB, fmt_bytes
 
-__all__ = ["table1_rows", "table2_rows", "fig3_rows", "run", "main"]
+__all__ = ["table1_rows", "table2_rows", "fig3_rows", "plan", "run"]
 
 
 def table1_rows() -> List[List[str]]:
@@ -84,12 +85,6 @@ def run(runs=None, frames=None, quick: bool = False) -> TablesResult:
     return TablesResult(table1=table1_rows(), table2=table2_rows(), fig3=fig3_rows())
 
 
-def main() -> TablesResult:
-    """Print Tables I/II and the Fig. 3 cross-check."""
-    result = run()
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":
-    main()
+def plan(runs=None, frames=None, quick: bool = False) -> Part:
+    """The tables as a part of a plan: no cells, its build is :func:`run`."""
+    return Part({}, lambda raw: run(runs, frames, quick))

@@ -6,7 +6,8 @@ objects* and measures each primitive operation in isolation, asserting
 they agree — so a recalibration that breaks the documented arithmetic is
 caught programmatically, not by a stale document.
 
-Run as ``python -m repro.experiments validate`` (also a test target).
+Run as ``python -m repro.experiments validate`` (also a test target); a
+failed check fails the command.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from repro.cluster.corona import CORONA_FABRIC, CORONA_NODE, corona
 from repro.dyad.config import DyadConfig
 from repro.dyad.service import DyadRuntime
 from repro.errors import ReproError, TransferError
+from repro.experiments.figures import Part
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.md.models import JAC, STMV
 from repro.storage.lustre import LustreConfig, LustreFileSystem, LustreServers
 from repro.storage.xfs import XFSConfig, XFSFileSystem
 from repro.units import fmt_time
 
-__all__ = ["Check", "ValidationResult", "run", "main"]
+__all__ = ["Check", "ValidationResult", "plan", "run"]
 
 
 @dataclass
@@ -66,6 +68,11 @@ class ValidationResult:
     def ok(self) -> bool:
         """True when every check passed."""
         return all(c.ok for c in self.checks)
+
+    @property
+    def failures(self) -> List[str]:
+        """The failed checks' lines; any fails the command."""
+        return [str(c) for c in self.checks if not c.ok]
 
     def render(self) -> str:
         """One line per check plus an overall verdict."""
@@ -263,12 +270,7 @@ def run(runs=None, frames=None, quick: bool = False) -> ValidationResult:
     return result
 
 
-def main(quick: bool = False) -> ValidationResult:
-    """Run and print the calibration self-check."""
-    result = run()
-    print(result.render())
-    return result
-
-
-if __name__ == "__main__":
-    main()
+def plan(runs=None, frames=None, quick: bool = False) -> Part:
+    """The self-check as a part of a plan: no cells, its build is
+    :func:`run`."""
+    return Part({}, lambda raw: run(runs, frames, quick))

@@ -18,10 +18,11 @@ import sys
 
 import numpy as np
 
+from repro.experiments.parallel import campaign
 from repro.md.models import model_by_name
 from repro.perf.report import table
 from repro.units import to_msec, to_usec
-from repro.workflow.runner import run_repetitions, run_workflow
+from repro.workflow.runner import run_repetitions
 from repro.workflow.spec import (
     Placement, SyncMode, System, Topology, WorkflowSpec,
 )
@@ -139,27 +140,13 @@ def main(argv=None) -> int:
     spec = build_spec(args)
     print(f"running: {spec.describe()} (runs={args.runs})")
 
-    results = run_repetitions(
-        spec, runs=args.runs, base_seed=args.seed, jitter_cv=args.jitter,
-        jobs=args.jobs, fidelity=args.fidelity,
-    )
-    if args.trace or args.metrics:
-        from repro.perf.metrics import write_chrome_trace
-
-        from repro.experiments.parallel import default_fidelity
-
-        traced = run_workflow(spec, seed=args.seed, jitter_cv=args.jitter,
-                              trace=True, metrics=True,
-                              fidelity=default_fidelity(args.fidelity))
-        if args.trace:
-            write_chrome_trace(args.trace, traced.tracer, traced.metrics)
-            print(f"wrote {args.trace}")
-        if args.metrics:
-            if args.metrics.endswith(".csv"):
-                traced.metrics.write_csv(args.metrics)
-            else:
-                traced.metrics.write_json(args.metrics)
-            print(f"wrote {args.metrics}")
+    # --trace/--metrics: the campaign runs repetition 0 instrumented, in
+    # place of its plain run, and exports it
+    with campaign(trace_path=args.trace, metrics_path=args.metrics):
+        results = run_repetitions(
+            spec, runs=args.runs, base_seed=args.seed,
+            jitter_cv=args.jitter, jobs=args.jobs, fidelity=args.fidelity,
+        )
 
     def stat(metric):
         values = [getattr(r, metric) for r in results]

@@ -107,6 +107,19 @@ def test_scenarios_run_as_one_campaign_longest_first(monkeypatch):
     assert costs == sorted(costs, reverse=True)
 
 
+def test_cell_less_plans_start_no_campaign(monkeypatch):
+    # the chaos soak runs its own campaigns; an empty one ahead of them
+    # would claim the scope's --trace
+    def started(*args, **kwargs):
+        raise AssertionError("a campaign for a plan with no cells")
+
+    monkeypatch.setattr(figures, "run_campaign", started)
+    for name in ("tables", "validate", "chaos"):
+        assert get_experiment(name).plan().cells == {}
+    tables = figures.run_plan({"tables": get_experiment("tables").plan()})
+    assert "Table I" in tables["tables"].render()
+
+
 def test_report_plans_figures_and_ablations_together(monkeypatch):
     tasks = _planned_tasks(
         monkeypatch, lambda: report.build_report(quick=True, runs=2))

@@ -7,12 +7,14 @@ every frame recovered — and a run whose recovery *cannot* complete raises
 a diagnosable :class:`~repro.errors.StallError` instead of hanging.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dyad.config import DyadConfig
-from repro.errors import StallError
+from repro.errors import ReproError, StallError
 from repro.experiments import resilience
-from repro.experiments.parallel import result_fingerprint
+from repro.experiments.parallel import _execute_task, result_fingerprint
 from repro.faults import FaultEvent, FaultPlan
 from repro.workflow.runner import run_workflow
 from repro.workflow.spec import Placement, System, WorkflowSpec
@@ -143,3 +145,18 @@ def test_resilience_grid_shape_and_recovery_notes():
     recovery = [n for n in fig.notes if "frames recovered" in n]
     assert len(recovery) == len([i for i in intensities if i > 0])
     assert fig.render()
+
+
+def test_unbalanced_recovery_counters_fail_the_build():
+    # a faulted DYAD cell whose retries do not balance its transport
+    # faults plus refused gets is a broken run, not a recovery to report
+    part = resilience.plan(runs=1, frames=4, quick=True)
+    raw = {cell: [_execute_task(task) for task in tasks]
+           for cell, tasks in part.cells.items()}
+    (run,) = raw[(0.25, "dyad")]
+    stats = dict(run.system_stats)
+    stats["dyad_transfer_retries"] += 1
+    raw[(0.25, "dyad")] = [replace(run, system_stats=stats)]
+    with pytest.raises(ReproError, match="retries != "):
+        part.build(raw)
+

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import CampaignError
 from repro.experiments import scenarios
-from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.experiments.figures import Part
+from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all
 from repro.workflow.spec import SyncMode, System, Topology
 
 
@@ -51,12 +52,15 @@ def test_quick_sweep_gates_clean(scenario_report):
     assert "gate: zero invariant violations" in text
 
 
-def test_main_raises_on_failures(monkeypatch):
-    def failing_run(quick=False):
+def test_main_raises_on_failures(monkeypatch, capsys):
+    def failing_plan(runs=None, frames=None, quick=False):
         report = scenarios.ScenarioReport()
         report.failures.append("Topology-A/exact dyad/coarse @ 8: 9 pulls")
-        return report
+        return Part({}, lambda raw: report)
 
-    monkeypatch.setattr(scenarios, "run", failing_run)
-    with pytest.raises(CampaignError, match="tripped the gate"):
-        scenarios.main(quick=True)
+    monkeypatch.setattr(scenarios, "plan", failing_plan)
+    with pytest.raises(CampaignError, match="tripped the gate") as tripped:
+        run_all(quick=True, names=["scenarios"])
+    # the gate names the experiment, and trips after the report printed
+    assert "scenarios: 1 failure" in str(tripped.value)
+    assert "FAILURES:" in capsys.readouterr().out

@@ -48,3 +48,14 @@ def test_registered_in_cli(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_failed_check_fails_the_cli(monkeypatch, capsys):
+    from repro.experiments.__main__ import main
+
+    failing = validate.ValidationResult(checks=[
+        validate.Check("synthetic", predicted=1.0, measured=2.0)])
+    monkeypatch.setattr(validate, "run", lambda *args: failing)
+    assert main(["validate"]) == 1
+    assert "CHECK FAILURES" in capsys.readouterr().out
+    assert failing.failures == [str(failing.checks[0])]

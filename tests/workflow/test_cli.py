@@ -84,3 +84,25 @@ def test_main_writes_trace(tmp_path, capsys):
                "--trace", str(trace_path)])
     assert rc == 0
     assert trace_path.exists()
+
+
+def test_trace_runs_each_repetition_once(tmp_path, monkeypatch, capsys):
+    # the traced repetition is repetition 0 itself, not an extra run
+    import repro.workflow.__main__ as cli
+    from repro.workflow import runner
+
+    calls = []
+    real = runner.run_workflow
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_workflow", counted)
+    monkeypatch.setattr(cli, "run_workflow", counted, raising=False)
+    rc = main(["--system", "dyad", "--frames", "3", "--pairs", "1",
+               "--runs", "2", "--jobs", "1",
+               "--trace", str(tmp_path / "run.json")])
+    assert rc == 0
+    assert len(calls) == len(set(calls)) == 2
+    assert f"wrote {tmp_path / 'run.json'}" in capsys.readouterr().out
