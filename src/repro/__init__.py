@@ -13,11 +13,10 @@ from scratch:
 - a Flux-KVS-like key-value store (:mod:`repro.kvs`);
 - the DYAD middleware — node-local staging, global metadata management,
   multi-protocol synchronization, RDMA pulls (:mod:`repro.dyad`);
-- the MD substrate — model catalogue, binary frame codec, a real
-  Lennard-Jones engine, in-situ analytics (:mod:`repro.md`);
+- the MD substrate — model catalogue and binary frame codec
+  (:mod:`repro.md`);
 - the MD-inspired producer/consumer workflow harness
-  (:mod:`repro.workflow`) and a real-threads local backend
-  (:mod:`repro.backends`);
+  (:mod:`repro.workflow`);
 - Caliper/Thicket-like performance tooling (:mod:`repro.perf`);
 - the per-figure reproduction harness (:mod:`repro.experiments`).
 
@@ -67,8 +66,8 @@ def lazy_exports(
     to that name, and the value is stored in the package's namespace so
     later reads are plain attribute reads. A process that needs one
     light submodule — the job server's CLI, a worker that runs only the
-    simulator — then does not pay for the rest (the LJ engine, the
-    analytics, the figure registry).
+    simulator — then does not pay for the rest (the figure registry,
+    the performance tooling).
 
     A name may share its defining submodule's name (``repro.cluster``
     re-exports the function ``corona`` of ``repro.cluster.corona``).

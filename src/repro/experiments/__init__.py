@@ -14,7 +14,8 @@ any set of experiments, prints each result and fails on any result's
 
 The paper's claims about each figure live in
 :mod:`repro.experiments.claims`; the CLI prints a figure's claims table
-after its series, and ``report`` renders them all into EXPERIMENTS.md.
+after its series, and ``report`` renders them all into EXPERIMENTS.md,
+then fails on a failed calibration check like any other command.
 
 Run from the command line::
 

@@ -88,16 +88,18 @@ def _dispatch(args) -> int:
                   cache_dir=args.cache_dir, fault_plan=fault_plan,
                   trace_path=args.trace, metrics_path=args.metrics,
                   fidelity=args.fidelity):
-        if args.experiment == "report":
-            from repro.experiments.report import generate
-
-            generate(args.output, runs=args.runs, frames=args.frames,
-                     quick=args.quick)
-            print(f"wrote {args.output}")
-            return 0
-        names = None if args.experiment == "all" else [args.experiment]
         try:
-            run_all(args.quick, names, args.runs, args.frames, args.svg_dir)
+            if args.experiment == "report":
+                from repro.experiments.report import generate
+
+                generate(args.output, runs=args.runs, frames=args.frames,
+                         quick=args.quick)
+                print(f"wrote {args.output}")
+            else:
+                names = (None if args.experiment == "all"
+                         else [args.experiment])
+                run_all(args.quick, names, args.runs, args.frames,
+                        args.svg_dir)
         except CampaignError as exc:
             # a gated experiment (the chaos soak, the scenario sweep, the
             # calibration check) fails the invocation

@@ -27,6 +27,7 @@ from typing import (
     Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence,
 )
 
+from repro.errors import CampaignError
 from repro.experiments import (
     fig5_single_node,
     fig6_two_node,
@@ -40,7 +41,7 @@ from repro.experiments import (
 from repro.experiments.common import Runs
 from repro.experiments.parallel import RunTask, run_campaign
 
-__all__ = ["GRID", "Part", "run_plan", "run_figures"]
+__all__ = ["GRID", "Part", "gate", "run_plan", "run_figures"]
 
 #: Figs. 5-12 in paper order.
 GRID = tuple(module.FIGURE for module in (
@@ -101,6 +102,17 @@ def run_plan(parts: Mapping[Hashable, Part]) -> Dict[Hashable, Any]:
                                  for cell, keys in cells.items()})
         for name, cells in keyed.items()
     }
+
+
+def gate(results: Mapping[Hashable, Any]) -> None:
+    """Fail a plan's results: a result with a non-empty ``failures``
+    list raises :class:`~repro.errors.CampaignError`, which names each
+    failed experiment and its failure count."""
+    failed = [f"{name}: {len(result.failures)} failure(s)"
+              for name, result in results.items()
+              if getattr(result, "failures", None)]
+    if failed:
+        raise CampaignError(f"{'; '.join(failed)} tripped the gate")
 
 
 def run_figures(names: Optional[Sequence[str]] = None,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.errors import CampaignError, ReproError
+from repro.errors import ReproError
 from repro.experiments import (
     ablations,
     chaos_soak,
@@ -15,7 +15,7 @@ from repro.experiments import (
 )
 from repro.experiments.claims import CLAIMS
 from repro.experiments.common import FigureResult
-from repro.experiments.figures import GRID, run_plan
+from repro.experiments.figures import GRID, gate, run_plan
 from repro.experiments.report import claims_table
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_all"]
@@ -72,9 +72,8 @@ def run_all(quick: bool = False, names: Optional[Sequence[str]] = None,
 
     With more than one experiment, each result is printed under a
     ``#### name ####`` header. A result with a non-empty ``failures``
-    list fails the gate: once everything is printed,
-    :class:`~repro.errors.CampaignError` names each failed experiment
-    and its failure count. Parallelism and caching come from the
+    list fails the gate (:func:`~repro.experiments.figures.gate`) once
+    everything is printed. Parallelism and caching come from the
     enclosing :func:`~repro.experiments.parallel.campaign` scope (or the
     ``REPRO_JOBS``/``REPRO_CACHE``/``REPRO_CACHE_DIR`` environment).
     """
@@ -85,9 +84,5 @@ def run_all(quick: bool = False, names: Optional[Sequence[str]] = None,
         if len(results) > 1:
             print(f"\n################ {name} ################")
         _show(name, result, svg_dir)
-    failed = [f"{name}: {len(result.failures)} failure(s)"
-              for name, result in results.items()
-              if getattr(result, "failures", None)]
-    if failed:
-        raise CampaignError(f"{'; '.join(failed)} tripped the gate")
+    gate(results)
     return results

@@ -1,6 +1,6 @@
 """Caliper-like region annotation.
 
-Processes (simulated coroutines or real threads) mark the start and end of
+Processes (simulated coroutines) mark the start and end of
 named regions; nesting builds a call path. Each region carries a
 *category* — ``movement``, ``idle``, or ``compute`` — matching the paper's
 decomposition of production/consumption time into data-movement and idle
@@ -9,7 +9,7 @@ components (Figs. 5-8, 11-12).
 An :class:`Annotator` belongs to one process; a :class:`Caliper` collects
 the annotators of one run (one process per producer/consumer). Because
 annotation reads a clock function (defaulting to the simulation clock), the
-same machinery instruments the real-threads backend with ``time.monotonic``.
+same machinery can instrument wall-clock code with ``time.monotonic``.
 """
 
 from __future__ import annotations

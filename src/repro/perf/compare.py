@@ -3,7 +3,9 @@
 The paper reports speedup factors from 10-run means. This module provides
 the machinery to attach uncertainty to such factors: bootstrap confidence
 intervals for the ratio of two samples' means, and a simple significance
-check. Used by the ablation analysis and available to downstream studies.
+check. It is a library for downstream studies: no experiment of this
+package calls it, and the claim verdicts
+(:mod:`repro.experiments.claims`) compare point estimates.
 """
 
 from __future__ import annotations

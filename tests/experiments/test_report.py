@@ -157,3 +157,19 @@ def test_report_header_is_reproducible():
         assert f"## {title}" in text
     assert text.count("Configuration: runs=1") == len(report.FIGURES)
     assert "**reproduced**" in text
+
+
+def test_failed_check_fails_the_report(monkeypatch, tmp_path, capsys):
+    from repro.experiments import validate
+    from repro.experiments.__main__ import main
+
+    failing = validate.ValidationResult(checks=[
+        validate.Check("synthetic", predicted=1.0, measured=2.0)])
+    monkeypatch.setattr(validate, "run", lambda *args: failing)
+    path = tmp_path / "EXPERIMENTS.md"
+    assert main(["report", "--quick", "--no-cache", "--frames", "2",
+                 "--output", str(path)]) == 1
+    # the file is written before the gate trips
+    assert "CHECK FAILURES" in path.read_text()
+    assert ("validate: 1 failure(s) tripped the gate"
+            in capsys.readouterr().err)

@@ -34,12 +34,9 @@ PACKAGES = {
         "run_repetitions", "run_workflow", "__version__",
     ],
     "repro.md": [
-        "EigenvalueTracker", "contact_matrix", "end_to_end_distance",
-        "largest_eigenvalue", "radius_of_gyration", "rmsd", "LJConfig",
-        "LJSimulation", "ATOM_DTYPE", "FRAME_HEADER_BYTES", "Frame",
-        "frame_size", "APOA1", "F1_ATPASE", "JAC", "MODELS", "STMV",
-        "MolecularModel", "model_by_name", "TrajectoryReader",
-        "TrajectoryWriter", "read_trajectory", "write_trajectory",
+        "ATOM_DTYPE", "FRAME_HEADER_BYTES", "Frame", "frame_size", "APOA1",
+        "F1_ATPASE", "JAC", "MODELS", "STMV", "MolecularModel",
+        "model_by_name",
     ],
     "repro.experiments": ["EXPERIMENTS", "get_experiment", "run_all"],
     "repro.perf": [

@@ -3,16 +3,25 @@
 Walks every module under ``repro`` and asserts that all public modules,
 classes, functions, and methods are documented. This turns the project's
 documentation requirement into an enforced invariant rather than a
-convention.
+convention. The prose docs may name only modules and attributes that
+exist.
 """
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import repro
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
+#: last parts that make a dotted name a file name, not a Python name
+FILE_SUFFIXES = {"json", "jsonl", "sock"}
 
 
 def _iter_modules():
@@ -70,3 +79,32 @@ def test_every_package_reexports_something():
             assert getattr(module, "__all__", None), (
                 f"package {module.__name__} has no __all__"
             )
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` imports, or its longest importable prefix has
+    the rest as attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_docs_name_only_existing_modules():
+    missing = []
+    for doc in DOCS:
+        text = doc.read_text()
+        for dotted in sorted(set(re.findall(r"\brepro(?:\.\w+)+", text))):
+            if dotted.rsplit(".", 1)[1] in FILE_SUFFIXES:
+                continue
+            if not _resolves(dotted):
+                missing.append(f"{doc.relative_to(ROOT)}: {dotted}")
+    assert not missing, missing

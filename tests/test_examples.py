@@ -18,11 +18,8 @@ SRC = EXAMPLES.parent / "src"
 
 FAST = [
     "quickstart.py",
-    "insitu_analytics_pipeline.py",
     "calltree_analysis.py",
     "timeline_tracing.py",
-    "real_machine_comparison.py",
-    "steered_simulation.py",
 ]
 SLOW = ["ensemble_scaling_study.py"]
 
