@@ -93,17 +93,13 @@ class RdmaTransport(_FaultModel):
             return env._now - start
         remaining = nbytes
         jobs = []
+        rdma_get = self.fabric.rdma_get
         while remaining > 0:
             size = min(self.chunk, remaining)
             remaining -= size
-            jobs.append(
-                env.process(self._one_chunk(initiator, target, size))
-            )
+            jobs.append(env.process(rdma_get(initiator, target, size)))
         yield env.all_of(jobs)
         return env._now - start
-
-    def _one_chunk(self, initiator: str, target: str, size: int) -> Generator:
-        yield from self.fabric.rdma_get(initiator, target, size)
 
 
 class EagerTransport(_FaultModel):

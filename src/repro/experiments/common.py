@@ -5,7 +5,8 @@ whiskers) of per-frame production and consumption time, decomposed into
 data movement and idle. :class:`Cell` holds those four statistics for one
 (x-value, system) combination; :class:`FigureResult` holds a whole
 figure's grid plus ratio helpers used by the textual reports, the
-benchmarks' shape assertions, and EXPERIMENTS.md.
+benchmarks' shape assertions, and EXPERIMENTS.md. Only those reporting
+helpers import numpy, so running cells never loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.experiments.parallel import repetition_tasks
 from repro.md.models import JAC, model_by_name
@@ -123,6 +122,8 @@ class Stat:
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "Stat":
+        import numpy as np
+
         arr = np.asarray(list(values), dtype=float)
         return cls(
             mean=float(arr.mean()) if arr.size else 0.0,
@@ -201,6 +202,8 @@ class FigureResult:
         if x is not None:
             return (self.value(metric, numerator, x)
                     / self.value(metric, denominator, x))
+        import numpy as np
+
         num = np.mean([self.value(metric, numerator, xv) for xv in self.xs])
         den = np.mean([self.value(metric, denominator, xv) for xv in self.xs])
         return float(num / den)
@@ -215,6 +218,8 @@ class FigureResult:
         return self._table("consumption", unit)
 
     def _table(self, which: str, unit: str) -> str:
+        import numpy as np
+
         conv = to_usec if unit == "us" else to_msec
         headers = [self.x_name, "system", f"movement ({unit})",
                    f"idle ({unit})", f"total ({unit})", f"±std ({unit})"]

@@ -17,9 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cluster.corona import corona
 from repro.dyad.config import DyadConfig
@@ -30,7 +28,6 @@ from repro.invariants import InvariantChecker, InvariantConfig
 from repro.perf.caliper import Caliper, Category
 from repro.perf.calltree import CallTree
 from repro.perf.metrics import MetricsTimeline
-from repro.perf.thicket import Thicket
 from repro.perf.trace import Tracer
 from repro.sim.fluid import Fidelity
 from repro.sim.resources import channel_health
@@ -38,6 +35,9 @@ from repro.storage.lustre import LustreConfig, LustreFileSystem, LustreServers
 from repro.storage.xfs import XFSConfig, XFSFileSystem
 from repro.workflow import emulator, streaming, topology
 from repro.workflow.spec import System, WorkflowSpec
+
+if TYPE_CHECKING:
+    from repro.perf.thicket import Thicket
 
 __all__ = ["WorkflowResult", "run_workflow", "run_repetitions"]
 
@@ -70,7 +70,7 @@ class WorkflowResult:
         if not trees:
             return 0.0
         totals = [t.total_by_category(category) for t in trees]
-        return float(np.mean(totals)) / self.spec.frames
+        return _mean(totals) / self.spec.frames
 
     @property
     def production_movement(self) -> float:
@@ -104,6 +104,8 @@ class WorkflowResult:
 
     def thicket(self, **extra_tags) -> Thicket:
         """All trees of this run as a Thicket ensemble."""
+        from repro.perf.thicket import Thicket
+
         ensemble = Thicket()
         for i, tree in enumerate(self.producer_trees):
             ensemble.add(
@@ -118,6 +120,40 @@ class WorkflowResult:
                 stride=self.spec.stride, pairs=self.spec.pairs, **extra_tags,
             )
         return ensemble
+
+
+def _mean(values: List[float]) -> float:
+    """``float(np.mean(values))``, bit for bit, without numpy.
+
+    The paper's metrics were numpy means. Summing in numpy's order (its
+    add-reduction starts from 0.0 and sums pairwise) keeps every result
+    and fingerprint identical to them; a plain ``sum`` rounds differently.
+    """
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(values: List[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` of ``values[lo:lo + n]``: plain below 8
+    values, 8 interleaved accumulators up to 128, halves above."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += values[i]
+        return res
+    if n <= 128:
+        r = values[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(values, lo, half)
+            + _pairwise_sum(values, lo + half, n - half))
 
 
 def _default_event_budget(spec: WorkflowSpec) -> int:

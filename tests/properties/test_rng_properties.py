@@ -1,11 +1,13 @@
-"""Property tests: buffered jitter draws equal numpy's unbuffered ones.
+"""Property tests: pure-Python jitter draws equal numpy's.
 
 :meth:`RngStreams.jitter` derives each stream's PCG64 state in integer
-arithmetic and draws standard normals a block at a time. The
-reference here is the straightforward construction it replaces: one
+arithmetic and draws each standard normal with its own PCG64 step and
+ziggurat. The reference here is the straightforward construction it
+replaces: one
 ``default_rng(SeedSequence(seed, spawn_key=(fnv1a(name),)))`` per name and
 one scalar ``lognormal(mu, sigma)`` per sample, with ``mu``/``sigma``
-computed by the same numpy expressions. Equality is bit for bit.
+computed by numpy's ufuncs (``jitter`` uses ``math``; the two agree on
+every pair below). Equality is bit for bit.
 """
 
 from hypothesis import given, settings
@@ -63,7 +65,7 @@ def test_interleaved_buffered_draws_are_bit_identical(seed, calls):
        params=st.sampled_from(PARAMS))
 @settings(max_examples=15, deadline=None)
 def test_long_streams_cross_block_boundaries(seed, draws, params):
-    """Draw counts past the first, second and largest blocks stay exact."""
+    """Long runs of one stream stay exact."""
     streams, reference = RngStreams(seed), Reference(seed)
     for _ in range(draws):
         got = streams.jitter("fabric.latency", *params)

@@ -31,7 +31,10 @@ Regenerate the fixture (only when a timeline change is *intended*)::
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,6 +152,37 @@ def test_driver_fingerprint_unchanged(name, recorded):
         f"{name}: full-result fingerprint changed (call trees or "
         "counters moved)"
     )
+
+
+def test_pinned_runs_need_no_numpy(recorded):
+    """A jittered exact run and a hybrid run reproduce their pins in an
+    interpreter where importing numpy fails: jitter, the per-frame
+    metrics and fingerprints are pure Python."""
+    names = ["pairwise/pubsub/dyad", "fidelity/hybrid/pairwise/coarse/dyad"]
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from tests.workflow.test_driver_fingerprints import _run\n"
+        "from repro.experiments.parallel import result_fingerprint\n"
+        "out = {}\n"
+        f"for name in {names!r}:\n"
+        "    result = _run(name)\n"
+        "    result.production_movement, result.consumption_time\n"
+        "    out[name] = [result.makespan.hex(), result_fingerprint(result)]\n"
+        "print(json.dumps(out))\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in names:
+        assert got[name] == [recorded[name]["makespan_hex"],
+                             recorded[name]["fingerprint"]], name
 
 
 def _refresh():

@@ -1,11 +1,15 @@
 """Integration tests for the workflow runner (small configurations)."""
 
+import random
+
 import pytest
 
 from repro.md.models import JAC
 from repro.perf.caliper import Category
 from repro.workflow.emulator import READ_REGION, SYNC_REGION, WRITE_REGION
-from repro.workflow.runner import run_repetitions, run_workflow
+from repro.workflow.runner import (
+    WorkflowResult, run_repetitions, run_workflow,
+)
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
 
@@ -133,3 +137,32 @@ def test_compute_cv_override():
     jittered = run_workflow(spec, seed=3, jitter_cv=0.0, compute_cv=0.1)
     exact = run_workflow(spec, seed=3, jitter_cv=0.0, compute_cv=0.0)
     assert jittered.makespan != exact.makespan
+
+
+class _FixedTree:
+    """A stand-in call tree whose every category totals ``total``."""
+
+    def __init__(self, total):
+        self.total = total
+
+    def total_by_category(self, _category):
+        return self.total
+
+
+def test_per_frame_mean_is_numpys_bit_for_bit():
+    # The per-frame metrics were numpy means; they are summed in numpy's
+    # pairwise order so every result and pin stays bit-identical.
+    np = pytest.importorskip("numpy")
+    rnd = random.Random(5)
+    spec = small_spec(System.DYAD, frames=7)
+    naive_misses = 0
+    for i in range(3000):
+        n = i % 300 + 1
+        totals = [rnd.lognormvariate(-7.0, 2.0) * rnd.choice((1, 1, -1))
+                  for _ in range(n)]
+        result = WorkflowResult(spec, 0, 0.0,
+                                [_FixedTree(t) for t in totals], [])
+        got = result.production_movement
+        assert got.hex() == (float(np.mean(totals)) / spec.frames).hex(), n
+        naive_misses += (sum(totals) / n / spec.frames) != got
+    assert naive_misses > 0  # the order matters on these inputs
