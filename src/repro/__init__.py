@@ -13,7 +13,7 @@ from scratch:
 - a Flux-KVS-like key-value store (:mod:`repro.kvs`);
 - the DYAD middleware — node-local staging, global metadata management,
   multi-protocol synchronization, RDMA pulls (:mod:`repro.dyad`);
-- the MD substrate — model catalogue and binary frame codec
+- the MD substrate — the model catalogue and its frame sizes
   (:mod:`repro.md`);
 - the MD-inspired producer/consumer workflow harness
   (:mod:`repro.workflow`);

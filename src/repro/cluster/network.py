@@ -179,10 +179,6 @@ class Fabric:
         except KeyError:
             raise TransferError(f"node {node_id!r} not attached to fabric") from None
 
-    def path_latency(self) -> float:
-        """Base node-to-node wire latency (before jitter)."""
-        return self._path_latency
-
     def channels(self):
         """Every fluid-flow channel in the fabric (NICs + bisection)."""
         for nic in self._nics.values():

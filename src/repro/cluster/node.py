@@ -57,11 +57,6 @@ class Node:
         self.nic: NIC = fabric.attach(node_id)
         self._gpus_claimed = 0
 
-    @property
-    def gpus_free(self) -> int:
-        """GPUs not yet claimed by a workflow process."""
-        return self.config.gpus - self._gpus_claimed
-
     def claim_gpu(self) -> int:
         """Claim one GPU slot; returns its index.
 
@@ -75,12 +70,6 @@ class Node:
         idx = self._gpus_claimed
         self._gpus_claimed += 1
         return idx
-
-    def release_gpu(self) -> None:
-        """Return one GPU slot."""
-        if self._gpus_claimed <= 0:
-            raise WorkflowError(f"{self.node_id}: no GPUs claimed")
-        self._gpus_claimed -= 1
 
     def __repr__(self) -> str:
         return (

@@ -75,13 +75,6 @@ class Cluster:
         """Node by index (supports negative indexing)."""
         return self.nodes[index]
 
-    def node_by_id(self, node_id: str) -> Node:
-        """Node by its fabric id."""
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise ConfigError(f"no node with id {node_id!r}")
-
     def channels(self) -> List:
         """Every fluid-flow channel of the fabric and the node SSDs."""
         channels = list(self.fabric.channels())

@@ -38,18 +38,6 @@ class StallError(SimulationError):
     """
 
 
-class Interrupt(SimulationError):
-    """Thrown *into* a simulated process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.core.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class StorageError(ReproError):
     """Base class for file-system errors (simulated POSIX layer)."""
 
@@ -95,12 +83,13 @@ class TransferError(DyadError):
 
 
 class IntegrityError(DyadError):
-    """Payload failed an integrity check (checksum mismatch, short frame).
+    """A staged frame failed its integrity check.
 
-    Raised by :meth:`repro.md.frame.Frame.decode` when verification is
-    requested and the header checksum does not match the atom payload,
-    and by the checked DYAD/POSIX consume paths when a frame's observed
-    byte count disagrees with what its producer committed.
+    Raised by the checked DYAD consume path
+    (:meth:`repro.dyad.client.DyadClient.consume` with
+    ``integrity_checks`` on) when the staging file system marks the
+    frame it read as corrupt
+    (:meth:`repro.storage.posixfs.PosixFileSystem.is_corrupt`).
     """
 
 

@@ -23,9 +23,7 @@ Thicket call trees of Figs. 9-10). What each figure claims lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence,
-)
+from typing import Any, Callable, Dict, Hashable, List, Mapping
 
 from repro.errors import CampaignError
 from repro.experiments import (
@@ -41,7 +39,7 @@ from repro.experiments import (
 from repro.experiments.common import Runs
 from repro.experiments.parallel import RunTask, run_campaign
 
-__all__ = ["GRID", "Part", "gate", "run_plan", "run_figures"]
+__all__ = ["GRID", "Part", "gate", "run_plan"]
 
 #: Figs. 5-12 in paper order.
 GRID = tuple(module.FIGURE for module in (
@@ -49,9 +47,6 @@ GRID = tuple(module.FIGURE for module in (
     fig9_dyad_calltree, fig10_lustre_calltree, fig11_jac_stride,
     fig12_stmv_stride,
 ))
-
-_BY_NAME = {row.name: row for row in GRID}
-
 
 @dataclass(frozen=True)
 class Part:
@@ -113,17 +108,3 @@ def gate(results: Mapping[Hashable, Any]) -> None:
               if getattr(result, "failures", None)]
     if failed:
         raise CampaignError(f"{'; '.join(failed)} tripped the gate")
-
-
-def run_figures(names: Optional[Sequence[str]] = None,
-                runs: Optional[int] = None, frames: Optional[int] = None,
-                quick: bool = False) -> Dict[str, Any]:
-    """The figures ``names`` (default: all of :data:`GRID`), keyed by
-    name, from one plan.
-
-    ``runs``/``frames`` override each figure's presets (``--quick``:
-    one repetition, its ``quick_frames``), as the ``REPRO_RUNS`` /
-    ``REPRO_FRAMES`` defaults do outside quick mode.
-    """
-    rows = [_BY_NAME[name] for name in names] if names else list(GRID)
-    return run_plan({row.name: row.plan(runs, frames, quick) for row in rows})

@@ -1,22 +1,14 @@
-"""Persistence and regression comparison of experiment results.
+"""Persistence of experiment results: the repetition cache and its format.
 
-``FigureResult`` objects serialize to JSON so a measurement campaign can
-be archived next to the code that produced it, and later campaigns can be
-*diffed* against the archive — flagging metrics that moved by more than a
-tolerance. This is the mechanism for treating the reproduction itself as
-a regression-tested artifact (e.g. after recalibrating a device model).
-
-:class:`ResultCache` is the second persistence layer: a content-addressed
-on-disk memo of individual :class:`~repro.workflow.runner.WorkflowResult`
-repetitions, keyed on everything that determines a repetition's outcome
-(spec fields, seed, jitter, system configs, package version). Re-rendering
-EXPERIMENTS.md or re-running a campaign skips already-computed cells; see
+:class:`ResultCache` is a content-addressed on-disk memo of individual
+:class:`~repro.workflow.runner.WorkflowResult` repetitions, keyed on
+everything that determines a repetition's outcome (spec fields, seed,
+jitter, system configs, package version). Re-rendering EXPERIMENTS.md or
+re-running a campaign skips already-computed cells; see
 ``docs/performance.md`` for location and invalidation rules.
 
-CLI-free API: :func:`save_figure`, :func:`load_figure`,
-:func:`compare_figures`, :func:`save_campaign`, :func:`load_campaign`,
-:class:`ResultCache`, :func:`encode_result`, :func:`encode_cacheable`,
-:func:`decode_result`.
+CLI-free API: :class:`ResultCache`, :func:`default_cache_root`,
+:func:`encode_result`, :func:`encode_cacheable`, :func:`decode_result`.
 
 The CRC-framed wire format (:func:`encode_result` / :func:`decode_result`)
 is shared with the service layer: the exact bytes the cache publishes are
@@ -34,196 +26,17 @@ import pickle
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
 
-if TYPE_CHECKING:  # the figure model loads the simulator
-    from repro.experiments.common import Cell, FigureResult
-
 __all__ = [
-    "save_figure",
-    "load_figure",
-    "compare_figures",
-    "Regression",
-    "save_campaign",
-    "load_campaign",
     "ResultCache",
     "default_cache_root",
     "encode_result",
     "encode_cacheable",
     "decode_result",
 ]
-
-_FORMAT_VERSION = 1
-_METRICS = (
-    "production_movement",
-    "production_idle",
-    "consumption_movement",
-    "consumption_idle",
-    "makespan",
-)
-
-
-def _cell_to_dict(cell: Cell) -> Dict:
-    return {
-        metric: {"mean": getattr(cell, metric).mean,
-                 "std": getattr(cell, metric).std}
-        for metric in _METRICS
-    }
-
-
-def _cell_from_dict(payload: Dict) -> Cell:
-    from repro.experiments.common import Cell, Stat
-
-    # Files written before ``makespan`` joined the cell load with its default.
-    return Cell(**{
-        metric: Stat(payload[metric]["mean"], payload[metric]["std"])
-        for metric in _METRICS if metric in payload
-    })
-
-
-def figure_to_dict(fig: FigureResult) -> Dict:
-    """JSON-serializable representation of a figure result."""
-    return {
-        "format": _FORMAT_VERSION,
-        "figure_id": fig.figure_id,
-        "title": fig.title,
-        "x_name": fig.x_name,
-        "xs": list(fig.xs),
-        "systems": list(fig.systems),
-        "runs": fig.runs,
-        "frames": fig.frames,
-        "notes": list(fig.notes),
-        "cells": [
-            {"x": x, "system": system,
-             "metrics": _cell_to_dict(fig.cell(x, system))}
-            for x in fig.xs
-            for system in fig.systems
-        ],
-    }
-
-
-def figure_from_dict(payload: Dict) -> FigureResult:
-    """Inverse of :func:`figure_to_dict`."""
-    from repro.experiments.common import FigureResult
-
-    if payload.get("format") != _FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported result format {payload.get('format')!r}"
-        )
-    xs = [tuple(x) if isinstance(x, list) else x for x in payload["xs"]]
-    cells = {}
-    for entry in payload["cells"]:
-        x = entry["x"]
-        if isinstance(x, list):
-            x = tuple(x)
-        cells[(x, entry["system"])] = _cell_from_dict(entry["metrics"])
-    return FigureResult(
-        figure_id=payload["figure_id"],
-        title=payload["title"],
-        x_name=payload["x_name"],
-        xs=xs,
-        systems=list(payload["systems"]),
-        cells=cells,
-        runs=payload["runs"],
-        frames=payload["frames"],
-        notes=list(payload.get("notes", [])),
-    )
-
-
-def save_figure(fig: FigureResult, path) -> None:
-    """Write one figure result as JSON."""
-    with open(path, "w") as fh:
-        json.dump(figure_to_dict(fig), fh, indent=1)
-
-
-def load_figure(path) -> FigureResult:
-    """Load one figure result from JSON."""
-    with open(path) as fh:
-        return figure_from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One metric that moved beyond tolerance between two campaigns."""
-
-    figure_id: str
-    x: object
-    system: str
-    metric: str
-    before: float
-    after: float
-
-    @property
-    def factor(self) -> float:
-        """after / before (0 when before is 0)."""
-        return self.after / self.before if self.before else 0.0
-
-    def __str__(self) -> str:
-        return (
-            f"{self.figure_id}[{self.x}/{self.system}] {self.metric}: "
-            f"{self.before:.6g} -> {self.after:.6g} ({self.factor:.2f}x)"
-        )
-
-
-def compare_figures(before: FigureResult, after: FigureResult,
-                    rel_tolerance: float = 0.25) -> List[Regression]:
-    """Metrics differing by more than ``rel_tolerance`` between campaigns.
-
-    Grid mismatches (different xs/systems) are reported as a structural
-    :class:`ReproError` rather than silently skipped.
-    """
-    if rel_tolerance <= 0:
-        raise ReproError("rel_tolerance must be positive")
-    if list(before.xs) != list(after.xs) or list(before.systems) != list(after.systems):
-        raise ReproError(
-            f"grid mismatch: {before.figure_id} has xs={before.xs}/"
-            f"{before.systems} vs {after.xs}/{after.systems}"
-        )
-    regressions: List[Regression] = []
-    for x in before.xs:
-        for system in before.systems:
-            cell_b = before.cell(x, system)
-            cell_a = after.cell(x, system)
-            for metric in _METRICS:
-                b = getattr(cell_b, metric).mean
-                a = getattr(cell_a, metric).mean
-                scale = max(abs(b), abs(a))
-                if scale == 0:
-                    continue
-                if abs(a - b) / scale > rel_tolerance:
-                    regressions.append(Regression(
-                        figure_id=before.figure_id, x=x, system=system,
-                        metric=metric, before=b, after=a,
-                    ))
-    return regressions
-
-
-def save_campaign(figures: List[FigureResult], directory) -> List[str]:
-    """Write every figure of a campaign into a directory; returns paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for fig in figures:
-        path = os.path.join(directory, f"{fig.figure_id.lower()}.json")
-        save_figure(fig, path)
-        paths.append(path)
-    return paths
-
-
-def load_campaign(directory) -> Dict[str, FigureResult]:
-    """Load every ``*.json`` figure in a directory, keyed by figure id."""
-    out: Dict[str, FigureResult] = {}
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json"):
-            continue
-        fig = load_figure(os.path.join(directory, name))
-        out[fig.figure_id] = fig
-    if not out:
-        raise ReproError(f"no figure results found in {directory}")
-    return out
-
 
 # ---------------------------------------------------------------------------
 # content-addressed repetition cache
@@ -387,10 +200,6 @@ class ResultCache:
     def path(self, key: str) -> str:
         """On-disk location of one entry (sharded by key prefix)."""
         return os.path.join(self.root, key[:2], f"{key}.pkl")
-
-    def contains(self, key: str) -> bool:
-        """Whether an entry exists on disk (no validation; cheap probe)."""
-        return os.path.exists(self.path(key))
 
     # -- access ------------------------------------------------------------
     def load_bytes(self, key: str) -> Optional[bytes]:

@@ -24,7 +24,7 @@ from repro.experiments import ablations, tables, validate
 from repro.experiments.claims import CLAIMS, Claim
 from repro.experiments.figures import GRID, gate, run_plan
 
-__all__ = ["FIGURES", "build_report", "claims_table", "generate"]
+__all__ = ["FIGURES", "claims_table", "generate"]
 
 #: The paper figures the report runs, by registry name and section
 #: title, in paper order.
@@ -150,12 +150,6 @@ def _render(results: Mapping[str, Any], runs: Optional[int],
     parts.append("")
 
     return "\n".join(parts)
-
-
-def build_report(runs: Optional[int] = None, frames: Optional[int] = None,
-                 quick: bool = False) -> str:
-    """Run the full campaign and return the EXPERIMENTS.md content."""
-    return _render(_run(runs, frames, quick), runs, frames, quick)
 
 
 def generate(path: str = "EXPERIMENTS.md", runs: Optional[int] = None,

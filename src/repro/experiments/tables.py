@@ -3,17 +3,16 @@
 Table I: atoms, frame size, steps/second per model.
 Table II: steps/second, ms/step, stride, resulting frame frequency.
 Fig. 3 (context): model size vs frame size, cross-checked against the
-frame codec (44-byte header + 28 B/atom).
+frame layout (44-byte header + 28 B/atom, :func:`repro.md.models.frame_size`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.experiments.figures import Part
-from repro.md.frame import frame_size
-from repro.md.models import MODELS, MolecularModel
+from repro.md.models import MODELS
 from repro.perf.report import table
 from repro.units import KiB, MiB, fmt_bytes
 
@@ -21,7 +20,7 @@ __all__ = ["table1_rows", "table2_rows", "fig3_rows", "plan", "run"]
 
 
 def table1_rows() -> List[List[str]]:
-    """Rows of the paper's Table I, computed from the catalogue + codec."""
+    """Rows of the paper's Table I, computed from the catalogue."""
     rows = []
     for m in MODELS:
         size = m.frame_bytes
@@ -47,7 +46,7 @@ def table2_rows() -> List[List[str]]:
 
 
 def fig3_rows() -> List[List[str]]:
-    """Fig. 3 context: atoms vs frame bytes, paper vs codec."""
+    """Fig. 3 context: atoms vs frame bytes, paper vs computed."""
     rows = []
     for m in MODELS:
         rows.append([

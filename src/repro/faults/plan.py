@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import FaultPlanError
 
-__all__ = ["FaultEvent", "FaultPlan", "FAULT_KINDS", "INTEGRITY_KINDS"]
+__all__ = ["FaultEvent", "FaultPlan", "FAULT_KINDS"]
 
 #: Recognized fault kinds → what the injector does during the window.
 FAULT_KINDS = (
@@ -37,9 +37,6 @@ FAULT_KINDS = (
 
 #: Kinds whose `severity` is a slowdown factor (must be >= 1).
 _DEGRADE_KINDS = frozenset({"ssd_degrade", "lustre_slowdown"})
-
-#: Integrity kinds corrupt *data* rather than availability/performance.
-INTEGRITY_KINDS = frozenset({"torn_write", "bit_corrupt", "stale_metadata"})
 
 
 @dataclass(frozen=True)
@@ -173,11 +170,6 @@ class FaultPlan:
         # of currently-active windows (degradations multiply, outages
         # hold until the last window lifts), so an early revert can never
         # cancel a later fault mid-window.
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when the plan injects nothing (watchdog-only plans)."""
-        return not self.events and self.transfer_fault_rate == 0.0
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

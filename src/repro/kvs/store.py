@@ -63,12 +63,6 @@ class KVSStats:
     dropped_watches: int = 0   # armed watches lost to a broker crash/restart
     lost_wakeups: int = 0      # watcher-side recoveries from a dropped watch
 
-    @property
-    def mean_queue_wait(self) -> float:
-        """Average server queueing delay per operation."""
-        ops = self.commits + self.lookups + self.watches
-        return self.total_queue_wait / ops if ops else 0.0
-
 
 class KVS:
     """A key-value store served from ``server_node`` on the fabric."""

@@ -6,6 +6,16 @@ authors from published NAMD benchmarks) — plus the derived quantities the
 experiments need: ms/step, the stride that yields the common ~0.82 s frame
 frequency, and frame-production schedules.
 
+A frame is the atom list with 3-D positions (plus per-atom metadata)
+that the simulation emits every *stride* steps. Its size is a 44-byte
+header (magic, version, flags, atom count, payload checksum, step index,
+simulation time, periodic box lengths) plus one 28-byte record per atom
+(atom id, type id, residue id, three float32 coordinates, charge,
+mass). ``44 + 28 × natoms`` reproduces the paper's Table I frame sizes
+to two decimals for all four molecular models, so the emulated
+workloads move exactly the byte counts the paper reports; no workflow
+encodes the atoms themselves.
+
 The paper's stride values (Table II) are stored verbatim as
 ``paper_stride``; :meth:`MolecularModel.stride_for_frequency` recomputes a
 stride for any target frequency. Note the paper's F1-ATPase row is
@@ -38,9 +48,7 @@ __all__ = [
 #: The common data-generation period the paper calibrates strides to.
 TARGET_FREQUENCY: float = 0.82
 
-#: An encoded frame's header and per-atom record sizes. The codec
-#: (:mod:`repro.md.frame`) asserts its layout against both; they live
-#: here so the catalogue sizes frames without loading numpy.
+#: A frame's header and per-atom record sizes (see the module docstring).
 FRAME_HEADER_BYTES = 44
 ATOM_RECORD_BYTES = 28
 
@@ -60,15 +68,15 @@ class MolecularModel:
     num_atoms: int
     steps_per_second: float
     paper_stride: int
-    paper_frame_bytes: int  # Table I value, for cross-checking the codec
+    paper_frame_bytes: int  # Table I value, for cross-checking frame_bytes
 
     # -- derived quantities ----------------------------------------------------
     @cached_property
     def frame_bytes(self) -> int:
-        """Frame size from the codec (44-byte header + 28 B/atom).
+        """Frame size from the layout (44-byte header + 28 B/atom).
 
-        Matches Table I to two decimals for all four models — see the
-        frame-codec tests.
+        Matches Table I to two decimals for all four models (pinned by
+        ``tests/md/test_models.py``).
         """
         return frame_size(self.num_atoms)
 
@@ -98,10 +106,6 @@ class MolecularModel:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         return stride * self.seconds_per_step
-
-    def steps_for_frames(self, frames: int, stride: int) -> int:
-        """Total MD steps needed to emit ``frames`` frames."""
-        return frames * stride
 
     def __str__(self) -> str:
         return (

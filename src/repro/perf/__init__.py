@@ -17,9 +17,7 @@ Hatchet call-path query language. This package provides working equivalents:
   (see producer/consumer overlap, not just totals);
 - :mod:`repro.perf.metrics` — substrate telemetry timelines
   (``Counter``/``Gauge`` instruments sampled on change, merged into the
-  Chrome trace as counter tracks; see ``docs/observability.md``);
-- :mod:`repro.perf.compare` — bootstrap confidence intervals for speedup
-  factors.
+  Chrome trace as counter tracks; see ``docs/observability.md``).
 """
 
 from repro import lazy_exports
@@ -30,12 +28,9 @@ __all__ = [
     "Category",
     "CallTree",
     "CallTreeNode",
-    "diff_trees",
     "parse_query",
     "query",
     "Thicket",
-    "SpeedupEstimate",
-    "bootstrap_speedup",
     "SpanEvent",
     "Tracer",
     "TracingAnnotator",
@@ -48,8 +43,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.perf.caliper": ["Annotator", "Caliper", "Category"],
-    "repro.perf.calltree": ["CallTree", "CallTreeNode", "diff_trees"],
-    "repro.perf.compare": ["SpeedupEstimate", "bootstrap_speedup"],
+    "repro.perf.calltree": ["CallTree", "CallTreeNode"],
     "repro.perf.metrics": ["Counter", "Gauge", "MetricsTimeline",
                            "merge_chrome_trace", "write_chrome_trace"],
     "repro.perf.query": ["parse_query", "query"],

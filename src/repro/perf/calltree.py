@@ -2,18 +2,16 @@
 
 A :class:`CallTree` is a rooted tree of named regions. Each node carries a
 metrics dictionary; the annotation layer populates ``time`` (inclusive
-seconds), ``count`` (visits), and ``category``. Trees support deep merging
-(summing metrics) — used to aggregate the per-iteration structure within a
-process — and traversal/serialization used by Thicket and the reports.
+seconds), ``count`` (visits), and ``category``. Trees support the
+traversal, reductions and dict serialization used by Thicket and the
+reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import PerfError
-
-__all__ = ["CallTreeNode", "CallTree", "diff_trees"]
+__all__ = ["CallTreeNode", "CallTree"]
 
 
 class CallTreeNode:
@@ -80,7 +78,7 @@ class CallTreeNode:
 
 
 class CallTree:
-    """A rooted call tree with helpers for lookup, merge, and flattening."""
+    """A rooted call tree with helpers for lookup and flattening."""
 
     def __init__(self, label: str = "") -> None:
         self.label = label
@@ -112,50 +110,6 @@ class CallTree:
     def paths(self) -> List[Tuple[str, ...]]:
         """All node paths, pre-order."""
         return [n.path() for n in self.nodes()]
-
-    # -- combination ------------------------------------------------------------
-    def merge(self, other: "CallTree") -> "CallTree":
-        """Deep-merge ``other`` into this tree.
-
-        Numeric metrics are summed; non-numeric metrics (e.g. ``category``)
-        must agree, otherwise :class:`PerfError` is raised — a category
-        clash means two semantically different regions share a path. The
-        clash check walks both trees *before* anything is mutated, so a
-        failed merge leaves this tree exactly as it was.
-        """
-
-        def _validate(dst: CallTreeNode, src: CallTreeNode) -> None:
-            for key, value in src.metrics.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    continue
-                if key in dst.metrics and dst.metrics[key] != value:
-                    raise PerfError(
-                        f"metric {key!r} clash at {'/'.join(src.path())}: "
-                        f"{dst.metrics[key]!r} != {value!r}"
-                    )
-            for name, child in src.children.items():
-                dst_child = dst.children.get(name)
-                if dst_child is not None:
-                    _validate(dst_child, child)
-
-        def _merge(dst: CallTreeNode, src: CallTreeNode) -> None:
-            for key, value in src.metrics.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    dst.add_metric(key, value)
-                else:
-                    dst.metrics[key] = value
-            for name in src.children:
-                _merge(dst.child(name), src.children[name])
-
-        _validate(self.root, other.root)
-        _merge(self.root, other.root)
-        return self
-
-    def copy(self) -> "CallTree":
-        """Deep copy."""
-        clone = CallTree(self.label)
-        clone.merge(self)
-        return clone
 
     # -- reductions ------------------------------------------------------------
     def total(self, metric: str = "time", where: Optional[Callable[[CallTreeNode], bool]] = None) -> float:
@@ -240,39 +194,3 @@ class CallTree:
 
         _render(self.root, "")
         return "\n".join(lines)
-
-
-def diff_trees(numerator: CallTree, denominator: CallTree,
-               metric: str = "time") -> CallTree:
-    """Per-node ratio tree: ``numerator[path] / denominator[path]``.
-
-    The Thicket-style speedup view: apply to two aggregated consumer trees
-    (e.g. STMV vs JAC, or Lustre vs DYAD) to see *which region* grew. A
-    node missing on either side gets a ``ratio`` of ``inf`` (only in the
-    numerator) or 0 (only in the denominator); both sides' raw values are
-    kept as ``lhs``/``rhs`` metrics.
-    """
-    out = CallTree(label=f"{numerator.label or 'lhs'} / "
-                         f"{denominator.label or 'rhs'}")
-    paths = set(numerator.flat(metric)) | set(denominator.flat(metric))
-    for path in sorted(paths):
-        lhs_node = numerator.find(*path)
-        rhs_node = denominator.find(*path)
-        lhs = float(lhs_node.metrics.get(metric, 0.0)) if lhs_node else 0.0
-        rhs = float(rhs_node.metrics.get(metric, 0.0)) if rhs_node else 0.0
-        node = out.node(*path)
-        node.metrics["lhs"] = lhs
-        node.metrics["rhs"] = rhs
-        if rhs > 0:
-            node.metrics["ratio"] = lhs / rhs
-        else:
-            node.metrics["ratio"] = float("inf") if lhs > 0 else 0.0
-        # Prefer the numerator's category, but fall back to the
-        # denominator's — a node present on both sides may only carry a
-        # category on one of them.
-        category = lhs_node.category if lhs_node is not None else None
-        if category is None and rhs_node is not None:
-            category = rhs_node.category
-        if category is not None:
-            node.metrics["category"] = category
-    return out

@@ -9,7 +9,6 @@ the composite.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,16 +50,6 @@ class NodeStats:
     def total(self) -> float:
         """Ensemble sum."""
         return float(np.sum(self.values)) if self.values.size else 0.0
-
-    @property
-    def minimum(self) -> float:
-        """Ensemble minimum."""
-        return float(np.min(self.values)) if self.values.size else 0.0
-
-    @property
-    def maximum(self) -> float:
-        """Ensemble maximum."""
-        return float(np.max(self.values)) if self.values.size else 0.0
 
     def __repr__(self) -> str:
         return (
@@ -110,13 +99,6 @@ class Thicket:
             out.add(tree, **meta)
         return out
 
-    def groupby(self, key: str) -> Dict[Any, "Thicket"]:
-        """Partition the ensemble by a metadata key."""
-        groups: Dict[Any, Thicket] = {}
-        for tree, meta in zip(self._trees, self._metadata):
-            groups.setdefault(meta.get(key), Thicket()).add(tree, **meta)
-        return groups
-
     # -- statistics ------------------------------------------------------------
     def stats(self, metric: str = "time") -> Dict[Tuple[str, ...], NodeStats]:
         """Per-call-path statistics of ``metric`` across the ensemble.
@@ -140,18 +122,6 @@ class Thicket:
         if key not in stats:
             raise PerfError(f"no tree contains path {'/'.join(key)!r}")
         return stats[key]
-
-    def mean_total(self, metric: str = "time", category: Optional[str] = None) -> float:
-        """Mean per-tree total of a metric (optionally category-restricted)."""
-        if not self._trees:
-            return 0.0
-        totals = []
-        for tree in self._trees:
-            if category is None:
-                totals.append(tree.total(metric))
-            else:
-                totals.append(tree.total_by_category(category))
-        return float(np.mean(totals))
 
     # -- composition ------------------------------------------------------------
     def aggregate(self, how: str = "mean") -> CallTree:
@@ -185,23 +155,3 @@ class Thicket:
     def query(self, pattern: Union[str, Sequence[Any]], how: str = "mean") -> List[CallTreeNode]:
         """Call-path query over the aggregated composite tree."""
         return _query(self.aggregate(how), pattern)
-
-    def to_table(self, metric: str = "time") -> Dict[str, List[Any]]:
-        """Thicket's tabular view, as plain columns (no pandas needed).
-
-        One row per (tree, call path) with the metric value and every
-        metadata tag as its own column. Feed it to ``csv.writer`` via
-        ``zip(*table.values())`` or into pandas with
-        ``pd.DataFrame(table)``.
-        """
-        tag_keys = sorted({k for meta in self._metadata for k in meta})
-        columns: Dict[str, List[Any]] = {"path": [], metric: []}
-        for key in tag_keys:
-            columns[key] = []
-        for tree, meta in zip(self._trees, self._metadata):
-            for path, value in tree.flat(metric).items():
-                columns["path"].append("/".join(path))
-                columns[metric].append(value)
-                for key in tag_keys:
-                    columns[key].append(meta.get(key))
-        return columns

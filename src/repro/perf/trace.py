@@ -113,13 +113,6 @@ class Tracer:
             and (region is None or e.region == region)
         ]
 
-    def concurrency(self, region: str, at: float) -> int:
-        """How many spans of ``region`` were open at time ``at``."""
-        return sum(
-            1 for e in self.events
-            if e.region == region and e.start <= at < e.end
-        )
-
     def overlap(self, process_a: str, process_b: str,
                 include_idle: bool = False) -> float:
         """Seconds during which both processes were *working* concurrently.

@@ -47,7 +47,6 @@ __all__ = [
     "build_job_pool",
     "iter_events",
     "percentile",
-    "replay_events",
     "run_delivery",
     "run_load",
 ]
@@ -61,8 +60,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                              "SyncServiceClient"],
     "repro.service.jobs": ["DONE", "FAILED", "QUEUED", "RUNNING",
                            "JobRecord", "JobSpec"],
-    "repro.service.journal": ["GroupCommitter", "Journal", "iter_events",
-                              "replay_events"],
+    "repro.service.journal": ["GroupCommitter", "Journal", "iter_events"],
     "repro.service.loadgen": ["build_job_pool", "percentile",
                               "run_delivery", "run_load"],
     "repro.service.server": ["ExperimentServer", "ServerConfig"],

@@ -186,16 +186,6 @@ class FairQueue:
         """The record :meth:`next_job` would return, without popping."""
         return self._heap[0][2] if self._heap else None
 
-    def next_batch(self, limit: int) -> List[JobRecord]:
-        """Pop up to ``limit`` records in fair-dispatch order."""
-        batch: List[JobRecord] = []
-        while len(batch) < limit:
-            record = self.next_job()
-            if record is None:
-                break
-            batch.append(record)
-        return batch
-
     def release(self, tenant_name: str) -> None:
         """A job of the tenant reached a terminal state: free budget."""
         tenant = self._tenants.get(tenant_name)

@@ -42,7 +42,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO
 
 from repro.errors import JournalError
 
-__all__ = ["Journal", "GroupCommitter", "iter_events", "replay_events"]
+__all__ = ["Journal", "GroupCommitter", "iter_events"]
 
 
 def iter_events(path: str) -> Iterator[Dict[str, Any]]:
@@ -84,11 +84,6 @@ def iter_events(path: str) -> Iterator[Dict[str, Any]]:
             pending = event
         if pending is not None:
             yield pending
-
-
-def replay_events(path: str) -> List[Dict[str, Any]]:
-    """Materialized :func:`iter_events` (kept for tests and small logs)."""
-    return list(iter_events(path))
 
 
 class Journal:

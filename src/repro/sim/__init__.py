@@ -13,10 +13,8 @@ Public API
 ----------
 - :class:`~repro.sim.core.Environment` — event loop and virtual clock.
 - :class:`~repro.sim.core.Event`, :class:`~repro.sim.core.Timeout`,
-  :class:`~repro.sim.core.Process`, :class:`~repro.sim.core.AllOf`,
-  :class:`~repro.sim.core.AnyOf` — awaitables.
+  :class:`~repro.sim.core.Process`, :class:`~repro.sim.core.AllOf` — awaitables.
 - :class:`~repro.sim.resources.Resource` — FIFO server with capacity.
-- :class:`~repro.sim.resources.Store` — unbounded FIFO message queue.
 - :class:`~repro.sim.resources.SharedBandwidth` — fluid-flow
   processor-sharing channel (fabric links, OSS bandwidth).
 - :class:`~repro.sim.resources.Signal` — broadcast condition (KVS watch).
@@ -27,7 +25,6 @@ from repro import lazy_exports
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Process",
@@ -35,14 +32,12 @@ __all__ = [
     "Resource",
     "SharedBandwidth",
     "Signal",
-    "Store",
     "RngStreams",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.sim.core": ["AllOf", "AnyOf", "Environment", "Event", "Process",
+    "repro.sim.core": ["AllOf", "Environment", "Event", "Process",
                        "Timeout"],
-    "repro.sim.resources": ["Resource", "SharedBandwidth", "Signal",
-                            "Store"],
+    "repro.sim.resources": ["Resource", "SharedBandwidth", "Signal"],
     "repro.sim.rng": ["RngStreams"],
 })

@@ -29,9 +29,9 @@ kernel is tuned for exactly that call:
   reuse could silently corrupt a later run's determinism);
 - :meth:`Environment.run` inlines the dispatch loop instead of calling
   :meth:`step` per event;
-- :class:`AllOf`/:class:`AnyOf` build and trigger inline, pushing the same
-  heap entry (same ``_seq``) :meth:`Event.succeed` would, and a
-  :class:`Process` binds its ``_resume`` callback once, not per wait.
+- :class:`AllOf` builds and triggers inline, pushing the same heap entry
+  (same ``_seq``) :meth:`Event.succeed` would, and a :class:`Process`
+  binds its ``_resume`` callback once, not per wait.
 
 Heap entries deliberately stay plain tuples: tuple comparison happens in C
 during heap sifts, whereas comparing event objects via ``__lt__`` would call
@@ -67,12 +67,12 @@ from __future__ import annotations
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.errors import DeadlockError, Interrupt, SimulationError, StallError
+from repro.errors import DeadlockError, SimulationError, StallError
 
-__all__ = ["Environment", "Event", "Timeout", "Process", "AllOf", "AnyOf"]
+__all__ = ["Environment", "Event", "Timeout", "Process", "AllOf"]
 
-# Priorities for simultaneous events: urgent (interrupts) fire before normal
-# ones so an interrupted process never consumes the event it was waiting on.
+# Priorities for simultaneous events: a new process's start (urgent) fires
+# before the normal events scheduled at the same time.
 URGENT = 0
 NORMAL = 1
 
@@ -98,11 +98,6 @@ class Event:
         self._defused = False
 
     # -- state ------------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once the event has a value/exception scheduled."""
-        return self._value is not _PENDING
-
     @property
     def processed(self) -> bool:
         """True once callbacks have been invoked."""
@@ -218,14 +213,13 @@ class Process(Event):
     inside the generator to wait for it.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb")
+    __slots__ = ("_generator", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None  # event we are waiting on
         # Bound once: every wait appends this same callback. Cleared when
         # the generator finishes, which breaks the process -> method cycle.
         self._resume_cb: Optional[Callable[[Event], None]] = self._resume
@@ -236,95 +230,70 @@ class Process(Event):
         """True while the generator has not finished."""
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`repro.errors.Interrupt` into the process.
-
-        The process stops waiting on its current target (the target event
-        stays valid for other waiters) and resumes immediately with the
-        exception. Interrupting a finished process is an error.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._target is None:
-            raise SimulationError("cannot interrupt a process during init")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        # Stop listening to the old target, listen to the interrupt instead.
-        if self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._target = event
-        event.callbacks.append(self._resume_cb)
-        self.env._schedule(event, priority=URGENT)
-
     # -- machinery ---------------------------------------------------------
     def _resume(self, event: Event, _timeout_cls=Timeout) -> None:
         # _timeout_cls pre-binds the global as a local; never pass it.
         env = self.env
-        env._active_proc = self
         generator = self._generator
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        target = generator.send(event._value)
-                    else:
-                        # We consume the failure by throwing it into the
-                        # generator; it no longer needs to surface from the
-                        # event loop (the generator may legitimately catch it).
-                        event._defused = True
-                        target = generator.throw(event._value)
-                except StopIteration as exc:
-                    self._ok = True
-                    self._value = exc.value
-                    self._resume_cb = None
-                    env._schedule(self)
-                    break
-                except BaseException as exc:
-                    self._ok = False
-                    self._value = exc
-                    self._resume_cb = None
-                    env._schedule(self)
-                    break
+        while True:
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    # We consume the failure by throwing it into the
+                    # generator; it no longer needs to surface from the
+                    # event loop (the generator may legitimately catch it).
+                    event._defused = True
+                    target = generator.throw(event._value)
+            except StopIteration as exc:
+                self._ok = True
+                self._value = exc.value
+                self._resume_cb = None
+                env._schedule(self)
+                break
+            except BaseException as exc:
+                self._ok = False
+                self._value = exc
+                self._resume_cb = None
+                env._schedule(self)
+                break
 
-                if target.__class__ is not _timeout_cls and not isinstance(target, Event):
-                    exc = SimulationError(
-                        f"process yielded non-event {target!r}"
-                    )
-                    event = Event(env)
-                    event._ok = False
-                    event._value = exc
-                    continue  # throw into generator on next loop
-                if target.env is not env:
-                    exc = SimulationError("event belongs to another Environment")
-                    event = Event(env)
-                    event._ok = False
-                    event._value = exc
-                    continue
+            if target.__class__ is not _timeout_cls and not isinstance(target, Event):
+                exc = SimulationError(
+                    f"process yielded non-event {target!r}"
+                )
+                event = Event(env)
+                event._ok = False
+                event._value = exc
+                continue  # throw into generator on next loop
+            if target.env is not env:
+                exc = SimulationError("event belongs to another Environment")
+                event = Event(env)
+                event._ok = False
+                event._value = exc
+                continue
 
-                if target.callbacks is not None:
-                    # Event still pending / not processed: wait for it.
-                    self._target = target
-                    target.callbacks.append(self._resume_cb)
-                    break
-                # Already processed: resume synchronously with its value.
-                event = target
-        finally:
-            env._active_proc = None
+            if target.callbacks is not None:
+                # Event still pending / not processed: wait for it.
+                target.callbacks.append(self._resume_cb)
+                break
+            # Already processed: resume synchronously with its value.
+            event = target
 
 
 class ConditionValue(dict):
-    """Mapping of event -> value returned by :class:`AllOf`/:class:`AnyOf`."""
+    """Mapping of event -> value returned by :class:`AllOf`."""
 
 
-class _Condition(Event):
-    """Base for composite events over a fixed set of sub-events.
+class AllOf(Event):
+    """Fires when *all* sub-events fired; fails fast on the first failure.
 
     Construction and triggering are inlined (no ``Event.__init__`` or
-    ``succeed`` call chain): every I/O transfer waits on an :class:`AllOf`.
+    ``succeed`` call chain): every I/O transfer waits on an
+    :class:`AllOf`. A sub-event failing *after* the condition already
+    triggered is not consumed here — it surfaces from the event loop
+    (nobody is listening anymore, and silently dropping a crash would
+    hide bugs).
     """
 
     __slots__ = ("_events", "_unfired")
@@ -364,20 +333,6 @@ class _Condition(Event):
         _push(env._heap, (env._now, NORMAL, seq, self))
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when *all* sub-events fired; fails fast on the first failure.
-
-    A sub-event failing *after* the condition already triggered is not
-    consumed here — it surfaces from the event loop (nobody is listening
-    anymore, and silently dropping a crash would hide bugs).
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
             return
         if not event._ok:
@@ -389,45 +344,20 @@ class AllOf(_Condition):
             self._trigger()
 
 
-class AnyOf(_Condition):
-    """Fires when *any* sub-event fired (or fails with the first failure).
-
-    As with :class:`AllOf`, a sub-event failing after the condition already
-    triggered surfaces from the event loop instead of being swallowed.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._trigger()
-
-
 class Environment:
     """The simulation environment: virtual clock plus event heap."""
 
-    __slots__ = ("_now", "_heap", "_seq", "_active_proc")
+    __slots__ = ("_now", "_heap", "_seq")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._heap: List = []
         self._seq = 0
-        self._active_proc: Optional[Process] = None
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_proc
 
     # -- factories ----------------------------------------------------------
     def event(self) -> Event:
@@ -463,10 +393,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event firing when all ``events`` fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` fired."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

@@ -1,12 +1,10 @@
 """Shared-resource primitives for the DES kernel.
 
-Four primitives cover every contention point in the simulated cluster:
+Three primitives cover every contention point in the simulated cluster:
 
 - :class:`Resource` — a FIFO server with integer capacity. Used for RPC
   service queues (Lustre MDS/OSS, the KVS server) and mutual exclusion
   (file locks use capacity 1).
-- :class:`Store` — unbounded FIFO queue of items. Used for message passing
-  between DYAD clients and services.
 - :class:`SharedBandwidth` — a fluid-flow *processor sharing* channel:
   total bandwidth is divided equally among concurrent transfers. Flows are
   scheduled in O(log n) via a virtual service clock (see the class
@@ -30,7 +28,7 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.errors import SimulationError
 from repro.sim.core import _PENDING, Environment, Event, Process, Timeout
 
-__all__ = ["Resource", "Store", "SharedBandwidth", "Signal", "channel_health"]
+__all__ = ["Resource", "SharedBandwidth", "Signal", "channel_health"]
 
 
 def channel_health(channels) -> dict:
@@ -169,40 +167,10 @@ class Resource:
         return waited
 
 
-class Store:
-    """Unbounded FIFO queue of items with blocking ``get``."""
-
-    __slots__ = ("env", "_items", "_getters")
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that fires with the next item (immediately if available)."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-
 class Signal:
     """Broadcast condition: ``wait()`` events all fire on ``fire(value)``.
 
-    Unlike :class:`Store`, every waiter observes the value. A Signal can
+    Every waiter observes the value. A Signal can
     fire many times; waiters registered after a firing wait for the next
     one. :meth:`fire_once` latches: late waiters complete immediately —
     that latching is what a KVS watch on an already-committed key needs.

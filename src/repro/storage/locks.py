@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.errors import LockError
 from repro.sim.core import Environment, Event
@@ -81,19 +81,6 @@ class LockTable:
         """Number of blocked acquisitions on ``path``."""
         state = self._paths.get(path)
         return len(state.waiters) if state else 0
-
-    def try_acquire(self, path: str, mode: LockMode, owner: str) -> Optional[Lock]:
-        """Non-blocking acquire; ``None`` when the lock is unavailable.
-
-        A path with queued waiters is treated as unavailable even for a
-        compatible shared request, preserving FIFO fairness.
-        """
-        state = self._state(path)
-        if state.waiters or not state.compatible(mode):
-            return None
-        lock = Lock(path, mode, owner)
-        state.holders.append(lock)
-        return lock
 
     def acquire(self, path: str, mode: LockMode, owner: str):
         """Generator: block until the lock is granted; returns the Lock."""

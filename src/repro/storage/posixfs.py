@@ -127,21 +127,9 @@ class FileHandle:
             raise InvalidHandle(f"{self.path}: opened write-only ({self.mode})")
 
     @property
-    def closed(self) -> bool:
-        """True once :meth:`close` completed."""
-        return not self._open
-
-    @property
     def offset(self) -> int:
         """Current file offset in bytes."""
         return self._offset
-
-    def seek(self, offset: int) -> None:
-        """Absolute seek (no device time — it only moves the offset)."""
-        self._check_open()
-        if offset < 0:
-            raise StorageError(f"negative seek offset: {offset}")
-        self._offset = offset
 
     # -- data plane -----------------------------------------------------------
     def write(self, nbytes: int, data: Optional[bytes] = None) -> Generator:

@@ -22,19 +22,9 @@ MB: int = 1000 * KB
 GB: int = 1000 * MB
 
 
-def kib(n: float) -> int:
-    """Return ``n`` KiB as an integer byte count (rounded)."""
-    return int(round(n * KiB))
-
-
 def mib(n: float) -> int:
     """Return ``n`` MiB as an integer byte count (rounded)."""
     return int(round(n * MiB))
-
-
-def gib(n: float) -> int:
-    """Return ``n`` GiB as an integer byte count (rounded)."""
-    return int(round(n * GiB))
 
 
 # ---------------------------------------------------------------------------
@@ -43,18 +33,12 @@ def gib(n: float) -> int:
 
 USEC: float = 1e-6
 MSEC: float = 1e-3
-SEC: float = 1.0
 MINUTE: float = 60.0
 
 
 def usec(n: float) -> float:
     """Return ``n`` microseconds in seconds."""
     return n * USEC
-
-
-def msec(n: float) -> float:
-    """Return ``n`` milliseconds in seconds."""
-    return n * MSEC
 
 
 def to_usec(seconds: float) -> float:
@@ -80,16 +64,6 @@ def gb_per_s(n: float) -> float:
 def mb_per_s(n: float) -> float:
     """Decimal megabytes per second."""
     return n * MB
-
-
-def transfer_time(nbytes: int, bandwidth: float, latency: float = 0.0) -> float:
-    """Ideal time to move ``nbytes`` over a ``bandwidth`` B/s channel.
-
-    ``latency`` is a fixed per-operation setup cost added on top. Raises
-    ``ZeroDivisionError`` if bandwidth is zero; callers validate configs via
-    :mod:`repro.errors.ConfigError` before getting here.
-    """
-    return latency + nbytes / bandwidth
 
 
 def fmt_bytes(nbytes: float) -> str:

@@ -14,15 +14,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from repro.experiments.parallel import campaign
 from repro.md.models import model_by_name
 from repro.perf.report import table
 from repro.units import to_msec, to_usec
-from repro.workflow.runner import run_repetitions
+from repro.workflow.runner import _mean, run_repetitions
 from repro.workflow.spec import (
     Placement, SyncMode, System, Topology, WorkflowSpec,
 )
@@ -149,8 +148,11 @@ def main(argv=None) -> int:
         )
 
     def stat(metric):
+        # numpy's mean and population std (ddof=0), bit for bit
         values = [getattr(r, metric) for r in results]
-        return float(np.mean(values)), float(np.std(values))
+        mean = _mean(values)
+        squares = [(v - mean) * (v - mean) for v in values]
+        return mean, math.sqrt(_mean(squares))
 
     rows = []
     for label, metric, conv, unit in [
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
     ]:
         mean, std = stat(metric)
         rows.append([label, f"{conv(mean):.3f} {unit}", f"{conv(std):.3f} {unit}"])
-    rows.append(["makespan", f"{np.mean([r.makespan for r in results]):.2f} s", ""])
+    rows.append(["makespan", f"{_mean([r.makespan for r in results]):.2f} s", ""])
     print(table(["metric (per frame)", "mean", "std over runs"], rows))
     return 0
 

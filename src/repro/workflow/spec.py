@@ -271,11 +271,6 @@ class WorkflowSpec:
         """The bounded in-flight window W the streaming transport enforces."""
         return 2 if self.sync_mode is SyncMode.NBUFFER else self.window
 
-    @property
-    def total_steps(self) -> int:
-        """MD steps each producer runs."""
-        return self.model.steps_for_frames(self.frames, self.stride)
-
     # -- topology-derived process counts --------------------------------------
     @property
     def n_producers(self) -> int:

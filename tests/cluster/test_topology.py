@@ -19,9 +19,6 @@ def test_cluster_node_lookup():
     cluster = Cluster(ClusterConfig(nodes=2))
     assert cluster.node(1).node_id == "node01"
     assert cluster.node(-1).node_id == "node01"
-    assert cluster.node_by_id("node00") is cluster.node(0)
-    with pytest.raises(ConfigError):
-        cluster.node_by_id("node99")
 
 
 def test_cluster_validation():
@@ -40,17 +37,8 @@ def test_gpu_claiming_enforces_limit():
     node = cluster.node(0)
     for i in range(node.config.gpus):
         assert node.claim_gpu() == i
-    assert node.gpus_free == 0
     with pytest.raises(WorkflowError):
         node.claim_gpu()
-    node.release_gpu()
-    assert node.gpus_free == 1
-
-
-def test_gpu_release_underflow():
-    cluster = Cluster(ClusterConfig(nodes=1))
-    with pytest.raises(WorkflowError):
-        cluster.node(0).release_gpu()
 
 
 def test_node_config_validation():

@@ -8,7 +8,7 @@ from repro.dyad.rdma import EagerTransport, RdmaTransport, make_transport
 from repro.dyad.service import DyadRuntime
 from repro.errors import ConfigError, TransferError
 from repro.sim.rng import RngStreams
-from repro.units import kib, mib
+from repro.units import KiB, mib
 
 
 def _drive(env, gen):
@@ -79,7 +79,7 @@ def test_eager_slower_than_rdma_for_large_frames():
 
 def test_eager_transfer_timing_components():
     cluster = corona(nodes=2)
-    transport = EagerTransport(cluster.fabric, chunk=kib(64), pipeline=4)
+    transport = EagerTransport(cluster.fabric, chunk=64 * KiB, pipeline=4)
     elapsed = _drive(cluster.env, transport.get("node01", "node00", mib(4)))
     # 64 chunks / pipeline 4 = 16 serialized setups on top of the stream
     assert elapsed >= 16 * cluster.fabric.config.message_setup
@@ -87,7 +87,7 @@ def test_eager_transfer_timing_components():
 
 def test_eager_collocated_free():
     cluster = corona(nodes=2)
-    transport = EagerTransport(cluster.fabric, chunk=kib(64))
+    transport = EagerTransport(cluster.fabric, chunk=64 * KiB)
     assert _drive(cluster.env, transport.get("node00", "node00", mib(1))) == 0.0
 
 
@@ -180,7 +180,7 @@ def test_fsync_raises_production_cost():
 def test_faults_injected_and_retried():
     runtime, consumer, _ = _consume_n(
         DyadConfig(fault_rate=0.3, max_transfer_retries=10),
-        n_frames=8, size=kib(512), seed=7,
+        n_frames=8, size=512 * KiB, seed=7,
     )
     assert runtime.rdma.faults_injected > 0
     assert consumer.transfer_retries == runtime.rdma.faults_injected

@@ -10,7 +10,7 @@ from repro.dyad.rdma import RdmaTransport
 from repro.dyad.service import DyadRuntime
 from repro.errors import ConfigError, DyadError, TransferError
 from repro.perf.caliper import Caliper, Category
-from repro.units import kib, mib
+from repro.units import KiB, mib
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ def test_rdma_collocated_is_free(runtime):
 
 def test_rdma_remote_scales_with_size(runtime):
     env = runtime.env
-    small = _drive(env, runtime.rdma.get("node01", "node00", kib(64)))
+    small = _drive(env, runtime.rdma.get("node01", "node00", 64 * KiB))
     big = _drive(env, runtime.rdma.get("node01", "node00", mib(16)))
     assert big > small * 10
 
@@ -290,10 +290,10 @@ def test_size_only_mode_moves_no_payload(two_node_cluster):
     consumer = runtime.consumer("node01", "c")
 
     def flow():
-        yield from producer.produce("/dyad/s", kib(10))
+        yield from producer.produce("/dyad/s", 10 * KiB)
         record, data = yield from consumer.consume("/dyad/s")
         return record, data
 
     record, data = _drive(env, flow())
-    assert record.size == kib(10)
+    assert record.size == 10 * KiB
     assert data is None

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import scenarios
 from repro.experiments.claims import CLAIMS
-from repro.experiments.figures import run_figures
+from repro.experiments.figures import GRID, run_plan
 
 
 @pytest.fixture(scope="session")
@@ -18,7 +18,7 @@ def scenario_report():
 def quick_figures():
     """Every paper figure run once at its pinned reduced configuration,
     keyed by registry name; shared by the claim-band and structure tests."""
-    return run_figures(quick=True)
+    return run_plan({row.name: row.plan(quick=True) for row in GRID})
 
 
 @pytest.fixture(scope="session")

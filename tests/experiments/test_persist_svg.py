@@ -1,20 +1,9 @@
-"""Tests for result persistence/regression-diff and SVG rendering."""
-
-import json
+"""Tests for the SVG rendering of figure results."""
 
 import pytest
 
 from repro.errors import ReproError
 from repro.experiments.common import Cell, FigureResult, Stat
-from repro.experiments.persist import (
-    compare_figures,
-    figure_from_dict,
-    figure_to_dict,
-    load_campaign,
-    load_figure,
-    save_campaign,
-    save_figure,
-)
 from repro.experiments.svgplot import BarChart, render_figure_svg, save_figure_svg
 
 
@@ -38,83 +27,6 @@ def make_figure(scale=1.0, figure_id="FigT"):
         xs=[1, 2], systems=["dyad", "lustre"], cells=cells,
         runs=2, frames=16, notes=["a note"],
     )
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-
-def test_roundtrip_dict():
-    fig = make_figure()
-    clone = figure_from_dict(figure_to_dict(fig))
-    assert clone.figure_id == fig.figure_id
-    assert clone.xs == fig.xs and clone.systems == fig.systems
-    for x in fig.xs:
-        for system in fig.systems:
-            assert (clone.cell(x, system).consumption_movement.mean
-                    == fig.cell(x, system).consumption_movement.mean)
-    assert clone.notes == fig.notes
-
-
-def test_roundtrip_file(tmp_path):
-    fig = make_figure()
-    path = tmp_path / "figt.json"
-    save_figure(fig, path)
-    loaded = load_figure(path)
-    assert loaded.ratio("consumption_movement", "lustre", "dyad") == \
-        fig.ratio("consumption_movement", "lustre", "dyad")
-    # file is plain JSON
-    payload = json.loads(path.read_text())
-    assert payload["figure_id"] == "FigT"
-
-
-def test_bad_format_rejected():
-    with pytest.raises(ReproError, match="format"):
-        figure_from_dict({"format": 999})
-
-
-def test_compare_no_regressions_on_identical():
-    assert compare_figures(make_figure(), make_figure()) == []
-
-
-def test_compare_flags_moved_metrics():
-    before, after = make_figure(), make_figure(scale=2.0)
-    regressions = compare_figures(before, after, rel_tolerance=0.25)
-    assert regressions
-    moved = {r.metric for r in regressions}
-    assert "consumption_movement" in moved
-    assert all(r.factor == pytest.approx(2.0) for r in regressions
-               if r.metric == "consumption_movement")
-    assert "FigT" in str(regressions[0])
-
-
-def test_compare_respects_tolerance():
-    before, after = make_figure(), make_figure(scale=1.1)
-    assert compare_figures(before, after, rel_tolerance=0.25) == []
-    assert compare_figures(before, after, rel_tolerance=0.05)
-
-
-def test_compare_grid_mismatch_rejected():
-    a = make_figure()
-    b = make_figure()
-    b.xs = [1, 2, 4]
-    with pytest.raises(ReproError, match="grid"):
-        compare_figures(a, b)
-
-
-def test_campaign_roundtrip(tmp_path):
-    figs = [make_figure(figure_id="FigA"), make_figure(figure_id="FigB")]
-    paths = save_campaign(figs, tmp_path / "campaign")
-    assert len(paths) == 2
-    loaded = load_campaign(tmp_path / "campaign")
-    assert set(loaded) == {"FigA", "FigB"}
-
-
-def test_load_campaign_empty_dir(tmp_path):
-    (tmp_path / "empty").mkdir()
-    with pytest.raises(ReproError):
-        load_campaign(tmp_path / "empty")
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ def test_a_report_plan_runs_each_distinct_task_once(monkeypatch):
 
     monkeypatch.setattr(figures, "run_campaign", record)
     with campaign(cache=False), pytest.raises(_Planned):
-        figures.run_figures(quick=True, runs=2)
+        figures.run_plan({row.name: row.plan(runs=2, quick=True)
+                          for row in figures.GRID})
     (tasks,) = calls
     # 88 repetitions across the eight figures, 12 of them shared
     assert len(tasks) == 76
@@ -122,7 +123,7 @@ def test_cell_less_plans_start_no_campaign(monkeypatch):
 
 def test_report_plans_figures_and_ablations_together(monkeypatch):
     tasks = _planned_tasks(
-        monkeypatch, lambda: report.build_report(quick=True, runs=2))
+        monkeypatch, lambda: report._run(2, None, True))
     keys = {task.key() for task in tasks}
     ablation_keys = {task.key()
                      for reps in ablations.plan(quick=True, runs=2)
@@ -166,7 +167,8 @@ def test_parallel_plan_matches_serial_on_one_pool(monkeypatch,
 
     monkeypatch.setattr(pool_mod.WorkerPool, "_start_pool", counted)
     with campaign(jobs=2, cache=False):
-        parallel = figures.run_figures(quick=True)
+        parallel = figures.run_plan({row.name: row.plan(quick=True)
+                                     for row in figures.GRID})
     assert len(starts) == 1
     for name, fig in quick_figures.items():
         assert parallel[name].render() == fig.render(), name
@@ -177,7 +179,7 @@ def test_report_is_byte_identical_at_one_and_two_jobs(monkeypatch):
     texts = []
     for jobs in (1, 2):
         with campaign(jobs=jobs, cache=False):
-            texts.append(report.build_report(quick=True, runs=2, frames=2))
+            texts.append(report._render(report._run(2, 2, True), 2, 2, True))
     assert texts[0] == texts[1]
 
 

@@ -149,7 +149,7 @@ def test_claims_table_rendering():
 
 
 def test_report_header_is_reproducible():
-    text = report.build_report(quick=True)
+    text = report._render(report._run(None, None, True), None, None, True)
     header = text.split("## ", 1)[0]
     assert "`python -m repro.experiments report --quick`" in header
     assert not re.search(r"\d{4}-\d{2}-\d{2}", header), header

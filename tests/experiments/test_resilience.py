@@ -126,7 +126,8 @@ def test_build_plan_scales_with_intensity(system):
     spec = resilience._spec(system, frames=8)
     mild, _ = resilience.build_plan(system, 0.1, spec)
     harsh, config = resilience.build_plan(system, 0.5, spec)
-    assert not mild.is_trivial and not harsh.is_trivial
+    for plan in (mild, harsh):  # each injects something
+        assert plan.events or plan.transfer_fault_rate > 0
     assert repr(mild) != repr(harsh)  # distinct cache keys per intensity
     if system is System.DYAD:
         # the retry budget must outlast the planned downtime

@@ -113,15 +113,6 @@ def test_overlap_on_distinct_targets_or_kinds_allowed():
     ))
 
 
-def test_is_trivial():
-    assert FaultPlan().is_trivial
-    assert FaultPlan(max_events=5).is_trivial  # watchdog-only
-    assert not FaultPlan(transfer_fault_rate=0.1).is_trivial
-    assert not FaultPlan(
-        events=(FaultEvent("link_flap", at=0.0, duration=1.0),)
-    ).is_trivial
-
-
 # ---------------------------------------------------------------------------
 # serialization / identity
 # ---------------------------------------------------------------------------

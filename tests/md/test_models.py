@@ -5,10 +5,12 @@ import pytest
 from repro.md.models import (
     APOA1,
     F1_ATPASE,
+    FRAME_HEADER_BYTES,
     JAC,
     MODELS,
     STMV,
     TARGET_FREQUENCY,
+    frame_size,
     model_by_name,
 )
 from repro.units import KiB, MiB
@@ -65,9 +67,15 @@ def test_stride_for_frequency_validation():
 
 def test_stride_time_and_steps():
     assert JAC.stride_time(880) == pytest.approx(880 / 1072.92)
-    assert JAC.steps_for_frames(128, 880) == 112_640
     with pytest.raises(ValueError):
         JAC.stride_time(0)
+
+
+def test_frame_size_formula():
+    assert frame_size(0) == FRAME_HEADER_BYTES == 44
+    assert frame_size(10) == 44 + 280
+    with pytest.raises(ValueError):
+        frame_size(-1)
 
 
 def test_data_ratio_stmv_over_jac():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import PerfError
 from repro.perf.calltree import CallTree, CallTreeNode
 
 
@@ -60,44 +59,6 @@ def test_total_by_category_uses_exclusive():
     assert tree.total_by_category("idle") == pytest.approx(3.0)
 
 
-def test_merge_sums_numeric_and_keeps_category():
-    a = make_tree()
-    b = make_tree()
-    a.merge(b)
-    assert a.find("consume").time == 20.0
-    assert a.find("consume").count == 4
-    assert a.find("consume").category == "movement"
-
-
-def test_merge_category_clash_raises():
-    a = make_tree()
-    b = make_tree()
-    b.find("consume").metrics["category"] = "idle"
-    with pytest.raises(PerfError):
-        a.merge(b)
-
-
-def test_merge_clash_leaves_target_unchanged():
-    a = make_tree()
-    b = make_tree()
-    # enrich b so a partial merge would be visible in several places
-    b.find("read").add_metric("time", 7.0)
-    b.node("extra").add_metric("time", 1.0)
-    b.find("consume", "fetch").metrics["category"] = "movement"  # clashes
-    before = a.to_dict()
-    with pytest.raises(PerfError):
-        a.merge(b)
-    # the clash is detected before any mutation: a is bit-identical
-    assert a.to_dict() == before
-
-
-def test_copy_is_deep():
-    a = make_tree()
-    b = a.copy()
-    b.find("consume").add_metric("time", 100.0)
-    assert a.find("consume").time == 10.0
-
-
 def test_flat_mapping():
     flat = make_tree().flat("time")
     assert flat[("consume",)] == 10.0
@@ -126,40 +87,3 @@ def test_walk_order_deterministic():
     tree.node("a", "y")
     names = [n.name for n in tree.nodes()]
     assert names == ["a", "y", "z", "b"]
-
-
-def test_diff_trees_ratios():
-    from repro.perf.calltree import diff_trees
-
-    a = make_tree()          # consume=10, fetch=3, read=5
-    b = make_tree()
-    b.find("consume").metrics["time"] = 5.0
-    b.find("read").metrics["time"] = 5.0
-    diff = diff_trees(a, b)
-    assert diff.find("consume").metrics["ratio"] == pytest.approx(2.0)
-    assert diff.find("read").metrics["ratio"] == pytest.approx(1.0)
-    assert diff.find("consume").metrics["lhs"] == 10.0
-    assert diff.find("consume").category == "movement"
-
-
-def test_diff_trees_category_falls_back_to_rhs():
-    from repro.perf.calltree import diff_trees
-
-    a = make_tree()
-    a.find("consume").metrics.pop("category")
-    b = make_tree()  # still categorizes consume as movement
-    diff = diff_trees(a, b)
-    assert diff.find("consume").category == "movement"
-    # read has no category on either side: none invented
-    assert diff.find("read").category is None
-
-
-def test_diff_trees_missing_nodes():
-    from repro.perf.calltree import diff_trees
-
-    a = make_tree()
-    b = CallTree()
-    b.node("only_b").add_metric("time", 2.0)
-    diff = diff_trees(a, b)
-    assert diff.find("consume").metrics["ratio"] == float("inf")
-    assert diff.find("only_b").metrics["ratio"] == 0.0

@@ -41,19 +41,12 @@ def test_filter_by_predicate(ensemble):
     assert len(late) == 1
 
 
-def test_groupby(ensemble):
-    groups = ensemble.groupby("role")
-    assert set(groups) == {"consumer", "producer"}
-    assert len(groups["consumer"]) == 2
-
-
 def test_stats_mean_std(ensemble):
     stats = ensemble.filter(role="consumer").stats("time")
     consume = stats[("consume",)]
     assert consume.n == 2
     assert consume.mean == pytest.approx(2.0)
     assert consume.std == pytest.approx(2 ** 0.5)  # ddof=1 over [1, 3]
-    assert consume.minimum == 1.0 and consume.maximum == 3.0
     assert consume.total == 4.0
 
 
@@ -89,12 +82,6 @@ def test_aggregate_invalid_how(ensemble):
         ensemble.aggregate("median")
 
 
-def test_mean_total(ensemble):
-    consumers = ensemble.filter(role="consumer")
-    assert consumers.mean_total("time") == pytest.approx((3.0 + 7.0) / 2)
-    assert consumers.mean_total(category="movement") == pytest.approx(2.0)
-
-
 def test_query_over_composite(ensemble):
     nodes = ensemble.query("**/consume")
     assert [n.name for n in nodes] == ["consume"]
@@ -109,33 +96,5 @@ def test_extend(ensemble):
 
 def test_empty_thicket_behaviour():
     th = Thicket()
-    assert th.mean_total() == 0.0
+    assert len(th) == 0
     assert th.stats() == {}
-
-
-def test_to_table_columns(ensemble):
-    table = ensemble.to_table("time")
-    n_rows = len(table["path"])
-    # 3 trees x 2 paths each
-    assert n_rows == 6
-    assert set(table) == {"path", "time", "role", "run"}
-    assert all(len(col) == n_rows for col in table.values())
-    # rows carry the right tags
-    consumer_rows = [i for i, r in enumerate(table["role"])
-                     if r == "consumer"]
-    assert len(consumer_rows) == 4
-
-
-def test_to_table_roundtrip_through_csv(ensemble, tmp_path):
-    import csv
-
-    table = ensemble.to_table()
-    path = tmp_path / "thicket.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.keys())
-        writer.writerows(zip(*table.values()))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(table.keys())
-    assert len(rows) == 1 + len(table["path"])

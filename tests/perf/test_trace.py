@@ -79,21 +79,6 @@ def test_duplicate_process_rejected(tracer):
         tracer.annotator("p")
 
 
-def test_concurrency_counting(tracer, clock):
-    a = tracer.annotator("a")
-    b = tracer.annotator("b")
-    a.begin("io")
-    clock.now = 1.0
-    b.begin("io")
-    clock.now = 2.0
-    a.end("io")
-    clock.now = 3.0
-    b.end("io")
-    assert tracer.concurrency("io", 1.5) == 2
-    assert tracer.concurrency("io", 2.5) == 1
-    assert tracer.concurrency("io", 5.0) == 0
-
-
 def test_overlap_metric(tracer, clock):
     a = tracer.annotator("a")
     b = tracer.annotator("b")

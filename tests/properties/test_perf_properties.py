@@ -1,12 +1,10 @@
 """Property-based tests for the perf-tooling invariants."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.calltree import CallTree, diff_trees
+from repro.perf.calltree import CallTree
 from repro.perf.thicket import Thicket
 
 name_st = st.text(alphabet="abcde_", min_size=1, max_size=5)
@@ -23,12 +21,8 @@ def labelled_trees(draw, n_min=1, n_max=6):
         tree = CallTree()
         for path in paths:
             node = tree.node(*path)
-            # subnormals excluded: 5e-324 * 1.5 rounds to exactly 2x,
-            # which would falsify the scaling property for float reasons
-            # unrelated to the code under test
             node.add_metric(
-                "time", draw(st.floats(min_value=0.0, max_value=100.0,
-                                       allow_subnormal=False))
+                "time", draw(st.floats(min_value=0.0, max_value=100.0))
             )
         trees.append(tree)
     return trees
@@ -37,7 +31,7 @@ def labelled_trees(draw, n_min=1, n_max=6):
 @given(labelled_trees())
 @settings(max_examples=50, deadline=None)
 def test_thicket_stats_match_numpy(trees):
-    """Thicket per-path mean/std/min/max equal direct numpy reductions."""
+    """Thicket per-path mean/std equal direct numpy reductions."""
     th = Thicket()
     for i, tree in enumerate(trees):
         th.add(tree, run=i)
@@ -46,8 +40,6 @@ def test_thicket_stats_match_numpy(trees):
         values = np.array([t.flat("time")[path] for t in trees])
         assert node_stats.n == len(trees)
         assert node_stats.mean == float(np.mean(values))
-        assert node_stats.minimum == float(np.min(values))
-        assert node_stats.maximum == float(np.max(values))
         if len(values) > 1:
             assert abs(node_stats.std - float(np.std(values, ddof=1))) < 1e-9
 
@@ -62,41 +54,3 @@ def test_aggregate_mean_equals_stats_mean(trees):
     composite = th.aggregate("mean")
     for path, node_stats in th.stats("time").items():
         assert abs(composite.find(*path).time - node_stats.mean) < 1e-9
-
-
-@given(labelled_trees(n_min=1, n_max=1))
-@settings(max_examples=50, deadline=None)
-def test_diff_with_self_is_unity(trees):
-    """diff(a, a) has ratio 1 (or 0/0 -> 0) on every node."""
-    tree = trees[0]
-    diff = diff_trees(tree, tree)
-    for node in diff.nodes():
-        if "ratio" not in node.metrics:
-            continue  # structural intermediate node
-        if node.metrics["lhs"] == 0.0:
-            assert node.metrics["ratio"] == 0.0
-        else:
-            assert abs(node.metrics["ratio"] - 1.0) < 1e-12
-
-
-@given(labelled_trees(n_min=2, n_max=2),
-       st.floats(min_value=0.1, max_value=10.0))
-@settings(max_examples=50, deadline=None)
-def test_diff_scaling_property(trees, factor):
-    """Scaling the numerator scales every finite ratio by the same factor."""
-    a, b = trees
-    scaled = a.copy()
-    for node in scaled.nodes():
-        if "time" in node.metrics:
-            node.metrics["time"] *= factor
-    base = diff_trees(a, b)
-    scaled_diff = diff_trees(scaled, b)
-    for node in base.nodes():
-        ratio = node.metrics.get("ratio")
-        if ratio is None or ratio in (0.0, float("inf")):
-            continue
-        expected = ratio * factor
-        if not math.isfinite(expected):
-            continue  # near-overflow ratios: the product leaves float range
-        scaled_ratio = scaled_diff.find(*node.path()).metrics["ratio"]
-        assert abs(scaled_ratio - expected) < 1e-6 * max(1.0, expected)

@@ -5,16 +5,20 @@ arithmetic and draws each standard normal with its own PCG64 step and
 ziggurat. The reference here is the straightforward construction it
 replaces: one
 ``default_rng(SeedSequence(seed, spawn_key=(fnv1a(name),)))`` per name and
-one scalar ``lognormal(mu, sigma)`` per sample, with ``mu``/``sigma``
-computed by numpy's ufuncs (``jitter`` uses ``math``; the two agree on
-every pair below). Equality is bit for bit.
+one scalar ``lognormal(mu, sigma)`` per sample. Both sides take
+``mu``/``sigma`` from :func:`repro.sim.rng._lognormal_params` (the C
+library's ``log1p``/``log``/``sqrt``): numpy's ufuncs pick a SIMD kernel
+by CPU and may round those differently, which would test numpy's
+logarithms rather than the draws. Equality is bit for bit.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from repro.sim.rng import RngStreams, _child_state, _root_pool, _stable_hash
+from repro.sim.rng import (
+    RngStreams, _child_state, _lognormal_params, _root_pool, _stable_hash,
+)
 
 NAMES = ("fabric.latency", "lustre.mds", "pair0.frame0", "pair31.frame63",
          "node00.ssd.wlat", "")
@@ -43,9 +47,8 @@ class Reference:
             gen = self.gens[name] = np.random.default_rng(
                 np.random.SeedSequence(self.seed,
                                        spawn_key=(_stable_hash(name),)))
-        sigma2 = np.log1p(cv * cv)
-        mu = np.log(mean) - 0.5 * sigma2
-        return float(gen.lognormal(mu, np.sqrt(sigma2)))
+        mu, sigma = _lognormal_params(mean, cv)
+        return float(gen.lognormal(mu, sigma))
 
 
 @given(seed=seeds,

@@ -136,9 +136,11 @@ def test_batch_admission_matches_sequential_semantics():
         except AdmissionError as exc:
             expected.append(exc.reason)
     assert [o.reason if o else None for o in outcomes] == expected
-    batched_order = [r.job_id for r in batched.next_batch(100)]
-    sequential_order = [r.job_id for r in sequential.next_batch(100)]
-    assert batched_order == sequential_order
+    def dispatch_order(queue):
+        return [record.job_id
+                for record in iter(queue.next_job, None)]
+
+    assert dispatch_order(batched) == dispatch_order(sequential)
 
 
 def test_batch_admission_preserves_weighted_fair_share():

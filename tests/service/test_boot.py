@@ -26,7 +26,7 @@ from repro.service.worker import PRELOAD
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: each lazily re-exporting package and the names it has always exported
+#: each lazily re-exporting package and the names it exports
 PACKAGES = {
     "repro": [
         "ReproError", "APOA1", "F1_ATPASE", "JAC", "MODELS", "STMV",
@@ -34,23 +34,21 @@ PACKAGES = {
         "run_repetitions", "run_workflow", "__version__",
     ],
     "repro.md": [
-        "ATOM_DTYPE", "FRAME_HEADER_BYTES", "Frame", "frame_size", "APOA1",
-        "F1_ATPASE", "JAC", "MODELS", "STMV", "MolecularModel",
-        "model_by_name",
+        "FRAME_HEADER_BYTES", "frame_size", "APOA1", "F1_ATPASE", "JAC",
+        "MODELS", "STMV", "MolecularModel", "model_by_name",
     ],
     "repro.experiments": ["EXPERIMENTS", "get_experiment", "run_all"],
     "repro.perf": [
         "Annotator", "Caliper", "Category", "CallTree", "CallTreeNode",
-        "diff_trees", "parse_query", "query", "Thicket", "SpeedupEstimate",
-        "bootstrap_speedup", "SpanEvent", "Tracer", "TracingAnnotator",
-        "Counter", "Gauge", "MetricsTimeline", "merge_chrome_trace",
-        "write_chrome_trace",
+        "parse_query", "query", "Thicket", "SpanEvent", "Tracer",
+        "TracingAnnotator", "Counter", "Gauge", "MetricsTimeline",
+        "merge_chrome_trace", "write_chrome_trace",
     ],
     "repro.faults": ["FaultPlan", "FaultEvent", "FaultInjector",
                      "FAULT_KINDS"],
     "repro.sim": [
-        "AllOf", "AnyOf", "Environment", "Event", "Process", "Timeout",
-        "Resource", "SharedBandwidth", "Signal", "Store", "RngStreams",
+        "AllOf", "Environment", "Event", "Process", "Timeout",
+        "Resource", "SharedBandwidth", "Signal", "RngStreams",
     ],
     "repro.workflow": ["WorkflowResult", "run_workflow", "run_repetitions",
                        "Placement", "System", "WorkflowSpec"],
@@ -64,8 +62,7 @@ PACKAGES = {
         "PayloadSegment", "QUEUED", "RETRYABLE", "RUNNING", "ServerConfig",
         "ServiceClient", "SharedResultStore", "SheddingPolicy",
         "StoredResult", "SyncServiceClient", "build_job_pool",
-        "iter_events", "percentile", "replay_events", "run_delivery",
-        "run_load",
+        "iter_events", "percentile", "run_delivery", "run_load",
     ],
 }
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.errors import JournalError
-from repro.service.journal import Journal, replay_events
+from repro.service.journal import Journal, iter_events
 
 
 def _events(n):
@@ -14,7 +14,7 @@ def _events(n):
 
 
 def test_missing_file_is_a_fresh_server(tmp_path):
-    assert replay_events(str(tmp_path / "nope.jsonl")) == []
+    assert list(iter_events(str(tmp_path / "nope.jsonl"))) == []
 
 
 def test_append_replay_round_trip(tmp_path):
@@ -23,7 +23,7 @@ def test_append_replay_round_trip(tmp_path):
     for event in _events(3):
         journal.append(event)
     journal.close()
-    assert replay_events(path) == _events(3)
+    assert list(iter_events(path)) == _events(3)
 
 
 def test_torn_final_line_is_dropped(tmp_path):
@@ -34,7 +34,7 @@ def test_torn_final_line_is_dropped(tmp_path):
     journal.close()
     with open(path, "a") as fh:
         fh.write('{"ev": "done", "id": "jo')  # crash mid-append
-    assert replay_events(path) == _events(2)
+    assert list(iter_events(path)) == _events(2)
 
 
 def test_torn_final_line_with_newline_is_dropped(tmp_path):
@@ -44,7 +44,7 @@ def test_torn_final_line_with_newline_is_dropped(tmp_path):
     journal.close()
     with open(path, "a") as fh:
         fh.write('{"ev": "done", "id"\n')
-    assert replay_events(path) == _events(1)
+    assert list(iter_events(path)) == _events(1)
 
 
 def test_interior_corruption_raises(tmp_path):
@@ -54,7 +54,7 @@ def test_interior_corruption_raises(tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(JournalError, match="corrupt journal record"):
-        replay_events(path)
+        list(iter_events(path))
 
 
 def test_non_record_line_raises(tmp_path):
@@ -62,7 +62,7 @@ def test_non_record_line_raises(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"no_ev_field": 1}\n')
     with pytest.raises(JournalError, match="not a journal record"):
-        replay_events(path)
+        list(iter_events(path))
 
 
 def test_compact_rewrites_atomically_and_keeps_appending(tmp_path):
@@ -73,7 +73,7 @@ def test_compact_rewrites_atomically_and_keeps_appending(tmp_path):
     journal.compact(_events(2))
     journal.append({"ev": "done", "id": "job-0"})
     journal.close()
-    assert replay_events(path) == _events(2) + [{"ev": "done", "id": "job-0"}]
+    assert list(iter_events(path)) == _events(2) + [{"ev": "done", "id": "job-0"}]
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
@@ -87,14 +87,12 @@ def test_append_after_close_raises(tmp_path):
 # -- streaming replay ------------------------------------------------------
 
 def test_iter_events_streams_what_replay_returns(tmp_path):
-    from repro.service.journal import iter_events
-
     path = str(tmp_path / "j.jsonl")
     journal = Journal(path)
     for event in _events(4):
         journal.append(event)
     journal.close()
-    assert list(iter_events(path)) == replay_events(path)
+    assert list(iter_events(path)) == _events(4)
     assert list(iter_events(str(tmp_path / "nope.jsonl"))) == []
 
 
@@ -131,7 +129,7 @@ def test_group_commit_amortizes_fsyncs(tmp_path):
     assert appended == 50
     # 50 concurrent commits share a handful of windows, not 50 fsyncs
     assert syncs < 10
-    assert sorted(e["id"] for e in replay_events(str(tmp_path / "j.jsonl"))
+    assert sorted(e["id"] for e in iter_events(str(tmp_path / "j.jsonl"))
                   ) == sorted(e["id"] for e in _events(50))
 
 
@@ -140,7 +138,7 @@ def test_commit_is_a_durability_barrier(tmp_path):
     # re-readable from disk — no ack-before-durable window
     async def body(journal, committer):
         await committer.commit({"ev": "submit", "id": "job-0"})
-        return replay_events(str(tmp_path / "j.jsonl"))
+        return list(iter_events(str(tmp_path / "j.jsonl")))
 
     events = _run_committer(tmp_path, body)
     assert {"ev": "submit", "id": "job-0"} in events
@@ -149,7 +147,7 @@ def test_commit_is_a_durability_barrier(tmp_path):
 def test_commit_batch_is_one_barrier_for_many_events(tmp_path):
     async def body(journal, committer):
         await committer.commit_batch(_events(5))
-        return replay_events(str(tmp_path / "j.jsonl"))
+        return list(iter_events(str(tmp_path / "j.jsonl")))
 
     assert _run_committer(tmp_path, body) == _events(5)
 
@@ -161,7 +159,7 @@ def test_enqueued_events_are_flushed_on_stop(tmp_path):
         # no barrier awaited: stop() must still drain them durably
 
     _run_committer(tmp_path, body)
-    assert replay_events(str(tmp_path / "j.jsonl")) == _events(3)
+    assert list(iter_events(str(tmp_path / "j.jsonl"))) == _events(3)
 
 
 def test_committer_falls_back_to_synchronous_append_when_stopped(tmp_path):
@@ -179,7 +177,7 @@ def test_committer_falls_back_to_synchronous_append_when_stopped(tmp_path):
         journal.close()
 
     asyncio.run(scenario())
-    assert [e["id"] for e in replay_events(str(tmp_path / "j.jsonl"))
+    assert [e["id"] for e in iter_events(str(tmp_path / "j.jsonl"))
             ] == ["job-0", "job-1"]
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import DeadlockError, Interrupt, SimulationError
-from repro.sim.core import AllOf, AnyOf, Environment, Event, Timeout
+from repro.errors import DeadlockError, SimulationError
+from repro.sim.core import AllOf, Environment, Event, Timeout
 
 
 def test_clock_starts_at_zero(env):
@@ -218,55 +218,6 @@ def test_peek_empty_is_inf(env):
     assert env.peek() == float("inf")
 
 
-def test_interrupt_delivers_cause(env):
-    caught = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            caught.append((env.now, exc.cause))
-
-    def attacker(proc):
-        yield env.timeout(2.0)
-        proc.interrupt(cause="stop now")
-
-    victim_proc = env.process(victim())
-    env.process(attacker(victim_proc))
-    env.run()
-    assert caught == [(2.0, "stop now")]
-
-
-def test_interrupt_finished_process_rejected(env):
-    def quick():
-        yield env.timeout(1.0)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_interrupted_process_can_continue(env):
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        log.append(env.now)
-
-    def attacker(proc):
-        yield env.timeout(5.0)
-        proc.interrupt()
-
-    env.process(attacker(env.process(victim())))
-    env.run()
-    assert log == [6.0]
-
-
 def test_all_of_waits_for_all(env):
     t1 = env.timeout(1.0, value="a")
     t2 = env.timeout(3.0, value="b")
@@ -307,20 +258,6 @@ def test_all_of_fails_fast(env):
     p = env.process(proc())
     env.run()
     assert p.value == 1.0
-
-
-def test_any_of_fires_on_first(env):
-    t1 = env.timeout(1.0, value="fast")
-    t2 = env.timeout(9.0, value="slow")
-
-    def proc():
-        result = yield env.any_of([t1, t2])
-        return list(result.values())
-
-    p = env.process(proc())
-    env.run(until=p)
-    assert p.value == ["fast"]
-    assert env.now == 1.0
 
 
 def test_condition_with_already_processed_events(env):
@@ -390,27 +327,6 @@ def test_failing_process_with_zero_waiters_surfaces_via_step(env):
 def test_failed_event_without_waiters_surfaces(env):
     env.event().fail(RuntimeError("unwatched failure"))
     with pytest.raises(RuntimeError, match="unwatched failure"):
-        env.run()
-
-
-def test_crash_after_any_of_triggered_surfaces(env):
-    """Regression: the old kernel re-raised only when the callback list was
-    empty, so a process crashing after its AnyOf already fired was silently
-    swallowed (its only callback, the condition's _check, returned early)."""
-
-    def quick():
-        yield env.timeout(1.0)
-        return "winner"
-
-    def crasher():
-        yield env.timeout(2.0)
-        raise RuntimeError("late crash")
-
-    def waiter():
-        yield env.any_of([env.process(quick()), env.process(crasher())])
-
-    env.process(waiter())
-    with pytest.raises(RuntimeError, match="late crash"):
         env.run()
 
 

@@ -1,10 +1,10 @@
-"""Unit tests for Resource, Store, Signal, and SharedBandwidth."""
+"""Unit tests for Resource, Signal, and SharedBandwidth."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment
-from repro.sim.resources import Resource, SharedBandwidth, Signal, Store
+from repro.sim.resources import Resource, SharedBandwidth, Signal
 
 
 # ---------------------------------------------------------------------------
@@ -15,9 +15,10 @@ from repro.sim.resources import Resource, SharedBandwidth, Signal, Store
 def test_resource_grants_up_to_capacity(env):
     res = Resource(env, capacity=2)
     r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered
-    assert not r3.triggered
     assert res.count == 2 and res.queue_len == 1
+    env.run()
+    assert r1.processed and r2.processed
+    assert not r3.processed
 
 
 def test_resource_release_wakes_fifo(env):
@@ -26,7 +27,8 @@ def test_resource_release_wakes_fifo(env):
     second = res.request()
     third = res.request()
     res.release(first)
-    assert second.triggered and not third.triggered
+    env.run()
+    assert second.processed and not third.processed
 
 
 def test_resource_release_queued_request_cancels(env):
@@ -70,89 +72,14 @@ def test_acquire_reports_queue_wait(env):
 
 def test_acquire_releases_on_failure(env):
     res = Resource(env, capacity=1)
-
-    def failer():
-        try:
-            yield from res.acquire(1.0)
-        finally:
-            pass
-
-    def normal():
-        yield from res.acquire(1.0)
-
-    # interrupt the holder mid-service; the resource must be released
-    holder = env.process(failer())
-
-    def attacker():
-        yield env.timeout(0.5)
-        holder.interrupt()
-
-    env.process(attacker())
-    env.process(normal())
-    with pytest.raises(Exception):
-        env.run()  # Interrupt propagates out of failer
-    # but the slot was released by acquire's finally
-    assert res.count <= 1
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-
-def test_store_put_then_get(env):
-    store = Store(env)
-    store.put("item")
-    got = store.get()
-    assert got.triggered and got.value == "item"
-    assert len(store) == 0
-
-
-def test_store_get_blocks_until_put(env):
-    store = Store(env)
-    got = []
-
-    def getter():
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def putter():
-        yield env.timeout(2.0)
-        store.put("late")
-
-    env.process(getter())
-    env.process(putter())
-    env.run()
-    assert got == [(2.0, "late")]
-
-
-def test_store_fifo_order(env):
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    assert store.get().value == 1
-    assert store.get().value == 2
-
-
-def test_store_getters_fifo(env):
-    store = Store(env)
-    order = []
-
-    def getter(name):
-        item = yield store.get()
-        order.append((name, item))
-
-    env.process(getter("a"))
-    env.process(getter("b"))
-
-    def putter():
-        yield env.timeout(1.0)
-        store.put(1)
-        store.put(2)
-
-    env.process(putter())
-    env.run()
-    assert order == [("a", 1), ("b", 2)]
+    holder = res.acquire(1.0)
+    next(holder)  # the request, granted at once
+    holder.send(None)  # now in service
+    assert res.count == 1
+    # a failure thrown into the holder mid-service releases the slot
+    with pytest.raises(RuntimeError):
+        holder.throw(RuntimeError("crashed mid-service"))
+    assert res.count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +223,8 @@ def test_per_flow_cap_many_flows_use_aggregate(env):
 def test_zero_byte_transfer_completes_immediately(env):
     chan = SharedBandwidth(env, bandwidth=10.0)
     ev = chan.transfer(0)
-    assert ev.triggered
+    env.run()
+    assert ev.processed and env.now == 0.0
 
 
 def test_negative_transfer_rejected(env):

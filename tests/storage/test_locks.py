@@ -11,28 +11,39 @@ def locks(env):
     return LockTable(env)
 
 
+def _grab(locks, path, mode, owner):
+    """The lock if ``acquire`` grants it without waiting, else ``None``
+    (the request then stays queued behind the holders)."""
+    request = locks.acquire(path, mode, owner)
+    try:
+        next(request)
+    except StopIteration as granted:
+        return granted.value
+    return None
+
+
 def test_shared_locks_coexist(env, locks):
-    a = locks.try_acquire("/f", LockMode.SHARED, "a")
-    b = locks.try_acquire("/f", LockMode.SHARED, "b")
+    a = _grab(locks, "/f", LockMode.SHARED, "a")
+    b = _grab(locks, "/f", LockMode.SHARED, "b")
     assert a is not None and b is not None
     assert len(locks.holders("/f")) == 2
 
 
 def test_exclusive_excludes_everything(env, locks):
-    ex = locks.try_acquire("/f", LockMode.EXCLUSIVE, "w")
+    ex = _grab(locks, "/f", LockMode.EXCLUSIVE, "w")
     assert ex is not None
-    assert locks.try_acquire("/f", LockMode.SHARED, "r") is None
-    assert locks.try_acquire("/f", LockMode.EXCLUSIVE, "w2") is None
+    assert _grab(locks, "/f", LockMode.SHARED, "r") is None
+    assert _grab(locks, "/f", LockMode.EXCLUSIVE, "w2") is None
 
 
 def test_shared_blocks_exclusive(env, locks):
-    locks.try_acquire("/f", LockMode.SHARED, "r")
-    assert locks.try_acquire("/f", LockMode.EXCLUSIVE, "w") is None
+    _grab(locks, "/f", LockMode.SHARED, "r")
+    assert _grab(locks, "/f", LockMode.EXCLUSIVE, "w") is None
 
 
 def test_locks_per_path_independent(env, locks):
-    assert locks.try_acquire("/a", LockMode.EXCLUSIVE, "x") is not None
-    assert locks.try_acquire("/b", LockMode.EXCLUSIVE, "y") is not None
+    assert _grab(locks, "/a", LockMode.EXCLUSIVE, "x") is not None
+    assert _grab(locks, "/b", LockMode.EXCLUSIVE, "y") is not None
 
 
 def test_blocking_acquire_waits_for_release(env, locks):
@@ -86,21 +97,6 @@ def test_fifo_fairness_writer_not_starved(env, locks):
     assert order == [("w", 1.0), ("s2", 2.0)]
 
 
-def test_try_acquire_respects_queue(env, locks):
-    lock = locks.try_acquire("/f", LockMode.SHARED, "a")
-
-    def writer():
-        got = yield from locks.acquire("/f", LockMode.EXCLUSIVE, "w")
-        locks.release(got)
-
-    env.process(writer())
-    env.run(until=0.0)
-    # a shared try while a writer queues must fail (fairness)
-    assert locks.try_acquire("/f", LockMode.SHARED, "b") is None
-    locks.release(lock)
-    env.run()
-
-
 def test_release_grants_multiple_shared(env, locks):
     got = []
 
@@ -122,7 +118,7 @@ def test_release_grants_multiple_shared(env, locks):
 
 
 def test_double_release_rejected(env, locks):
-    lock = locks.try_acquire("/f", LockMode.SHARED, "a")
+    lock = _grab(locks, "/f", LockMode.SHARED, "a")
     locks.release(lock)
     with pytest.raises(LockError):
         locks.release(lock)
@@ -136,7 +132,7 @@ def test_release_foreign_lock_rejected(env, locks):
 
 
 def test_queue_len_reporting(env, locks):
-    locks.try_acquire("/f", LockMode.EXCLUSIVE, "w")
+    _grab(locks, "/f", LockMode.EXCLUSIVE, "w")
 
     def waiter():
         yield from locks.acquire("/f", LockMode.SHARED, "r")
@@ -148,7 +144,7 @@ def test_queue_len_reporting(env, locks):
 
 
 def test_state_cleaned_up_after_full_release(env, locks):
-    lock = locks.try_acquire("/f", LockMode.SHARED, "a")
+    lock = _grab(locks, "/f", LockMode.SHARED, "a")
     locks.release(lock)
     assert locks.holders("/f") == []
     assert "/f" not in locks._paths

@@ -68,7 +68,8 @@ def test_overwrite_skips_extent_allocation(env, fs):
     def flow():
         h = yield from fs.open("/f", "w")
         yield from h.write(1000)
-        h.seek(0)
+        yield from h.close()
+        h = yield from fs.open("/f", "r+")  # at offset 0
         start = env.now
         yield from h.write(1000)  # no growth
         return env.now - start

@@ -13,14 +13,11 @@ def test_size_constants():
 
 
 def test_size_helpers_round():
-    assert units.kib(644.21) == round(644.21 * 1024)
     assert units.mib(2.46) == round(2.46 * 1024 ** 2)
-    assert units.gib(1) == 1024 ** 3
 
 
 def test_time_helpers():
     assert units.usec(10) == pytest.approx(1e-5)
-    assert units.msec(2) == pytest.approx(2e-3)
     assert units.to_usec(1e-6) == pytest.approx(1.0)
     assert units.to_msec(0.5) == pytest.approx(500.0)
 
@@ -30,16 +27,11 @@ def test_bandwidth_helpers():
     assert units.mb_per_s(350) == 3.5e8
 
 
-def test_transfer_time():
-    assert units.transfer_time(1000, 1000.0) == pytest.approx(1.0)
-    assert units.transfer_time(1000, 1000.0, latency=0.5) == pytest.approx(1.5)
-
-
 def test_fmt_bytes():
     assert units.fmt_bytes(512) == "512 B"
-    assert units.fmt_bytes(units.kib(644.21)) == "644.21 KiB"
+    assert units.fmt_bytes(round(644.21 * units.KiB)) == "644.21 KiB"
     assert units.fmt_bytes(units.mib(28.48)) == "28.48 MiB"
-    assert units.fmt_bytes(units.gib(2)) == "2.00 GiB"
+    assert units.fmt_bytes(2 * units.GiB) == "2.00 GiB"
 
 
 def test_fmt_time():

@@ -185,6 +185,46 @@ def test_pinned_runs_need_no_numpy(recorded):
                              recorded[name]["fingerprint"]], name
 
 
+#: ``python -m repro.workflow --system dyad --model jac --frames 16
+#: --pairs 2 --runs 2`` as the CLI printed it when its summary used
+#: ``np.mean``/``np.std``.
+WORKFLOW_CLI_STDOUT = """\
+running: dyad | JAC | stride=880 | pairs=2 | frames=16 | split (2 node(s)) (runs=2)
+metric (per frame)   | mean       | std over runs
+---------------------+------------+--------------
+production movement  | 263.041 us | 0.093 us     
+production idle      | 0.000 us   | 0.000 us     
+consumption movement | 0.764 ms   | 0.000 ms     
+consumption idle     | 56.194 ms  | 0.747 ms     
+consumption total    | 56.957 ms  | 0.747 ms     
+makespan             | 14.23 s    |              
+"""
+
+
+def test_workflow_cli_needs_no_numpy():
+    """``python -m repro.workflow`` prints its summary (means and
+    population stds over runs) in an interpreter where importing numpy
+    fails, exactly as it did with numpy."""
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.argv = ['repro.workflow', '--system', 'dyad', '--model', 'jac',"
+        " '--frames', '16', '--pairs', '2', '--runs', '2', '--jobs', '1']\n"
+        "try:\n"
+        "    runpy.run_module('repro.workflow', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == WORKFLOW_CLI_STDOUT
+
+
 def _refresh():
     entries = {}
     for name in sorted(tasks()):
