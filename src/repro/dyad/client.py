@@ -177,7 +177,7 @@ class DyadConsumerClient:
         delay = min(cfg.retry_backoff * (2.0 ** attempt), cfg.retry_backoff_cap)
         if cfg.retry_jitter > 0.0 and delay > 0.0:
             draw = self.runtime.cluster.rng.stream("dyad.retry").random()
-            delay *= 1.0 + cfg.retry_jitter * float(draw)
+            delay *= 1.0 + cfg.retry_jitter * draw
         return delay
 
     def _fetch(self, path: str, regions: _Regions,

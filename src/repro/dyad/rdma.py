@@ -40,9 +40,7 @@ class _FaultModel:
     def should_fail(self) -> bool:
         if self.fault_rate == 0.0 or self.rng is None:
             return False
-        failed = bool(
-            self.rng.stream("transport.fault").random() < self.fault_rate
-        )
+        failed = self.rng.stream("transport.fault").random() < self.fault_rate
         if failed:
             self.faults_injected += 1
         return failed

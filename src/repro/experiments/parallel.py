@@ -32,12 +32,9 @@ is bit-identical to ``jobs=1`` (asserted by
 
 from __future__ import annotations
 
-import hashlib
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
@@ -46,6 +43,18 @@ from repro.errors import CampaignError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.invariants import InvariantConfig
 from repro.workflow.spec import WorkflowSpec
+
+# The interpreter's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256``
+# before): hashlib would load OpenSSL, several MB in every process, for
+# one digest per result or cache key. hashlib is the fallback for builds
+# without either module.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 if TYPE_CHECKING:  # the runner loads the simulator; only workers need it
     from repro.workflow.runner import WorkflowResult
@@ -227,7 +236,11 @@ def _maybe_injected_worker_fault(seed: int) -> None:
     real signals against the executor.
     """
     fault_dir = os.environ.get("REPRO_WORKER_FAULT_DIR")
-    if not fault_dir or multiprocessing.parent_process() is None:
+    if not fault_dir:
+        return
+    import multiprocessing
+
+    if multiprocessing.parent_process() is None:
         return
 
     def _armed(kind: str, var: str) -> bool:
@@ -445,6 +458,7 @@ def _run_on_workers(tasks: List[RunTask], pending: List[int], workers: int,
     retried alone once the rest are done: a failure then is its own.
     """
     import asyncio
+    from concurrent.futures.process import BrokenProcessPool
 
     from repro.service.pool import WorkerPool
     from repro.service.worker import _execute_job
@@ -533,4 +547,9 @@ def result_fingerprint(result: WorkflowResult) -> str:
         return obj
 
     payload = json.dumps(_floats(_canonical(result)), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256_hex(payload)
+
+
+def _sha256_hex(text: str) -> str:
+    """Hex SHA-256 of ``text``'s UTF-8 bytes (with ``_sha256`` above)."""
+    return _sha256(text.encode("utf-8")).hexdigest()

@@ -19,7 +19,6 @@ computed; the server only moves the bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
@@ -29,6 +28,7 @@ import zlib
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
+from repro.experiments.parallel import _sha256_hex
 
 __all__ = [
     "ResultCache",
@@ -195,7 +195,7 @@ class ResultCache:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return _sha256_hex(material)
 
     def path(self, key: str) -> str:
         """On-disk location of one entry (sharded by key prefix)."""

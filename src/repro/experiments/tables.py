@@ -74,7 +74,7 @@ class TablesResult:
                   self.table1, title="Table I: targeted molecular models"),
             table(["Name", "Steps/second", "ms/step", "Stride", "Frequency (s)"],
                   self.table2, title="Table II: stride for each molecular model"),
-            table(["Name", "Atoms", "Codec frame", "Paper frame", "Deviation"],
+            table(["Name", "Atoms", "Frame size", "Paper frame", "Deviation"],
                   self.fig3, title="Fig. 3 context: model size vs frame size"),
         ])
 

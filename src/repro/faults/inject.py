@@ -179,7 +179,7 @@ class FaultInjector:
         """
         if self._corrupt_gen is None:
             self._corrupt_gen = self.cluster.rng.stream("faults.bit_corrupt")
-        return float(self._corrupt_gen.random())
+        return self._corrupt_gen.random()
 
     # -- composed-state transitions ------------------------------------------
     def _drop_broker_watches(self, node_id: str) -> None:

@@ -161,19 +161,6 @@ class CallTree:
 
         return {"label": self.label, "tree": _node(self.root)}
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CallTree":
-        """Inverse of :meth:`to_dict`."""
-        tree = cls(payload.get("label", ""))
-
-        def _load(dst: CallTreeNode, src: Dict[str, Any]) -> None:
-            dst.metrics.update(src.get("metrics", {}))
-            for child in src.get("children", []):
-                _load(dst.child(child["name"]), child)
-
-        _load(tree.root, payload["tree"])
-        return tree
-
     def render(self, metric: str = "time", unit: float = 1.0, fmt: str = "{:.3f}") -> str:
         """ASCII rendering of the tree (Thicket-style, cf. Figs. 9-10)."""
         lines: List[str] = [self.label or "<calltree>"]

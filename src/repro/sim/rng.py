@@ -10,24 +10,26 @@ reproducible across platforms.
 
 Two ways to draw, one per stream name:
 
-- :meth:`RngStreams.stream` hands out that numpy ``Generator`` itself, for
-  the few consumers that need arbitrary distributions (fault decisions,
-  retry draws). numpy is imported on the first such call only.
-- :meth:`RngStreams.jitter` is the hot path of every timed operation and
-  needs no numpy at all. The seed's entropy pool is mixed once per family;
-  each name's PCG64 ``(state, inc)`` is then derived in integer arithmetic
-  (exactly what ``SeedSequence.generate_state`` and PCG64 seeding
-  compute). Each sample steps that state once (more only when the
-  ziggurat rejects) and turns the 64-bit output into a standard normal
-  with numpy's 256-strip ziggurat (its tables close this module), so
-  nothing is drawn ahead. ``(mu, sigma)`` come from ``math``, which
-  calls the C library as numpy's scalar code does; numpy's vectorised
-  ufuncs are dispatched by CPU and may round differently. numpy's
-  lognormal is ``exp(mu + sigma * z)``, so every sample is bit-identical
-  to calling ``lognormal(mu, sigma)`` once per sample on numpy's
-  generator. It depends only on Python ints and the C library's math,
-  not on numpy's version or the CPU's SIMD, and needs no numpy
-  installed.
+- :meth:`RngStreams.stream` hands out a handle whose ``random()`` is
+  numpy's ``Generator.random()`` on that stream (``next_double``: the top
+  53 bits of one PCG64 step), for the consumers that draw uniforms (fault
+  decisions, retry jitter).
+- :meth:`RngStreams.jitter` is the hot path of every timed operation.
+
+Neither needs numpy. The seed's entropy pool is mixed once per family;
+each name's PCG64 ``(state, inc)`` is then derived in integer arithmetic
+(exactly what ``SeedSequence.generate_state`` and PCG64 seeding
+compute). Each :meth:`~RngStreams.jitter` sample steps that state once
+(more only when the ziggurat rejects) and turns the 64-bit output into a
+standard normal with numpy's 256-strip ziggurat (its tables close this
+module), so nothing is drawn ahead. ``(mu, sigma)`` come from ``math``,
+which calls the C library as numpy's scalar code does; numpy's
+vectorised ufuncs are dispatched by CPU and may round differently.
+numpy's lognormal is ``exp(mu + sigma * z)``, so every sample is
+bit-identical to calling ``lognormal(mu, sigma)`` once per sample on
+numpy's generator. Both paths depend only on Python ints and the C
+library's math, not on numpy's version or the CPU's SIMD, and need no
+numpy installed.
 
 The two paths keep separate states, so one name may only ever use one of
 them; mixing them raises :class:`~repro.errors.SimulationError`.
@@ -37,12 +39,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["RngStreams"]
 
@@ -203,6 +202,19 @@ def _standard_normal(pcg: List[int]) -> float:
             return x
 
 
+class _Stream:
+    """What :meth:`RngStreams.stream` hands out: one name's uniform draws."""
+
+    __slots__ = ("_pcg",)
+
+    def __init__(self, pcg: List[int]) -> None:
+        self._pcg = pcg
+
+    def random(self) -> float:
+        """numpy's ``Generator.random()``: one double in ``[0, 1)``."""
+        return _next_double(self._pcg)
+
+
 class RngStreams:
     """A family of independent, named random streams."""
 
@@ -211,14 +223,15 @@ class RngStreams:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._pool, self._spawn = _root_pool(self.seed)
-        self._streams: Dict[str, np.random.Generator] = {}
+        #: the handle of every :meth:`stream` name
+        self._streams: Dict[str, _Stream] = {}
         #: PCG64 ``[state, inc]`` of every :meth:`jitter` stream
         self._states: Dict[str, List[int]] = {}
         #: ``(mu, sigma)`` per ``(mean, cv)`` drawn in this family
         self._lognormal: Dict[Tuple[float, float], Tuple[float, float]] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the generator for ``name``.
+    def stream(self, name: str) -> _Stream:
+        """Return (creating on first use) the uniform stream for ``name``.
 
         The same (seed, name) pair always yields the same sequence,
         regardless of creation order of other streams.
@@ -228,12 +241,8 @@ class RngStreams:
             if name in self._states:
                 raise SimulationError(
                     f"stream {name!r} is already drawn through jitter(); "
-                    "a raw generator would repeat its draws")
-            import numpy as np
-
-            gen = self._streams[name] = np.random.default_rng(
-                np.random.SeedSequence(self.seed,
-                                       spawn_key=(_stable_hash(name),)))
+                    "stream() would repeat its draws")
+            gen = self._streams[name] = _Stream(self._derive(name))
         return gen
 
     def jitter(self, name: str, mean: float, cv: float) -> float:
@@ -274,11 +283,14 @@ class RngStreams:
     def _new_state(self, name: str) -> List[int]:
         if name in self._streams:
             raise SimulationError(
-                f"stream {name!r} is already a raw generator from stream(); "
+                f"stream {name!r} is already drawn through stream(); "
                 "jitter() would repeat its draws")
-        pcg = self._states[name] = list(
-            _child_state(self._pool, self._spawn, _stable_hash(name)))
+        pcg = self._states[name] = self._derive(name)
         return pcg
+
+    def _derive(self, name: str) -> List[int]:
+        """A fresh PCG64 ``[state, inc]`` for stream ``name``."""
+        return list(_child_state(self._pool, self._spawn, _stable_hash(name)))
 
 
 @lru_cache(maxsize=2048)

@@ -8,8 +8,13 @@ seeds. Fingerprints hash every float via ``float.hex``, so even sub-ULP
 drift would fail these tests.
 """
 
+import importlib.util
+import json
 import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +28,7 @@ from repro.experiments.parallel import (
     run_campaign,
 )
 from repro.experiments.persist import ResultCache, default_cache_root
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.workflow.runner import run_repetitions, run_workflow
 from repro.workflow.spec import Placement, System, WorkflowSpec
 
@@ -267,3 +273,91 @@ def test_cache_env_default_off(tmp_path, monkeypatch):
 def test_default_cache_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
     assert default_cache_root() == str(tmp_path / "alt")
+
+
+# ---------------------------------------------------------------------------
+# one lean process: what a serial, uncached run loads, and its pinned keys
+# ---------------------------------------------------------------------------
+
+
+def lean_tasks():
+    """A clean task and a faulted DYAD task whose transfer faults, retry
+    backoff and ``bit_corrupt`` window each draw from their own stream."""
+    faulted = WorkflowSpec(system=System.DYAD, frames=4,
+                           placement=Placement.SPLIT)
+    plan = FaultPlan(events=(FaultEvent("bit_corrupt", at=0.0, target="0",
+                                        duration=2.0, rate=0.5),),
+                     transfer_fault_rate=0.3)
+    return [RunTask(FIG5_SPEC, seed=0, jitter_cv=0.05),
+            RunTask(faulted, seed=5, jitter_cv=0.05, fault_plan=plan)]
+
+
+#: ``RunTask.key()`` and ``result_fingerprint`` of :func:`lean_tasks`, as
+#: ``hashlib.sha256`` and numpy's generators computed them. A key change
+#: orphans every cache entry: bump ``_CACHE_SCHEMA`` on purpose instead.
+LEAN_KEYS = [
+    "8fce91b6524e71b7810396c3c0e5b199bcddda3308b72af3095fd0ff762ae331",
+    "a1f8bf055a1320c51913b2c29abe2d4a82d0c5da6be0b67e543a042a03f82a6c",
+]
+LEAN_FINGERPRINTS = [
+    "fe6c1a11fae8fe0d15976db4c382355e113aa99abec3ec056eeafb4d0e92c2ce",
+    "edc03f1c554d3aed372f10508571f7e55b24b64d97e342bd2a8f1cdb57f8d955",
+]
+#: modules a simulation process has no use for: numpy, OpenSSL (through
+#: hashlib) and the process-pool stack
+LEAN_BANNED = ("numpy", "_hashlib", "multiprocessing", "concurrent.futures",
+               "asyncio")
+
+
+def test_run_task_keys_are_pinned():
+    assert [task.key() for task in lean_tasks()] == LEAN_KEYS
+
+
+@pytest.mark.parametrize("text", ["", "abc", "Grüße, 分子動力学 ✓"])
+def test_sha256_hex_is_hashlib_sha256(text):
+    # imported here: the lean-process test below imports this module
+    import hashlib
+
+    expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert parallel._sha256_hex(text) == expected
+
+
+def test_serial_campaign_loads_no_numpy_openssl_or_pool():
+    """A fresh interpreter runs :func:`lean_tasks` serially and uncached,
+    fingerprints the results and keys the tasks, and has loaded none of
+    :data:`LEAN_BANNED` by the end."""
+    code = (
+        "import json, sys\n"
+        "from repro.experiments.parallel import (\n"
+        "    result_fingerprint, run_campaign)\n"
+        "from repro.sim.rng import RngStreams\n"
+        "from tests.experiments.test_parallel import LEAN_BANNED, lean_tasks\n"
+        "drawn = set()\n"
+        "stream = RngStreams.stream\n"
+        "RngStreams.stream = lambda self, name: (\n"
+        "    drawn.add(name) or stream(self, name))\n"
+        "tasks = lean_tasks()\n"
+        "results = run_campaign(tasks, jobs=1, use_cache=False)\n"
+        "print(json.dumps({\n"
+        "    'keys': [task.key() for task in tasks],\n"
+        "    'fingerprints': [result_fingerprint(r) for r in results],\n"
+        "    'drawn': sorted(drawn),\n"
+        "    'loaded': [m for m in LEAN_BANNED if m in sys.modules]}))\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["keys"] == LEAN_KEYS
+    assert got["fingerprints"] == LEAN_FINGERPRINTS
+    assert {"dyad.retry", "transport.fault",
+            "faults.bit_corrupt"} <= set(got["drawn"])
+    banned = set(LEAN_BANNED)
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        banned.discard("_hashlib")  # hashlib is the only sha256 there
+    assert banned.isdisjoint(got["loaded"]), got["loaded"]

@@ -65,12 +65,22 @@ def test_flat_mapping():
     assert flat[("consume", "fetch")] == 3.0
 
 
-def test_serialization_roundtrip():
-    tree = make_tree()
-    clone = CallTree.from_dict(tree.to_dict())
-    assert clone.flat("time") == tree.flat("time")
-    assert clone.find("consume").category == "movement"
-    assert clone.label == tree.label
+def test_to_dict_shape_is_pinned():
+    # result fingerprints hash this form: children sorted by name, each
+    # node's metrics (its category included) as they were accumulated
+    assert make_tree().to_dict() == {
+        "label": "t",
+        "tree": {"name": "<root>", "metrics": {}, "children": [
+            {"name": "consume",
+             "metrics": {"time": 10.0, "count": 2, "category": "movement"},
+             "children": [
+                 {"name": "fetch",
+                  "metrics": {"time": 3.0, "category": "idle"},
+                  "children": []},
+             ]},
+            {"name": "read", "metrics": {"time": 5.0}, "children": []},
+        ]},
+    }
 
 
 def test_render_contains_nodes_and_categories():

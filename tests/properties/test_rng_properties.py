@@ -1,4 +1,4 @@
-"""Property tests: pure-Python jitter draws equal numpy's.
+"""Property tests: pure-Python draws equal numpy's.
 
 :meth:`RngStreams.jitter` derives each stream's PCG64 state in integer
 arithmetic and draws each standard normal with its own PCG64 step and
@@ -10,6 +10,9 @@ one scalar ``lognormal(mu, sigma)`` per sample. Both sides take
 library's ``log1p``/``log``/``sqrt``): numpy's ufuncs pick a SIMD kernel
 by CPU and may round those differently, which would test numpy's
 logarithms rather than the draws. Equality is bit for bit.
+
+:meth:`RngStreams.stream` hands out uniforms: its ``random()`` is checked
+against the same reference generator's ``random()``.
 """
 
 from hypothesis import given, settings
@@ -41,14 +44,20 @@ class Reference:
         self.seed = seed
         self.gens = {}
 
-    def jitter(self, name: str, mean: float, cv: float) -> float:
+    def _gen(self, name: str) -> np.random.Generator:
         gen = self.gens.get(name)
         if gen is None:
             gen = self.gens[name] = np.random.default_rng(
                 np.random.SeedSequence(self.seed,
                                        spawn_key=(_stable_hash(name),)))
+        return gen
+
+    def jitter(self, name: str, mean: float, cv: float) -> float:
         mu, sigma = _lognormal_params(mean, cv)
-        return float(gen.lognormal(mu, sigma))
+        return float(self._gen(name).lognormal(mu, sigma))
+
+    def random(self, name: str) -> float:
+        return float(self._gen(name).random())
 
 
 @given(seed=seeds,
@@ -83,3 +92,28 @@ def test_child_state_matches_numpy_pcg64_seeding(seed, key):
     bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))
     expected = bitgen.state["state"]
     assert (state, inc) == (expected["state"], expected["inc"])
+
+
+def _assert_uniforms_match(seed, names):
+    streams, reference = RngStreams(seed), Reference(seed)
+    for name in names:
+        got = streams.stream(name).random()
+        assert got.hex() == reference.random(name).hex(), (seed, name)
+
+
+def test_stream_uniforms_match_numpy_across_seeds():
+    """Seeds 0-299, 64-bit seeds and a seed wider than the pool: every
+    name's ``random()`` equals numpy's ``Generator.random()``, draw for
+    draw, with the names interleaved."""
+    wide = [2**32, 2**63 + 11, 2**64 - 1, 2**130 + 7]
+    names = [NAMES[i % len(NAMES)] for i in range(5 * len(NAMES))]
+    for seed in [*range(300), *wide]:
+        _assert_uniforms_match(seed, names)
+
+
+@given(seed=seeds, names=st.lists(st.sampled_from(NAMES), min_size=1,
+                                  max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_stream_uniforms_interleaved_match_numpy(seed, names):
+    """Any interleaving of ``stream(name).random()`` calls matches numpy."""
+    _assert_uniforms_match(seed, names)
