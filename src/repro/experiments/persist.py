@@ -12,9 +12,9 @@ CLI-free API: :class:`ResultCache`, :func:`default_cache_root`,
 
 The CRC-framed wire format (:func:`encode_result` / :func:`decode_result`)
 is shared with the service layer: the exact bytes the cache publishes are
-what the server streams to clients and what the mmap payload segment
-stores. The job server's workers encode each result where it was
-computed; the server only moves the bytes.
+what the server reads back and streams to clients. The job server's
+workers encode each result where it was computed; the server only moves
+the bytes.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def encode_result(result) -> bytes:
     """Pickle + CRC-frame a result into the cache's on-disk/wire bytes.
 
     The returned blob is self-validating (magic, length, CRC32) and is
-    the unit of zero-copy delivery: stored verbatim on disk and in the
-    payload segment, streamed verbatim to clients.
+    the unit of result delivery: stored verbatim on disk, streamed
+    verbatim to clients.
     """
     payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
     header = _ENTRY_HEADER.pack(

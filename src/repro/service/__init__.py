@@ -34,7 +34,6 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "Journal",
-    "PayloadSegment",
     "QUEUED",
     "RETRYABLE",
     "RUNNING",
@@ -65,6 +64,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                               "run_delivery", "run_load"],
     "repro.service.server": ["ExperimentServer", "ServerConfig"],
     "repro.service.shedding": ["SheddingPolicy"],
-    "repro.service.store": ["PayloadSegment", "SharedResultStore",
-                            "StoredResult"],
+    "repro.service.store": ["SharedResultStore", "StoredResult"],
 })

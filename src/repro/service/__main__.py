@@ -3,20 +3,18 @@
 - ``serve`` — run a server on a unix socket (SIGTERM drains cleanly).
 - ``submit`` / ``status`` / ``result`` / ``stats`` / ``drain`` /
   ``ping`` — thin clients for one-off operations against a running
-  server (``result`` fetches stored bytes over the zero-copy path and
-  decodes them client-side).
-- ``bench`` — boot a private server, drive the synthetic-client load
-  harness against it, and write ``BENCH_service.json``.
-- ``smoke`` — the CI chaos gate: like ``bench``, but additionally
-  SIGKILLs a worker (via the campaign runner's injected-fault hook) and
-  SIGKILLs + restarts the *server* mid-run, then asserts zero lost
-  jobs, zero failed jobs, consistent fingerprints, observed
-  crash-retry activity, the serving hot path's same-run ratios
-  (journal events per fsync, LRU hit ratio, in-flight dedup, batched
-  and pipelined dispatch), and that no process of the killed server's
-  session (its forkserver, workers, resource tracker) outlives it by
-  more than :data:`ORPHAN_DEADLINE_S`. Exit status is the assertion
-  result.
+  server (``result`` fetches a stored result's framed bytes and decodes
+  them client-side).
+- ``smoke`` — the CI chaos gate: boot a private server, drive the
+  synthetic-client load harness against it, SIGKILL a worker (via the
+  campaign runner's injected-fault hook) and SIGKILL + restart the
+  *server* mid-run, then assert zero lost jobs, zero failed jobs,
+  consistent fingerprints, observed crash-retry activity, the serving
+  hot path's same-run ratios (journal events per fsync, LRU hit ratio,
+  in-flight dedup, batched and pipelined dispatch), and that no process
+  of the killed server's session (its forkserver, workers, resource
+  tracker) outlives it by more than :data:`ORPHAN_DEADLINE_S`. Writes
+  ``BENCH_service.json``; exit status is the assertion result.
 """
 
 from __future__ import annotations
@@ -47,6 +45,24 @@ MIN_LRU_HIT_RATIO = 0.5
 #: pool's workers exit with the server, then the forkserver and the
 #: resource tracker see EOF and exit. Survivors past it are counted.
 ORPHAN_DEADLINE_S = 10.0
+
+# the smoke's load: each client submits JOBS_PER_CLIENT jobs drawn from
+# a pool of DISTINCT_JOBS cells of FRAMES frames (seeded by SEED), on a
+# server with WORKERS workers that sheds to hybrid past
+# SHED_HYBRID_DEPTH queued jobs
+JOBS_PER_CLIENT = 2
+DISTINCT_JOBS = 12
+FRAMES = 2
+WORKERS = 2
+SEED = 1234
+SHED_HYBRID_DEPTH = 8
+#: longest wait for the journal to show the worker crash's retry before
+#: the server is SIGKILLed anyway
+KILL_AFTER_S = 10.0
+#: jobs per client in the warm sustained-throughput phase
+SUSTAINED_JOBS_PER_CLIENT = 25
+#: result fetches per client in the delivery phase
+DELIVERY_FETCHES = 50
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("status", "query one job"), ("stats", "server counters"),
         ("drain", "drain and stop the server"), ("ping", "liveness probe"),
-        ("result", "fetch a stored result over the zero-copy path"),
+        ("result", "fetch a stored result"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--socket", required=True)
@@ -107,30 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--job-id", help="fetch by job id")
             cmd.add_argument("--key", help="fetch by store key")
 
-    for name, help_text in (
-        ("bench", "boot a server, drive load, write BENCH_service.json"),
-        ("smoke", "bench + worker-kill + server kill-restart assertions"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--clients", type=int, default=200)
-        cmd.add_argument("--jobs-per-client", type=int, default=2)
-        cmd.add_argument("--distinct-jobs", type=int, default=12)
-        cmd.add_argument("--frames", type=int, default=2)
-        cmd.add_argument("--workers", type=int, default=2)
-        cmd.add_argument("--seed", type=int, default=1234)
-        cmd.add_argument("--shed-hybrid-depth", type=int, default=8)
-        cmd.add_argument("--kill-after", type=float, default=10.0,
-                         help="max seconds to wait for in-flight activity "
-                              "before SIGKILLing the server (smoke only)")
-        cmd.add_argument("--commit-window", type=float, default=0.002)
-        cmd.add_argument("--fuse-small-jobs", type=int, default=4)
-        cmd.add_argument("--sustained-jobs-per-client", type=int, default=25,
-                         help="jobs per client in the warm sustained-"
-                              "throughput phase (0 skips the phase)")
-        cmd.add_argument("--delivery-fetches", type=int, default=50,
-                         help="result fetches per client in the zero-copy "
-                              "delivery phase (0 skips the phase)")
-        cmd.add_argument("--output", default="BENCH_service.json")
+    smoke = sub.add_parser(
+        "smoke", help="load + worker-kill + server kill-restart assertions")
+    smoke.add_argument("--clients", type=int, default=200)
+    smoke.add_argument("--output", default="BENCH_service.json")
     return parser
 
 
@@ -198,9 +194,8 @@ def _client_command(args: argparse.Namespace) -> int:
 
 
 def server_command(socket_path: str, journal_path: str, cache_dir: str,
-                   workers: int = 2, shed_hybrid_depth: int = 8,
-                   commit_window: float = 0.002,
-                   fuse_small_jobs: int = 4) -> List[str]:
+                   workers: int = WORKERS,
+                   shed_hybrid_depth: int = SHED_HYBRID_DEPTH) -> List[str]:
     """The ``serve`` argv the orchestrated scenarios launch."""
     return [
         sys.executable, "-m", "repro.service", "serve",
@@ -210,8 +205,6 @@ def server_command(socket_path: str, journal_path: str, cache_dir: str,
         # keep the policy invariant hybrid_at <= fluid_at intact when a
         # caller pushes the hybrid threshold sky-high to disable shedding
         "--shed-fluid-depth", str(max(48, shed_hybrid_depth)),
-        "--commit-window", str(commit_window),
-        "--fuse-small-jobs", str(fuse_small_jobs),
     ]
 
 
@@ -271,8 +264,9 @@ def _journal_has_retry(path: str) -> bool:
         return False
 
 
-async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
-    """Boot a private server, drive the load, optionally kill mid-run."""
+async def _orchestrate(clients: int) -> Dict[str, Any]:
+    """Boot a private server, drive the load, kill a worker and the
+    server mid-run, then measure the warm serving and delivery paths."""
     workdir = tempfile.mkdtemp(prefix="repro-svc-")
     socket_path = os.path.join(workdir, "svc.sock")
     journal_path = os.path.join(workdir, "journal.jsonl")
@@ -282,72 +276,57 @@ async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
 
     env = dict(os.environ)
     env["REPRO_JOBS_OVERSUBSCRIBE"] = "1"
-    if chaos:
-        # one worker of the first seed's jobs hard-exits mid-task, once —
-        # the injected-fault hook shared with the campaign runner
-        env["REPRO_WORKER_FAULT_DIR"] = fault_dir
-        env["REPRO_WORKER_CRASH_SEEDS"] = str(args.seed)
+    # one worker of the first seed's jobs hard-exits mid-task, once —
+    # the injected-fault hook shared with the campaign runner
+    env["REPRO_WORKER_FAULT_DIR"] = fault_dir
+    env["REPRO_WORKER_CRASH_SEEDS"] = str(SEED)
 
-    cmd = server_command(socket_path, journal_path, cache_dir,
-                         workers=args.workers,
-                         shed_hybrid_depth=args.shed_hybrid_depth,
-                         commit_window=args.commit_window,
-                         fuse_small_jobs=args.fuse_small_jobs)
+    cmd = server_command(socket_path, journal_path, cache_dir)
     server = _spawn_server(cmd, env)
     kills = 0
     restart_s: Optional[float] = None
     survivors: Optional[asyncio.Future] = None
     try:
         load = asyncio.ensure_future(run_load(
-            socket_path, clients=args.clients,
-            jobs_per_client=args.jobs_per_client,
-            distinct_jobs=args.distinct_jobs, frames=args.frames,
-            seed=args.seed,
+            socket_path, clients=clients, jobs_per_client=JOBS_PER_CLIENT,
+            distinct_jobs=DISTINCT_JOBS, frames=FRAMES, seed=SEED,
         ))
-        if chaos:
-            # sequence the chaos deterministically: wait until the journal
-            # proves the worker crash was detected and retried, *then*
-            # SIGKILL the server — killing on a fixed delay races the two
-            # faults against each other and the load's completion
-            deadline = time.monotonic() + args.kill_after
-            while not load.done() and time.monotonic() < deadline:
-                if _journal_has_retry(journal_path):
-                    break
-                await asyncio.sleep(0.02)
-            if not load.done():
-                killed_at = time.perf_counter()
-                server.kill()  # SIGKILL: no drain, no journal flush
-                server.wait()
-                kills = 1
-                # only the server dies; its pool must follow it
-                survivors = asyncio.ensure_future(
-                    _session_survivors(server.pid, ORPHAN_DEADLINE_S))
-                server = _spawn_server(cmd, env)
-                await _first_ping(socket_path)
-                restart_s = time.perf_counter() - killed_at
+        # sequence the chaos deterministically: wait until the journal
+        # proves the worker crash was detected and retried, *then*
+        # SIGKILL the server — killing on a fixed delay races the two
+        # faults against each other and the load's completion
+        deadline = time.monotonic() + KILL_AFTER_S
+        while not load.done() and time.monotonic() < deadline:
+            if _journal_has_retry(journal_path):
+                break
+            await asyncio.sleep(0.02)
+        if not load.done():
+            killed_at = time.perf_counter()
+            server.kill()  # SIGKILL: no drain, no journal flush
+            server.wait()
+            kills = 1
+            # only the server dies; its pool must follow it
+            survivors = asyncio.ensure_future(
+                _session_survivors(server.pid, ORPHAN_DEADLINE_S))
+            server = _spawn_server(cmd, env)
+            await _first_ping(socket_path)
+            restart_s = time.perf_counter() - killed_at
         report = await load
         orphans = await survivors if survivors is not None else 0
         # warm sustained phase: the pool is now fully cached, so this
         # measures the pure serving hot path (admission + group commit +
         # LRU store hits) without job execution in the way
-        sustained = None
-        if args.sustained_jobs_per_client > 0:
-            sustained = await run_load(
-                socket_path, clients=args.clients,
-                jobs_per_client=args.sustained_jobs_per_client,
-                distinct_jobs=args.distinct_jobs, frames=args.frames,
-                seed=args.seed,
-            )
-            sustained.pop("fingerprints", None)  # phase 1's is canonical
-        # zero-copy delivery phase: stream stored results straight from
-        # the server's mmap segment
-        delivery = None
-        if args.delivery_fetches > 0:
-            keys = sorted(report.get("fingerprints", {}))
-            delivery = await run_delivery(
-                socket_path, keys, clients=min(args.clients, 8),
-                fetches_per_client=args.delivery_fetches,
-            )
+        sustained = await run_load(
+            socket_path, clients=clients,
+            jobs_per_client=SUSTAINED_JOBS_PER_CLIENT,
+            distinct_jobs=DISTINCT_JOBS, frames=FRAMES, seed=SEED,
+        )
+        sustained.pop("fingerprints", None)  # phase 1's is canonical
+        # delivery phase: stream stored results from their cache entries
+        delivery = await run_delivery(
+            socket_path, sorted(report.get("fingerprints", {})),
+            clients=min(clients, 8), fetches_per_client=DELIVERY_FETCHES,
+        )
         stats_client = ServiceClient(socket_path, connect_timeout=30.0)
         try:
             stats = await stats_client.stats()
@@ -373,7 +352,7 @@ async def _orchestrate(args: argparse.Namespace, chaos: bool) -> Dict[str, Any]:
     return report
 
 
-def _check(report: Dict[str, Any], chaos: bool) -> List[str]:
+def _check(report: Dict[str, Any]) -> List[str]:
     """The smoke assertions; returns failure messages (empty = pass)."""
     failures = []
     if report["lost_jobs"] != 0:
@@ -389,73 +368,69 @@ def _check(report: Dict[str, Any], chaos: bool) -> List[str]:
         failures.append(
             f"fingerprint divergence: {report['divergent_fingerprints']}"
         )
-    sustained = report.get("sustained")
-    if sustained is not None:
-        if sustained["lost_jobs"] != 0:
-            failures.append(
-                f"sustained phase lost jobs: {sustained['lost_jobs']}"
-            )
-        if sustained["outcomes"]["done"] != sustained["submitted"]:
-            failures.append(
-                f"sustained phase exactly-once violated: "
-                f"{sustained['outcomes']['done']} done of "
-                f"{sustained['submitted']} submitted"
-            )
-    delivery = report.get("delivery")
-    if delivery is not None and delivery["delivered"] != delivery["fetches"]:
+    sustained = report["sustained"]
+    if sustained["lost_jobs"] != 0:
+        failures.append(
+            f"sustained phase lost jobs: {sustained['lost_jobs']}"
+        )
+    if sustained["outcomes"]["done"] != sustained["submitted"]:
+        failures.append(
+            f"sustained phase exactly-once violated: "
+            f"{sustained['outcomes']['done']} done of "
+            f"{sustained['submitted']} submitted"
+        )
+    delivery = report["delivery"]
+    if delivery["delivered"] != delivery["fetches"]:
         failures.append(
             f"delivery phase dropped fetches: {delivery['delivered']} "
             f"of {delivery['fetches']}"
         )
-    if chaos:
-        server_stats = report["server_stats"]
-        counters = server_stats["counters"]
-        if counters.get("retries", 0) < 1:
-            failures.append("worker crash was never retried "
-                            "(chaos hook did not fire?)")
-        if report["server_kills"] != 1:
-            failures.append("server was never killed mid-run "
-                            "(load finished too early; raise --clients "
-                            "or lower --kill-after)")
-        if report["orphans"]:
-            failures.append(
-                f"{report['orphans']} processes of the killed server's "
-                f"session still running {ORPHAN_DEADLINE_S:.0f}s after "
-                f"the SIGKILL")
-        # same-run ratios and counts: independent of machine speed
-        journal = server_stats["journal"]
-        per_sync = journal["records"] / max(journal["syncs"], 1)
-        if per_sync < MIN_EVENTS_PER_SYNC:
-            failures.append(
-                f"journal group commit collapsed: {per_sync:.1f} events "
-                f"per fsync (floor {MIN_EVENTS_PER_SYNC:.0f})"
-            )
-        hits, misses = (server_stats["store"]["lru_hits"],
-                        server_stats["store"]["lru_misses"])
-        hit_ratio = hits / max(hits + misses, 1)
-        if hit_ratio < MIN_LRU_HIT_RATIO:
-            failures.append(f"result-store LRU hit ratio {hit_ratio:.2f} "
-                            f"below {MIN_LRU_HIT_RATIO:.2f}")
-        if counters.get("dedup_inflight", 0) < 1:
-            failures.append("duplicate submissions were never deduplicated "
-                            "in flight")
-        jobs, batches = (server_stats["dispatch"]["jobs"],
-                         server_stats["dispatch"]["batches"])
-        if not jobs >= batches >= 1:
-            failures.append(f"dispatch accounting off: {jobs} jobs in "
-                            f"{batches} batches")
-        if server_stats["dispatch"]["pipelined"] < 1:
-            failures.append("pipelined dispatch never observed: no job was "
-                            "handed to a busy worker")
+    server_stats = report["server_stats"]
+    counters = server_stats["counters"]
+    if counters.get("retries", 0) < 1:
+        failures.append("worker crash was never retried "
+                        "(chaos hook did not fire?)")
+    if report["server_kills"] != 1:
+        failures.append("server was never killed mid-run "
+                        "(load finished too early; raise --clients)")
+    if report["orphans"]:
+        failures.append(
+            f"{report['orphans']} processes of the killed server's "
+            f"session still running {ORPHAN_DEADLINE_S:.0f}s after "
+            f"the SIGKILL")
+    # same-run ratios and counts: independent of machine speed
+    journal = server_stats["journal"]
+    per_sync = journal["records"] / max(journal["syncs"], 1)
+    if per_sync < MIN_EVENTS_PER_SYNC:
+        failures.append(
+            f"journal group commit collapsed: {per_sync:.1f} events "
+            f"per fsync (floor {MIN_EVENTS_PER_SYNC:.0f})"
+        )
+    hits, misses = (server_stats["store"]["lru_hits"],
+                    server_stats["store"]["lru_misses"])
+    hit_ratio = hits / max(hits + misses, 1)
+    if hit_ratio < MIN_LRU_HIT_RATIO:
+        failures.append(f"result-store LRU hit ratio {hit_ratio:.2f} "
+                        f"below {MIN_LRU_HIT_RATIO:.2f}")
+    if counters.get("dedup_inflight", 0) < 1:
+        failures.append("duplicate submissions were never deduplicated "
+                        "in flight")
+    jobs, batches = (server_stats["dispatch"]["jobs"],
+                     server_stats["dispatch"]["batches"])
+    if not jobs >= batches >= 1:
+        failures.append(f"dispatch accounting off: {jobs} jobs in "
+                        f"{batches} batches")
+    if server_stats["dispatch"]["pipelined"] < 1:
+        failures.append("pipelined dispatch never observed: no job was "
+                        "handed to a busy worker")
     return failures
 
 
-def _bench(args: argparse.Namespace, chaos: bool) -> int:
-    report = asyncio.run(_orchestrate(args, chaos=chaos))
-    failures = _check(report, chaos=chaos)
+def _smoke(args: argparse.Namespace) -> int:
+    report = asyncio.run(_orchestrate(args.clients))
+    failures = _check(report)
     payload = {
-        "schema": 2,
-        "mode": "smoke" if chaos else "bench",
+        "schema": 3,
         "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "failures": failures,
@@ -465,8 +440,6 @@ def _bench(args: argparse.Namespace, chaos: bool) -> int:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.output}")
-    sustained = report.get("sustained") or {}
-    delivery = report.get("delivery") or {}
     print(json.dumps({
         "submitted": report["submitted"],
         "done": report["outcomes"]["done"],
@@ -474,8 +447,9 @@ def _bench(args: argparse.Namespace, chaos: bool) -> int:
         "throughput": report.get("throughput"),
         "latency_p50": report["latency_p50"],
         "latency_p99": report["latency_p99"],
-        "sustained_throughput": sustained.get("throughput"),
-        "delivery_fetches_per_second": delivery.get("fetches_per_second"),
+        "sustained_throughput": report["sustained"].get("throughput"),
+        "delivery_fetches_per_second":
+            report["delivery"]["fetches_per_second"],
         "shed": report["server_stats"]["counters"].get("shed"),
         "dedup_inflight":
             report["server_stats"]["counters"].get("dedup_inflight"),
@@ -498,10 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command in ("submit", "status", "result", "stats", "drain",
                         "ping"):
         return _client_command(args)
-    if args.command == "bench":
-        return _bench(args, chaos=False)
     if args.command == "smoke":
-        return _bench(args, chaos=True)
+        return _smoke(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -158,12 +158,12 @@ class ServiceClient:
     async def fetch_result(
         self, key: Optional[str] = None, job_id: Optional[str] = None,
     ) -> Tuple[Dict[str, Any], Optional[Any]]:
-        """Fetch a stored result over the zero-copy delivery path.
+        """Fetch a stored result through the ``result`` op.
 
         The server answers with a JSON header line followed by the raw
-        CRC-framed result bytes streamed straight from its payload
-        segment; this decodes them client-side. Returns ``(header,
-        result)`` — ``result`` is ``None`` when the header is an error.
+        CRC-framed bytes of the result's cache entry; this decodes them
+        client-side. Returns ``(header, result)`` — ``result`` is
+        ``None`` when the header is an error.
         """
         if self._writer is None or self._writer.is_closing():
             await self._connect()

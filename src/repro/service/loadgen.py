@@ -195,12 +195,11 @@ async def run_delivery(
     clients: int = 8,
     fetches_per_client: int = 50,
 ) -> Dict[str, Any]:
-    """Hammer the zero-copy ``result`` op; returns delivered fetches/s.
+    """Hammer the ``result`` op; returns delivered fetches/s.
 
-    Every fetch resolves a key through the server's LRU index and
-    streams the framed bytes straight from the mmap segment — this
-    phase measures the delivery path alone, with no job execution or
-    admission in the way.
+    Every fetch reads one cache entry on the server, checks its CRC and
+    streams its framed bytes — this phase measures the delivery path
+    alone, with no job execution or admission in the way.
     """
     if not keys:
         return {"clients": clients, "fetches": 0, "delivered": 0,

@@ -10,12 +10,11 @@ API. One JSON object per line in each direction over a unix socket:
   immediately with the assigned ``job_id``. Rejections carry ``error``
   (``queue_full`` / ``budget_exceeded`` / ``circuit_open`` /
   ``draining``) and a ``retry_after`` hint in seconds.
-- ``{"op": "status", "job_id": ...}`` — one job's record; completed
-  jobs additionally carry a ``result_handle`` (payload-segment offset +
-  length), so repeated polls stay O(1) no matter how large the result.
+- ``{"op": "status", "job_id": ...}`` — one job's record.
 - ``{"op": "result", "key": ...}`` — the stored result itself: a JSON
-  header line followed by the raw CRC-framed bytes, streamed straight
-  from the store's mmap segment without re-encoding.
+  header line followed by the raw CRC-framed bytes of its cache entry,
+  read once and checked against their CRC, never re-encoded. ``key``
+  must be a 64-hex-digit content key (or pass ``job_id`` instead).
 - ``{"op": "stats"}`` — server-wide counters.
 - ``{"op": "drain"}`` — stop admitting, finish in-flight work, reply.
 - ``{"op": "ping"}`` — liveness.
@@ -33,10 +32,11 @@ batched/staged paths amortize them) to the serving layer itself:
   (:class:`~repro.service.journal.GroupCommitter`) instead of paying a
   per-job ``fsync``; the barrier contract (no ack before durable) is
   kept by awaiting the window's commit future.
-- **zero-copy result delivery** — results resolve through the store's
-  in-memory LRU index and stream from an mmap payload segment
+- **one copy of each result** — a result's metadata resolves through
+  the store's in-memory LRU index of keys, and its bytes stay in the
+  cache entry, the only copy
   (:class:`~repro.service.store.SharedResultStore`); the serving path
-  never re-reads, re-decodes, or re-encodes a stored result.
+  never decodes or re-encodes a stored result.
 - **worker-encoded results** — a worker hands back a job's result
   already encoded, with its fingerprint and makespan
   (:func:`~repro.service.worker._execute_job`), and the server files
@@ -277,7 +277,6 @@ class ExperimentServer:
         if self.config.metrics_path:
             self.timeline.write_json(self.config.metrics_path)
         self.journal.close()
-        self.store.close()
         try:
             os.unlink(self.config.socket_path)
         except OSError:
@@ -404,7 +403,7 @@ class ExperimentServer:
                 line = await reader.readline()
                 if not line:
                     break
-                payload: Optional[memoryview] = None
+                payload: Optional[bytes] = None
                 try:
                     request = json.loads(line)
                     response = await self._dispatch(request)
@@ -415,8 +414,7 @@ class ExperimentServer:
                                 "detail": str(exc)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 if payload is not None:
-                    # raw framed result bytes straight from the mmap —
-                    # no re-encode, no copy on our side
+                    # the cache entry's framed bytes, as read
                     writer.write(payload)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError, asyncio.LimitOverrunError):
@@ -444,14 +442,7 @@ class ExperimentServer:
             record = self.records.get(request.get("job_id", ""))
             if record is None:
                 return {"ok": False, "error": "unknown_job"}
-            response = {"ok": True, **record.to_dict()}
-            if record.state == DONE and record.key:
-                handle = self.store.handle(record.key)
-                if handle is not None:
-                    # O(1) poll: enough to fetch the payload without the
-                    # server touching disk or the store index again
-                    response["result_handle"] = handle
-            return response
+            return {"ok": True, **record.to_dict()}
         if op == "result":
             return self._result(request)
         if op == "stats":
@@ -462,7 +453,7 @@ class ExperimentServer:
         return {"ok": False, "error": "unknown_op", "detail": str(op)}
 
     def _result(self, request: Dict[str, Any]):
-        """Zero-copy delivery: JSON header + raw framed result bytes."""
+        """Delivery: JSON header + the raw framed bytes of the entry."""
         key = request.get("key")
         if not key:
             record = self.records.get(request.get("job_id", ""))
@@ -472,10 +463,10 @@ class ExperimentServer:
                 return {"ok": False, "error": "not_done",
                         "state": record.state}
             key = record.key
-        view = self.store.payload(str(key))
-        if view is None:
+        blob = self.store.payload(key)
+        if blob is None:
             return {"ok": False, "error": "unknown_result"}
-        return {"ok": True, "key": key, "length": len(view)}, view
+        return {"ok": True, "key": key, "length": len(blob)}, blob
 
     async def _submit(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self.counters["submitted"] += 1

@@ -59,7 +59,7 @@ PACKAGES = {
     "repro.service": [
         "CircuitBreaker", "DONE", "ExperimentServer", "FAILED", "FairQueue",
         "GroupCommitter", "JobRecord", "JobSpec", "Journal",
-        "PayloadSegment", "QUEUED", "RETRYABLE", "RUNNING", "ServerConfig",
+        "QUEUED", "RETRYABLE", "RUNNING", "ServerConfig",
         "ServiceClient", "SharedResultStore", "SheddingPolicy",
         "StoredResult", "SyncServiceClient", "build_job_pool",
         "iter_events", "percentile", "run_delivery", "run_load",

@@ -319,10 +319,7 @@ def test_resume_completes_from_store_without_recompute(tmp_path):
     # cached result, not recompute
     store = SharedResultStore(config.cache_dir)
     key = store.key_for(spec)
-    try:
-        store.publish(key, "alice", *_execute_job(spec.run_task()))
-    finally:
-        store.close()
+    store.publish(key, "alice", *_execute_job(spec.run_task()))
     journal = Journal(config.journal_path)
     journal.append({"ev": "submit", "id": "job-0", "job": spec.to_wire(),
                     "key": key, "t": 0.0})
@@ -487,7 +484,6 @@ def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
     store = SharedResultStore(config.cache_dir)
     store.publish(store.key_for(stored), "alice",
                   *_execute_job(stored.run_task()))
-    store.close()
     held = threading.Event()
     start_pool = pool_mod.WorkerPool._start_pool
 
@@ -619,7 +615,7 @@ def test_waiter_events_are_released_when_jobs_finish(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# hot-path overhaul: zero-copy delivery, fusion, batched admission
+# hot-path overhaul: result delivery, fusion, batched admission
 # ---------------------------------------------------------------------------
 
 
@@ -656,17 +652,21 @@ def test_result_op_unknown_key_and_job(tmp_path):
     run(_config(tmp_path), body)
 
 
-def test_status_carries_result_handle_when_done(tmp_path):
+def test_result_op_refuses_a_key_that_escapes_the_store(tmp_path):
+    """The entry read unlinks a file that fails its CRC check, so a key
+    naming a path outside the cache directory must never reach it."""
+    victim = tmp_path / "victim.pkl"
+    victim.write_bytes(b"not a cache entry")
+
     async def body(server, client):
-        submit = await client.submit(_job(seed=12))
-        status = await client.status(submit["job_id"])
-        handle = status["result_handle"]
-        assert handle["length"] > 0 and handle["offset"] >= 0
-        # the handle addresses exactly the bytes the result op streams
-        header, _ = await client.fetch_result(key=submit["key"])
-        assert header["length"] == handle["length"]
+        header, result = await client.fetch_result(
+            key=str(victim)[:-len(".pkl")])
+        assert header["error"] == "bad_request"
+        assert result is None
+        assert await client.ping()
 
     run(_config(tmp_path), body)
+    assert victim.read_bytes() == b"not a cache entry"
 
 
 def test_small_jobs_fuse_into_multi_job_dispatches(tmp_path):

@@ -38,7 +38,7 @@ def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
 
 
 def test_passing_report_has_no_failures():
-    assert _check(_report(), chaos=True) == []
+    assert _check(_report()) == []
 
 
 @pytest.mark.parametrize("broken,failure", [
@@ -63,12 +63,5 @@ def test_passing_report_has_no_failures():
      "after the SIGKILL"),
 ])
 def test_each_hot_path_floor_fails_alone(broken, failure):
-    assert _check(_report(**broken), chaos=True) == [failure]
+    assert _check(_report(**broken)) == [failure]
 
-
-def test_hot_path_floors_apply_to_smoke_only():
-    """``bench`` mode records the ratios but does not gate on them."""
-    report = _report(records=100, syncs=100, lru_hits=0, dedup=0,
-                     jobs=0, batches=0, pipelined=0, orphans=1)
-    assert _check(report, chaos=False) == []
-    assert len(_check(report, chaos=True)) == 6

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.service.store as store_mod
+from repro.errors import ServiceError
 from repro.experiments.persist import encode_result
 from repro.service.jobs import JobSpec
 from repro.service.store import SharedResultStore
@@ -12,17 +13,8 @@ from repro.service.store import SharedResultStore
 
 @pytest.fixture()
 def open_store(tmp_path):
-    """Open stores over ``tmp_path``; each one is closed after the test."""
-    opened = []
-
-    def _open(**kwargs):
-        store = SharedResultStore(str(tmp_path), **kwargs)
-        opened.append(store)
-        return store
-
-    yield _open
-    for store in opened:
-        store.close()
+    """Open stores over ``tmp_path``."""
+    return lambda **kwargs: SharedResultStore(str(tmp_path), **kwargs)
 
 
 def _spec(**kwargs):
@@ -54,16 +46,19 @@ def test_key_depends_on_effective_fidelity(open_store):
 def test_per_tenant_counters_and_cross_tenant_dedup(open_store):
     store = open_store()
     key = store.key_for(_spec())
-    assert store.load(key, "alice") is None
+    assert store.fetch(key, "alice") is None
+    assert store.payload(key) is None
     assert store.misses["alice"] == 1
 
-    _publish(store, key, {"makespan": 1.0})
-    assert store.load(key, "alice") == {"makespan": 1.0}
+    blob = encode_result(SimpleNamespace(makespan=1.0))
+    store.publish(key, "alice", blob, "fp", 1.0)
+    assert store.fetch(key, "alice").makespan == 1.0
+    assert store.payload(key) == blob
     assert store.cross_tenant_dedup == 0
 
     # bob hitting alice's entry is the cross-tenant dedup the service
     # advertises
-    assert store.load(key, "bob") == {"makespan": 1.0}
+    assert store.fetch(key, "bob").fingerprint == "fp"
     assert store.cross_tenant_dedup == 1
     assert store.hits == {"alice": 1, "bob": 1}
 
@@ -73,9 +68,11 @@ def test_per_tenant_counters_and_cross_tenant_dedup(open_store):
     assert stats["cross_tenant_dedup"] == 1
 
 
-# -- zero-copy delivery structures ----------------------------------------
+# -- the LRU index and delivery --------------------------------------------
 
 def test_fetch_resolves_metadata_and_zero_copy_payload(open_store):
+    """``fetch`` answers metadata only; ``payload`` hands over the entry's
+    framed bytes as stored, with no re-encode on the server's side."""
     from repro.experiments.persist import decode_result
 
     store = open_store()
@@ -85,23 +82,19 @@ def test_fetch_resolves_metadata_and_zero_copy_payload(open_store):
     assert stored.key == key
     assert stored.fingerprint == "fp-1"
     assert stored.makespan == 2.5
-    view = stored.payload()
-    assert isinstance(view, memoryview)
     # the framed bytes stream verbatim: decoding them client-side gives
     # back the published result
-    assert decode_result(view) == SimpleNamespace(makespan=2.5)
-    assert stored.result() == SimpleNamespace(makespan=2.5)
+    assert decode_result(store.payload(key)) == SimpleNamespace(makespan=2.5)
 
 
-def test_handle_is_an_index_only_lookup(open_store):
+@pytest.mark.parametrize("key", [
+    "../../etc/passwd", "/abs/path/victim", "0" * 63, "A" * 64, "g" * 64,
+    "0" * 65, "", None, 7,
+])
+def test_payload_refuses_anything_but_a_content_key(open_store, key):
     store = open_store()
-    key = store.key_for(_spec())
-    assert store.handle(key) is None
-    _publish(store, key, SimpleNamespace(makespan=1.0))
-    handle = store.handle(key)
-    assert handle["segment"] == store.segment.path
-    view = store.segment.view(handle["offset"], handle["length"])
-    assert len(view) == handle["length"]
+    with pytest.raises(ServiceError, match="malformed result key"):
+        store.payload(key)
 
 
 def test_lru_eviction_falls_back_to_cache_directory(open_store):
@@ -111,14 +104,17 @@ def test_lru_eviction_falls_back_to_cache_directory(open_store):
         key = store.key_for(_spec(seed=seed))
         _publish(store, key, SimpleNamespace(makespan=float(seed)))
         keys.append(key)
-    # capacity 2: the first key was evicted from the in-memory index
-    assert store.handle(keys[0]) is None
-    assert store.handle(keys[2]) is not None
-    before = store.lru_misses
-    # ...but the cache directory still serves it (and re-warms the LRU)
+    assert store.stats()["lru_entries"] == 2
+    # capacity 2: the newest key is indexed...
+    assert store.fetch(keys[2], "alice").makespan == 2.0
+    assert (store.lru_hits, store.lru_misses) == (1, 0)
+    # ...the first was evicted, but the cache directory still serves it
     assert store.fetch(keys[0], "alice").makespan == 0.0
-    assert store.lru_misses == before + 1
-    assert store.handle(keys[0]) is not None
+    assert (store.lru_hits, store.lru_misses) == (1, 1)
+    # ...and the miss re-warmed the index
+    assert store.fetch(keys[0], "alice").makespan == 0.0
+    assert (store.lru_hits, store.lru_misses) == (2, 1)
+    assert store.stats()["lru_entries"] == 2
 
 
 def test_lru_hit_counters_feed_the_perf_gate(open_store):
@@ -128,36 +124,22 @@ def test_lru_hit_counters_feed_the_perf_gate(open_store):
     for _ in range(5):
         assert store.fetch(key, "alice") is not None
     stats = store.stats()
-    assert stats["lru_hits"] >= 5
+    assert stats["lru_hits"] == 5
     assert stats["lru_misses"] == 0
-    assert stats["segment"]["records"] == 1
+    assert (stats["lru_entries"], stats["lru_capacity"]) == (1, 512)
 
 
-def test_segment_rebuilds_index_across_restart(tmp_path):
+def test_fresh_store_reads_entries_from_their_files(tmp_path):
     store = SharedResultStore(str(tmp_path))
     key = store.key_for(_spec())
-    _publish(store, key, SimpleNamespace(makespan=3.0))
-    store.close()
-    # a fresh store over the same root re-scans the segment: the handle
-    # is servable again without touching the cache directory
+    path = _publish(store, key, SimpleNamespace(makespan=3.0))
+    # a fresh store over the same root starts with an empty index: its
+    # first fetch is a miss served from the entry file
     reopened = SharedResultStore(str(tmp_path))
-    assert reopened.handle(key) is not None
     assert reopened.fetch(key, "bob").makespan == 3.0
-    reopened.close()
-
-
-def test_torn_segment_tail_is_truncated_not_fatal(tmp_path):
-    store = SharedResultStore(str(tmp_path))
-    key = store.key_for(_spec())
-    _publish(store, key, SimpleNamespace(makespan=1.0))
-    store.close()
-    seg_path = store.segment.path
-    with open(seg_path, "ab") as fh:
-        fh.write(b"RPSG" + b"\x00" * 10)  # crash mid-append
-    reopened = SharedResultStore(str(tmp_path))
-    assert reopened.fetch(key, "alice").makespan == 1.0
-    assert reopened.segment.stats()["records"] == 0  # nothing re-appended
-    reopened.close()
+    assert (reopened.lru_hits, reopened.lru_misses) == (0, 1)
+    with open(path, "rb") as fh:
+        assert reopened.payload(key) == fh.read()
 
 
 def test_publish_files_the_bytes_as_they_are(open_store):
@@ -167,7 +149,7 @@ def test_publish_files_the_bytes_as_they_are(open_store):
     path = store.publish(key, "alice", blob, "fp-4", 4.0)
     with open(path, "rb") as fh:
         assert fh.read() == blob
-    assert bytes(store.payload(key)) == blob
+    assert store.payload(key) == blob
     assert store.stats()["stores"] == {"alice": 1}
 
 
@@ -185,7 +167,6 @@ def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
         # published, evicted from the index, faulted in from the cache
         # directory: its metadata stayed
         assert store.fetch(keys[0], "alice").fingerprint == "fp-1"
-    store.close()
     reopened = SharedResultStore(str(tmp_path), lru_entries=1)
     # what a restarted server reads from its journal's "done" records
     for seed, key in zip((1, 2), keys):
@@ -195,4 +176,3 @@ def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
         stored = reopened.fetch(key, "bob")
         assert (stored.fingerprint, stored.makespan) == (f"fp-{seed}",
                                                          float(seed))
-    reopened.close()
