@@ -9,9 +9,8 @@ of the Flux KVS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
-from repro.errors import KeyNotFound
 from repro.kvs.store import KVS
 from repro.storage.posixfs import normalize
 
@@ -65,10 +64,3 @@ class MetadataManager:
         """Generator: block until the record is published; returns it."""
         record = yield from self.kvs.wait_for(client, self.key(path))
         return record
-
-    def peek(self, path: str) -> Optional[OwnerRecord]:
-        """Untimed server-state read (tests/assertions only)."""
-        try:
-            return self.kvs.value(self.key(path))
-        except KeyNotFound:
-            return None

@@ -472,7 +472,7 @@ def _run_on_workers(tasks: List[RunTask], pending: List[int], workers: int,
     async def _attempt(i: int) -> bool:
         try:
             (blob, _fingerprint, _makespan), _elapsed = await pool.run(
-                task_timeout, 1, _execute_job, tasks[i])
+                task_timeout, _execute_job, tasks[i])
         except asyncio.TimeoutError:
             failures[i] = "timed out"
             return False

@@ -124,13 +124,6 @@ class KVS:
         """Untimed server-state peek (tests/assertions only)."""
         return key in self._data
 
-    def value(self, key: str) -> Any:
-        """Untimed server-state read (tests/assertions only)."""
-        try:
-            return self._data[key]
-        except KeyError:
-            raise KeyNotFound(key) from None
-
     def commit(self, client: str, key: str, value: Any) -> Generator:
         """Generator: publish ``key=value``; returns elapsed seconds.
 

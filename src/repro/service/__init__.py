@@ -5,8 +5,7 @@ The :mod:`repro.service` package wraps the campaign runner
 API on a unix socket:
 
 - :class:`~repro.service.server.ExperimentServer` — the asyncio server:
-  admission control (:class:`~repro.service.admission.FairQueue`), load
-  shedding (:class:`~repro.service.shedding.SheddingPolicy`),
+  admission control (:class:`~repro.service.admission.FairQueue`),
   per-experiment-kind circuit breaking
   (:class:`~repro.service.breaker.CircuitBreaker`), a journal-backed
   job ledger (:class:`~repro.service.journal.Journal`) that survives
@@ -18,8 +17,7 @@ API on a unix socket:
   harness behind ``BENCH_service.json``.
 
 ``python -m repro.service --help`` lists the CLI surface; see
-``docs/service.md`` for the API, tenancy model, degradation policy, and
-resume semantics.
+``docs/service.md`` for the API, tenancy model, and resume semantics.
 """
 
 from repro import lazy_exports
@@ -40,7 +38,6 @@ __all__ = [
     "ServerConfig",
     "ServiceClient",
     "SharedResultStore",
-    "SheddingPolicy",
     "StoredResult",
     "SyncServiceClient",
     "build_job_pool",
@@ -63,6 +60,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.service.loadgen": ["build_job_pool", "percentile",
                               "run_delivery", "run_load"],
     "repro.service.server": ["ExperimentServer", "ServerConfig"],
-    "repro.service.shedding": ["SheddingPolicy"],
     "repro.service.store": ["SharedResultStore", "StoredResult"],
 })

@@ -11,9 +11,10 @@
   *server* mid-run, then assert zero lost jobs, zero failed jobs,
   consistent fingerprints, observed crash-retry activity, the serving
   hot path's same-run ratios (journal events per fsync, LRU hit ratio,
-  in-flight dedup, batched and pipelined dispatch), and that no process
-  of the killed server's session (its forkserver, workers, resource
-  tracker) outlives it by more than :data:`ORPHAN_DEADLINE_S`. Writes
+  in-flight dedup, at least one dispatched and one pipelined job), and
+  that no process of the killed server's session (its forkserver,
+  workers, resource tracker) outlives it by more than
+  :data:`ORPHAN_DEADLINE_S`. Writes
   ``BENCH_service.json``; exit status is the assertion result.
 """
 
@@ -48,14 +49,12 @@ ORPHAN_DEADLINE_S = 10.0
 
 # the smoke's load: each client submits JOBS_PER_CLIENT jobs drawn from
 # a pool of DISTINCT_JOBS cells of FRAMES frames (seeded by SEED), on a
-# server with WORKERS workers that sheds to hybrid past
-# SHED_HYBRID_DEPTH queued jobs
+# server with WORKERS workers
 JOBS_PER_CLIENT = 2
 DISTINCT_JOBS = 12
 FRAMES = 2
 WORKERS = 2
 SEED = 1234
-SHED_HYBRID_DEPTH = 8
 #: longest wait for the journal to show the worker crash's retry before
 #: the server is SIGKILLed anyway
 KILL_AFTER_S = 10.0
@@ -77,21 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--journal", required=True)
     serve.add_argument("--cache-dir", default=None)
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--tenant-budget", type=int, default=16)
-    serve.add_argument("--shed-hybrid-depth", type=int, default=16)
-    serve.add_argument("--shed-fluid-depth", type=int, default=48)
-    serve.add_argument("--breaker-threshold", type=int, default=3)
-    serve.add_argument("--breaker-cooldown", type=float, default=30.0)
     serve.add_argument("--task-timeout", type=float, default=None)
     serve.add_argument("--max-retries", type=int, default=None)
-    serve.add_argument("--inline", action="store_true",
-                       help="run jobs on threads (no crash isolation)")
-    serve.add_argument("--commit-window", type=float, default=0.002,
-                       help="group-commit gather window in seconds "
-                            "(0 syncs every batch immediately)")
-    serve.add_argument("--fuse-small-jobs", type=int, default=4,
-                       help="fuse up to N small degradable jobs per "
-                            "worker round trip (1 disables)")
     serve.add_argument("--metrics-path", default=None,
                        help="write the perf-metrics timeline here at "
                             "shutdown")
@@ -107,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--jitter-cv", type=float, default=0.0)
     submit.add_argument("--fidelity", default="exact",
                         choices=("exact", "hybrid", "fluid"))
-    submit.add_argument("--not-degradable", action="store_true")
     submit.add_argument("--no-wait", action="store_true")
 
     for name, help_text in (
@@ -131,26 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _serve(args: argparse.Namespace) -> int:
-    if not args.inline:
-        from repro.service.worker import launch_forkserver
+    from repro.service.worker import launch_forkserver
 
-        # the forkserver imports what a worker runs while this process
-        # imports the server: on two cores the two chains overlap
-        launch_forkserver()
+    # the forkserver imports what a worker runs while this process
+    # imports the server: on two cores the two chains overlap
+    launch_forkserver()
     from repro.service.server import ExperimentServer, ServerConfig
 
     config = ServerConfig(
         socket_path=args.socket, journal_path=args.journal,
         cache_dir=args.cache_dir, workers=args.workers,
-        tenant_budget=args.tenant_budget,
-        shed_hybrid_depth=args.shed_hybrid_depth,
-        shed_fluid_depth=args.shed_fluid_depth,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         task_timeout=args.task_timeout, max_retries=args.max_retries,
-        inline=args.inline,
-        commit_window=args.commit_window,
-        fuse_small_jobs=args.fuse_small_jobs,
         metrics_path=args.metrics_path,
     )
 
@@ -171,7 +147,6 @@ def _client_command(args: argparse.Namespace) -> int:
             "tenant": args.tenant, "system": args.system,
             "frames": args.frames, "pairs": args.pairs, "seed": args.seed,
             "jitter_cv": args.jitter_cv, "fidelity": args.fidelity,
-            "degradable": not args.not_degradable,
         }, wait=not args.no_wait)
     elif args.command == "status":
         response = client.status(args.job_id)
@@ -194,17 +169,12 @@ def _client_command(args: argparse.Namespace) -> int:
 
 
 def server_command(socket_path: str, journal_path: str, cache_dir: str,
-                   workers: int = WORKERS,
-                   shed_hybrid_depth: int = SHED_HYBRID_DEPTH) -> List[str]:
+                   workers: int = WORKERS) -> List[str]:
     """The ``serve`` argv the orchestrated scenarios launch."""
     return [
         sys.executable, "-m", "repro.service", "serve",
         "--socket", socket_path, "--journal", journal_path,
         "--cache-dir", cache_dir, "--workers", str(workers),
-        "--shed-hybrid-depth", str(shed_hybrid_depth),
-        # keep the policy invariant hybrid_at <= fluid_at intact when a
-        # caller pushes the hybrid threshold sky-high to disable shedding
-        "--shed-fluid-depth", str(max(48, shed_hybrid_depth)),
     ]
 
 
@@ -415,11 +385,8 @@ def _check(report: Dict[str, Any]) -> List[str]:
     if counters.get("dedup_inflight", 0) < 1:
         failures.append("duplicate submissions were never deduplicated "
                         "in flight")
-    jobs, batches = (server_stats["dispatch"]["jobs"],
-                     server_stats["dispatch"]["batches"])
-    if not jobs >= batches >= 1:
-        failures.append(f"dispatch accounting off: {jobs} jobs in "
-                        f"{batches} batches")
+    if server_stats["dispatch"]["jobs"] < 1:
+        failures.append("no job was ever dispatched to a worker")
     if server_stats["dispatch"]["pipelined"] < 1:
         failures.append("pipelined dispatch never observed: no job was "
                         "handed to a busy worker")
@@ -430,7 +397,7 @@ def _smoke(args: argparse.Namespace) -> int:
     report = asyncio.run(_orchestrate(args.clients))
     failures = _check(report)
     payload = {
-        "schema": 3,
+        "schema": 4,
         "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "failures": failures,
@@ -450,7 +417,6 @@ def _smoke(args: argparse.Namespace) -> int:
         "sustained_throughput": report["sustained"].get("throughput"),
         "delivery_fetches_per_second":
             report["delivery"]["fetches_per_second"],
-        "shed": report["server_stats"]["counters"].get("shed"),
         "dedup_inflight":
             report["server_stats"]["counters"].get("dedup_inflight"),
         "retries": report["server_stats"]["counters"].get("retries"),

@@ -1,18 +1,18 @@
-"""Admission control: per-tenant budgets + weighted fair queueing.
+"""Admission control: per-tenant budgets + fair queueing.
 
 Two protections keep one tenant from starving the rest:
 
 - **budgets** — each tenant may have at most ``budget`` jobs admitted
   (queued + running) at once; excess submissions are rejected with
   ``budget_exceeded`` and a ``Retry-After`` hint instead of queueing.
-- **weighted fair queueing** — dispatch order follows *start-time fair
+- **fair queueing** — dispatch order follows *start-time fair
   queueing* (SFQ): job ``j`` of tenant ``T`` gets a start tag ``S =
-  max(V, F_T)`` and finish tag ``F_T = S + cost/weight_T``, where ``V``
-  is the virtual time (the start tag of the job most recently
-  dispatched) and ``cost`` is the job's work proxy. Dispatching the
-  minimum finish tag shares throughput in proportion to tenant weights
-  regardless of arrival bursts — a tenant spraying hundreds of cheap
-  jobs cannot push a patient tenant's work arbitrarily far back.
+  max(V, F_T)`` and finish tag ``F_T = S + cost``, where ``V`` is the
+  virtual time (the start tag of the job most recently dispatched) and
+  ``cost`` is the job's work proxy. Dispatching the minimum finish tag
+  gives every tenant an equal share of throughput regardless of arrival
+  bursts — a tenant spraying hundreds of cheap jobs cannot push a
+  patient tenant's work arbitrarily far back.
 
 The queue itself is bounded: past ``max_depth`` every submission is
 rejected with ``queue_full``. Rejections are *explicit backpressure* —
@@ -34,35 +34,26 @@ __all__ = ["FairQueue"]
 
 
 class _Tenant:
-    __slots__ = ("name", "weight", "budget", "admitted", "finish")
+    __slots__ = ("admitted", "finish")
 
-    def __init__(self, name: str, weight: float, budget: int) -> None:
-        self.name = name
-        self.weight = weight
-        self.budget = budget
+    def __init__(self) -> None:
         self.admitted = 0      # queued + running jobs
         self.finish = 0.0      # SFQ finish tag of the tenant's last job
 
 
 class FairQueue:
-    """Bounded, budgeted, weighted-fair job queue."""
+    """Bounded, budgeted, fair job queue."""
 
     def __init__(
         self,
         max_depth: int = 64,
-        default_budget: int = 16,
-        default_weight: float = 1.0,
-        weights: Optional[Dict[str, float]] = None,
-        budgets: Optional[Dict[str, int]] = None,
+        budget: int = 16,
         retry_after: Optional[Callable[[int], float]] = None,
     ) -> None:
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.max_depth = max_depth
-        self.default_budget = default_budget
-        self.default_weight = default_weight
-        self._weights = dict(weights or {})
-        self._budgets = dict(budgets or {})
+        self.budget = budget
         self._retry_after = retry_after or (lambda depth: 1.0 + 0.1 * depth)
         self._tenants: Dict[str, _Tenant] = {}
         self._heap: list = []  # (finish_tag, seq, record)
@@ -74,12 +65,7 @@ class FairQueue:
     def _tenant(self, name: str) -> _Tenant:
         tenant = self._tenants.get(name)
         if tenant is None:
-            tenant = _Tenant(
-                name,
-                self._weights.get(name, self.default_weight),
-                self._budgets.get(name, self.default_budget),
-            )
-            self._tenants[name] = tenant
+            tenant = self._tenants[name] = _Tenant()
         return tenant
 
     @property
@@ -103,7 +89,7 @@ class FairQueue:
         """
         tenant = self._tenant(record.spec.tenant)
         if not force:
-            if tenant.admitted >= tenant.budget:
+            if tenant.admitted >= self.budget:
                 self.rejected["budget_exceeded"] += 1
                 raise AdmissionError(
                     "budget_exceeded", self._retry_after(tenant.admitted)
@@ -114,7 +100,7 @@ class FairQueue:
                     "queue_full", self._retry_after(self.depth)
                 )
         start = max(self._virtual, tenant.finish)
-        tenant.finish = start + record.spec.cost() / tenant.weight
+        tenant.finish = start + record.spec.cost()
         tenant.admitted += 1
         heapq.heappush(self._heap, (tenant.finish, next(self._seq), record))
 
@@ -143,7 +129,7 @@ class FairQueue:
             tenant = self._tenant(record.spec.tenant)
             reason = None
             hint = 0.0
-            if tenant.admitted >= tenant.budget:
+            if tenant.admitted >= self.budget:
                 reason = "budget_exceeded"
                 hint = self._retry_after(tenant.admitted)
             elif depth >= self.max_depth:
@@ -156,7 +142,7 @@ class FairQueue:
                 outcomes.append(AdmissionError(reason, hint))
                 continue
             start = max(self._virtual, tenant.finish)
-            tenant.finish = start + record.spec.cost() / tenant.weight
+            tenant.finish = start + record.spec.cost()
             tenant.admitted += 1
             depth += 1
             admitted.append((tenant.finish, next(self._seq), record))
@@ -176,15 +162,10 @@ class FairQueue:
         if not self._heap:
             return None
         finish, _seq, record = heapq.heappop(self._heap)
-        tenant = self._tenants[record.spec.tenant]
-        start = finish - record.spec.cost() / tenant.weight
+        start = finish - record.spec.cost()
         if start > self._virtual:
             self._virtual = start
         return record
-
-    def peek(self) -> Optional[JobRecord]:
-        """The record :meth:`next_job` would return, without popping."""
-        return self._heap[0][2] if self._heap else None
 
     def release(self, tenant_name: str) -> None:
         """A job of the tenant reached a terminal state: free budget."""
@@ -197,10 +178,10 @@ class FairQueue:
         return {
             "depth": self.depth,
             "max_depth": self.max_depth,
+            "budget": self.budget,
             "rejected": dict(self.rejected),
             "tenants": {
-                name: {"admitted": t.admitted, "weight": t.weight,
-                       "budget": t.budget}
+                name: {"admitted": t.admitted}
                 for name, t in sorted(self._tenants.items())
             },
         }

@@ -1,16 +1,15 @@
 """Job model of the experiment service.
 
 A :class:`JobSpec` is the wire-level description of one workflow
-repetition a tenant wants computed: the workflow parameters, the seed,
-the requested fidelity tier, and whether the service may degrade the
-tier under load. It is a pure value — two byte-equal specs denote the
-same computation, which is what makes cross-tenant dedup and
-exactly-once resume sound: the service keys everything on the
+repetition a tenant wants computed: the workflow parameters, the seed
+and the fidelity tier it runs at. It is a pure value — two byte-equal
+specs denote the same computation, which is what makes cross-tenant
+dedup and exactly-once resume sound: the service keys everything on the
 content-addressed :class:`~repro.experiments.persist.ResultCache`
 digest of the spec's :class:`~repro.experiments.parallel.RunTask`.
 
 A :class:`JobRecord` is the server-side lifecycle of one accepted
-submission: queued → running → done/failed, with shed/dedup/attempt
+submission: queued → running → done/failed, with dedup/attempt
 bookkeeping. Records round-trip through the journal as plain dicts.
 """
 
@@ -51,8 +50,6 @@ class JobSpec:
     seed: int = 0
     jitter_cv: float = 0.0
     fidelity: str = "exact"
-    #: whether load shedding may downgrade this job's tier
-    degradable: bool = True
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -83,13 +80,12 @@ class JobSpec:
             stride=self.stride, placement=placement, **kwargs,
         )
 
-    def run_task(self, fidelity: Optional[str] = None) -> RunTask:
-        """The :class:`RunTask` executing this job (at ``fidelity`` if a
-        load-shed downgraded the requested tier)."""
+    def run_task(self) -> RunTask:
+        """The :class:`RunTask` executing this job."""
         return RunTask(
             spec=self.workflow_spec(), seed=self.seed,
             jitter_cv=self.jitter_cv, fault_plan=self.fault_plan,
-            fidelity=Fidelity.coerce(fidelity or self.fidelity).value,
+            fidelity=Fidelity.coerce(self.fidelity).value,
         )
 
     # -- wire format -------------------------------------------------------
@@ -101,7 +97,6 @@ class JobSpec:
             "stride": self.stride, "placement": self.placement,
             "sync_mode": self.sync_mode, "seed": self.seed,
             "jitter_cv": self.jitter_cv, "fidelity": self.fidelity,
-            "degradable": self.degradable,
         }
         if self.fault_plan is not None:
             payload["fault_plan"] = self.fault_plan.to_dict()
@@ -110,7 +105,11 @@ class JobSpec:
     @classmethod
     def from_wire(cls, payload: Dict[str, Any]) -> "JobSpec":
         """Inverse of :meth:`to_wire`; raises :class:`ServiceError` on a
-        malformed payload instead of leaking a traceback to the socket."""
+        malformed payload instead of leaking a traceback to the socket.
+
+        Keys it does not know are ignored: older clients still send a
+        ``degradable`` flag, which names the same computation either
+        way."""
         if not isinstance(payload, dict):
             raise ServiceError(f"job payload must be an object, got "
                                f"{type(payload).__name__}")
@@ -128,7 +127,6 @@ class JobSpec:
                 seed=int(data.pop("seed", 0)),
                 jitter_cv=float(data.pop("jitter_cv", 0.0)),
                 fidelity=str(data.pop("fidelity", "exact")),
-                degradable=bool(data.pop("degradable", True)),
                 fault_plan=FaultPlan.from_dict(plan) if plan else None,
             )
         except ServiceError:
@@ -151,10 +149,7 @@ class JobRecord:
     state: str = QUEUED
     #: extra executions consumed by crash/timeout re-submissions
     attempts: int = 0
-    #: tier the shedding policy downgraded to (None = ran as requested)
-    shed_to: Optional[str] = None
-    #: content address of the result actually computed (set at dispatch,
-    #: when the effective fidelity is known; the requested-tier key until)
+    #: content address of the job's result
     key: Optional[str] = None
     #: job_id of the in-flight primary this duplicate coalesced onto
     dedup_of: Optional[str] = None
@@ -179,9 +174,7 @@ class JobRecord:
             "job_id": self.job_id,
             "tenant": self.spec.tenant,
             "state": self.state,
-            "fidelity": self.shed_to or self.spec.fidelity,
-            "requested_fidelity": self.spec.fidelity,
-            "shed_to": self.shed_to,
+            "fidelity": self.spec.fidelity,
             "attempts": self.attempts,
             "key": self.key,
             "dedup_of": self.dedup_of,

@@ -23,8 +23,9 @@ same per-operation-amortization lesson the paper draws from DYAD's
 batched RDMA pulls versus Lustre's per-file RPCs.
 
 The journal is an event log, not a state store — replay folds events in
-order (``submit`` → ``start``/``shed``/``retry`` → ``done``/``failed``)
-into final :class:`~repro.service.jobs.JobRecord` states.
+order (``submit`` → ``start``/``retry`` → ``done``/``failed``) into
+final :class:`~repro.service.jobs.JobRecord` states; an event kind
+replay does not know is skipped.
 :func:`iter_events` streams records one line at a time, so replaying a
 multi-gigabyte journal never materializes the whole file in memory.
 Compaction (:meth:`Journal.compact`) rewrites the log as one ``submit``
@@ -167,8 +168,8 @@ class GroupCommitter:
       durable; the caller awaits it before acknowledging (the barrier).
     - :meth:`enqueue` — fire-and-forget for events whose loss is
       recoverable from other state (``done`` records re-derive from the
-      content-addressed store; ``start``/``shed``/``retry`` only refine
-      resume behaviour). They still commit in order with everything
+      content-addressed store; ``start``/``retry`` only refine resume
+      behaviour). They still commit in order with everything
       else, just without stalling the caller.
 
     The committer task collects everything enqueued within

@@ -3,11 +3,12 @@
 Drives hundreds of concurrent asyncio clients — mixed tenants, a small
 pool of distinct job contents (realistic campaigns repeat cells, which
 is what exercises the dedup paths), and deliberate duplicate
-submissions — against a running server, and reports the numbers the PR
-promises in ``BENCH_service.json``: p50/p99 submit-to-result latency,
-shed/dedup/retry counts, and zero-lost-job accounting (every submitted
-job must reach a terminal state exactly once, even when an orchestrator
-is SIGKILL-ing the server mid-run; clients ride restarts out via
+submissions — against a running server, and reports the numbers
+``BENCH_service.json`` records: p50/p99 submit-to-result latency,
+result sources (computed/hit/dedup), client resubmits, and zero-lost-job
+accounting (every submitted job must reach a terminal state exactly
+once, even when an orchestrator is SIGKILL-ing the server mid-run;
+clients ride restarts out via
 :meth:`~repro.service.client.ServiceClient.submit_resilient`).
 
 The harness is deliberately server-agnostic: it only speaks the wire
@@ -42,7 +43,6 @@ def build_job_pool(
     frames: int = 2,
     seed: int = 0,
     fidelity: str = "exact",
-    degradable: bool = True,
 ) -> List[Dict[str, Any]]:
     """A pool of ``distinct`` small job payloads across the tenants.
 
@@ -60,7 +60,6 @@ def build_job_pool(
             "pairs": 1,
             "seed": seed + i // len(systems),
             "fidelity": fidelity,
-            "degradable": degradable,
         })
     return pool
 
@@ -75,7 +74,6 @@ async def run_load(
     frames: int = 2,
     seed: int = 1234,
     fidelity: str = "exact",
-    degradable: bool = True,
     deadline: float = 300.0,
 ) -> Dict[str, Any]:
     """Drive the mixed-tenant load; returns the accounting report.
@@ -88,7 +86,7 @@ async def run_load(
     """
     tenants = tenants or ["alice", "bob", "carol"]
     pool = build_job_pool(tenants, distinct=distinct_jobs, frames=frames,
-                          seed=seed, fidelity=fidelity, degradable=degradable)
+                          seed=seed, fidelity=fidelity)
     rng = random.Random(seed)
     # pre-draw every client's job sequence so the submitted *set* is
     # deterministic even though completion interleaving is not
@@ -108,13 +106,12 @@ async def run_load(
     outcomes = {"done": 0, "failed": 0, "lost": 0}
     sources = {"computed": 0, "hit": 0, "dedup": 0}
     fingerprints: Dict[str, set] = {}
-    shed_seen = 0
     resubmits = 0
     reconnects = 0
     lock = asyncio.Lock()
 
     async def one_client(index: int, jobs: List[Dict[str, Any]]) -> None:
-        nonlocal shed_seen, resubmits, reconnects
+        nonlocal resubmits, reconnects
         # per-client seeds keep the jittered backoff schedule both
         # deterministic (same run, same timeline) and de-synchronized
         client = ServiceClient(socket_path, seed=seed + index)
@@ -138,8 +135,6 @@ async def run_load(
                         src = response.get("source")
                         if src in sources:
                             sources[src] += 1
-                        if response.get("shed_to"):
-                            shed_seen += 1
                         key = response.get("key")
                         if key is not None:
                             fingerprints.setdefault(key, set()).add(
@@ -175,7 +170,6 @@ async def run_load(
         "throughput": round(submitted / wall, 1) if wall > 0 else None,
         "outcomes": outcomes,
         "sources": sources,
-        "shed_observed": shed_seen,
         "client_resubmits": resubmits,
         "client_reconnects": reconnects,
         "latency_p50": percentile(latencies, 0.50),

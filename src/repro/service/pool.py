@@ -69,25 +69,27 @@ class WorkerPool:
         """Start the workers now, off the event loop (see _launch_pool)."""
         self._launch = asyncio.ensure_future(self._launch_pool())
 
-    async def run(self, timeout: Optional[float], jobs: int,
-                  fn, *args) -> Tuple[Any, float]:
+    async def run(self, timeout: Optional[float], fn,
+                  *args) -> Tuple[Any, float]:
         """Run ``fn(*args)`` on the pool as if it had a worker to itself.
 
         The task may wait in the pool behind a running one; ``timeout``
         counts from when a worker takes it, and if the pool is replaced
         before that (a task ahead crashed or hung) it is handed to the
-        new pool without costing an attempt. ``jobs`` is how many jobs
-        the task carries, for the :attr:`pipelined` count. Returns the
-        result and the seconds it ran; raises ``asyncio.TimeoutError``
-        (the pool is recycled), ``BrokenProcessPool`` (the worker died
-        while running it, or workers keep dying before any task starts)
-        or the task's own error.
+        new pool without costing an attempt. A hand-off that waits
+        counts as :attr:`pipelined`. Returns the result and the seconds
+        it ran; raises ``asyncio.TimeoutError`` (the pool is recycled),
+        ``BrokenProcessPool`` (the worker died while running it, or
+        workers keep dying before any task starts) or the task's own
+        error.
         """
         if self._launch is not None and not self._launch.done():
             # shielded: a cancelled caller must not cancel the launch
             await asyncio.shield(self._launch)
         while True:
-            handoff = self._hand_off(jobs, fn, *args)
+            handoff = self._hand_off(fn, *args)
+            if not handoff.started.done():
+                self.pipelined += 1
             if await handoff.started:
                 self._fruitless = 0
                 break
@@ -106,7 +108,7 @@ class WorkerPool:
         self._recycle_pool(self._generation, wait=wait)
 
     # -- the hand-off line -------------------------------------------------
-    def _hand_off(self, jobs: int, fn, *args) -> _Handoff:
+    def _hand_off(self, fn, *args) -> _Handoff:
         """Submit one task to the pool; it starts when a worker is free."""
         try:
             future = self._submit(fn, *args)
@@ -114,7 +116,7 @@ class WorkerPool:
             # the pool broke before its failed tasks reached the loop
             self._recycle_pool(self._generation)
             future = self._submit(fn, *args)
-        return self._line_up(jobs, future)
+        return self._line_up(future)
 
     def _submit(self, fn, *args) -> concurrent.futures.Future:
         try:
@@ -124,8 +126,7 @@ class WorkerPool:
             # closed the queue being handed to it
             raise BrokenProcessPool(f"a worker died at start: {exc}") from exc
 
-    def _line_up(self, jobs: int,
-                 submitted: concurrent.futures.Future) -> _Handoff:
+    def _line_up(self, submitted: concurrent.futures.Future) -> _Handoff:
         """Put a task already submitted to the current pool at the end
         of the hand-off line."""
         loop = asyncio.get_running_loop()
@@ -134,8 +135,6 @@ class WorkerPool:
         self._handoffs.append(handoff)
         if len(self._handoffs) <= self.workers:
             handoff.started.set_result(True)
-        else:
-            self.pipelined += jobs
         future.add_done_callback(lambda _f: self._handoff_done(handoff))
         return handoff
 
@@ -200,7 +199,7 @@ class WorkerPool:
     def _adopt(self, pool, warm: List[concurrent.futures.Future]) -> None:
         self._pool = pool
         for submitted in warm:
-            self._line_up(0, submitted)
+            self._line_up(submitted)
 
     def _recycle_pool(self, generation: int, wait: bool = False) -> None:
         """Replace a broken/hung pool exactly once per generation.

@@ -19,17 +19,18 @@ API. One JSON object per line in each direction over a unix socket:
 - ``{"op": "drain"}`` — stop admitting, finish in-flight work, reply.
 - ``{"op": "ping"}`` — liveness.
 
-Robustness model (PR 7's headline) — admission control with explicit
-backpressure, shedding to cheaper fidelity tiers under pressure,
-crash-isolated ``forkserver`` workers with bounded retries, per-kind circuit
-breaking, journal-before-ack crash consistency, and drain-on-SIGTERM —
-is unchanged. What this revision rebuilds is the *hot path*, applying
-the paper's core lesson (per-operation overheads dominate at scale;
+Robustness model: admission control with explicit backpressure,
+crash-isolated ``forkserver`` workers with bounded retries, per-kind
+circuit breaking, journal-before-ack crash consistency, and
+drain-on-SIGTERM. Every admitted job runs at the fidelity tier it asked
+for, through one path: the fair queue hands it out, the store is
+checked once more, and one worker runs it. The hot path applies the
+paper's core lesson (per-operation overheads dominate at scale;
 batched/staged paths amortize them) to the serving layer itself:
 
 - **group-commit journaling** — concurrent submits share one buffered
-  write + one ``fsync`` per commit window
-  (:class:`~repro.service.journal.GroupCommitter`) instead of paying a
+  write + one ``fsync`` per commit window (:data:`COMMIT_WINDOW_S`,
+  :class:`~repro.service.journal.GroupCommitter`) instead of paying a
   per-job ``fsync``; the barrier contract (no ack before durable) is
   kept by awaiting the window's commit future.
 - **one copy of each result** — a result's metadata resolves through
@@ -42,12 +43,10 @@ batched/staged paths amortize them) to the serving layer itself:
   (:func:`~repro.service.worker._execute_job`), and the server files
   the bytes as they are. The server process never loads the simulator
   or numpy; ``stats`` reports both under ``loaded``.
-- **batched admission and dispatch** — every submit that arrives in one
-  event-loop tick is admitted with a single
+- **batched admission** — every submit that arrives in one event-loop
+  tick is admitted with a single
   :meth:`~repro.service.admission.FairQueue.submit_batch` (one heap
-  repair, one commit window), and small degradable jobs are fused into
-  multi-job worker tasks (``fuse_small_jobs``) so a worker round trip
-  is paid once per batch, not once per job.
+  repair, one commit window).
 - **pipelined dispatch** — each worker has its next job waiting in the
   pool behind the one it runs, so the server's per-result bookkeeping
   (store publish, journal) overlaps the worker's next
@@ -78,9 +77,8 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
 from repro.service.journal import GroupCommitter, Journal, iter_events
 from repro.service.pool import WorkerPool
-from repro.service.shedding import SheddingPolicy
 from repro.service.store import SharedResultStore
-from repro.service.worker import _execute_job, _execute_task_batch
+from repro.service.worker import _execute_job
 
 __all__ = ["ServerConfig", "ExperimentServer"]
 
@@ -90,6 +88,16 @@ PIPELINE_DEPTH = 2
 #: admitted jobs queued across all tenants before submits are rejected
 #: with ``queue_full``; every tenant has the same fair-share weight
 QUEUE_DEPTH = 64
+#: jobs one tenant may have admitted (queued + running) at once before
+#: its submits are rejected with ``budget_exceeded``
+TENANT_BUDGET = 16
+#: consecutive failures of one kind that open its circuit breaker, and
+#: the seconds it then stays open
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_S = 30.0
+#: group-commit latency bound: how long the journal waits for more
+#: events to share an fsync
+COMMIT_WINDOW_S = 0.002
 #: size bound of one group commit
 COMMIT_MAX_BATCH = 512
 #: boot-time journal compaction triggers at this size (bytes); small
@@ -97,8 +105,6 @@ COMMIT_MAX_BATCH = 512
 COMPACT_MIN_BYTES = 1 << 20
 #: result-store LRU index capacity (keys resolved without disk I/O)
 LRU_ENTRIES = 512
-#: only jobs with cost() at or below this are fusable
-FUSE_MAX_COST = 16
 #: unix-socket listen backlog: it must absorb a client herd's
 #: simultaneous connects (the asyncio default of 100 drops them)
 BACKLOG = 512
@@ -116,11 +122,6 @@ class ServerConfig:
     journal_path: str
     cache_dir: Optional[str] = None
     workers: int = 2
-    tenant_budget: int = 16
-    shed_hybrid_depth: int = 16
-    shed_fluid_depth: int = 48
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 30.0
     #: per-attempt wall budget; None falls back to REPRO_TASK_TIMEOUT
     task_timeout: Optional[float] = None
     #: crash/timeout re-submissions per job; None -> REPRO_TASK_RETRIES
@@ -128,27 +129,13 @@ class ServerConfig:
     #: run jobs on threads instead of worker processes — fast for tests
     #: and benches that do not exercise the crash paths
     inline: bool = False
-    #: group-commit latency bound: how long the journal waits for more
-    #: events to share an fsync (0 = sync every batch immediately)
-    commit_window: float = 0.002
-    #: fuse up to this many small degradable jobs into one worker round
-    #: trip (1 disables fusion)
-    fuse_small_jobs: int = 4
-    #: write the perf-metrics timeline (commit window / LRU / batch
+    #: write the perf-metrics timeline (commit window / LRU / admission
     #: gauges) to this JSON file at shutdown
     metrics_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
-        if self.commit_window < 0:
-            raise ServiceError(
-                f"commit_window must be >= 0, got {self.commit_window}"
-            )
-        if self.fuse_small_jobs < 1:
-            raise ServiceError(
-                f"fuse_small_jobs must be >= 1, got {self.fuse_small_jobs}"
-            )
 
 
 class ExperimentServer:
@@ -160,24 +147,18 @@ class ExperimentServer:
                                        lru_entries=LRU_ENTRIES)
         self.journal = Journal(config.journal_path)
         self.committer = GroupCommitter(
-            self.journal, window=config.commit_window,
+            self.journal, window=COMMIT_WINDOW_S,
             max_batch=COMMIT_MAX_BATCH,
         )
         self.queue = FairQueue(
-            max_depth=QUEUE_DEPTH,
-            default_budget=config.tenant_budget,
+            max_depth=QUEUE_DEPTH, budget=TENANT_BUDGET,
             retry_after=self._retry_after,
         )
-        self.shedding = SheddingPolicy(
-            config.shed_hybrid_depth, config.shed_fluid_depth
-        )
-        self.breaker = CircuitBreaker(
-            config.breaker_threshold, config.breaker_cooldown
-        )
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN_S)
         self.task_timeout = _default_task_timeout(config.task_timeout)
         self.max_retries = _default_task_retries(config.max_retries)
         self.records: Dict[str, JobRecord] = {}
-        self._inflight: Dict[str, str] = {}  # requested key -> primary id
+        self._inflight: Dict[str, str] = {}  # key -> primary id
         self._events: Dict[str, asyncio.Event] = {}
         self._seq = 0
         self._running = 0
@@ -198,13 +179,13 @@ class ExperimentServer:
         self._service_ewma = 0.02
         self.counters = {
             "submitted": 0, "accepted": 0, "completed": 0, "failed": 0,
-            "shed": 0, "dedup_inflight": 0, "retries": 0, "resumed": 0,
+            "dedup_inflight": 0, "retries": 0, "resumed": 0,
             "rejected_circuit": 0, "rejected_draining": 0,
         }
-        self.dispatch = {
-            "batches": 0, "jobs": 0, "fused_batches": 0, "fused_jobs": 0,
-            "max_batch": 0, "fallbacks": 0,
-        }
+        # jobs handed to a worker. ``fused_jobs`` stays 0: no job shares
+        # a worker task with another, and the benchmark's
+        # ``service.fused_jobs`` metric still reads the key
+        self.dispatch = {"jobs": 0, "fused_jobs": 0}
         self.admission = {"batches": 0, "jobs": 0, "max_batch": 0}
         self.latencies: List[float] = []
         self._t0 = time.monotonic()
@@ -306,8 +287,6 @@ class ExperimentServer:
                     self._seq = num + 1
             elif job_id not in self.records:
                 continue  # event for a compacted-away record (or a flush)
-            elif ev == "shed":
-                self.records[job_id].shed_to = event["to"]
             elif ev == "retry":
                 self.records[job_id].attempts = event["attempts"]
             elif ev == "done":
@@ -328,8 +307,6 @@ class ExperimentServer:
             self.counters["submitted"] += 1
             self.counters["accepted"] += 1
             self.counters["retries"] += record.attempts
-            if record.shed_to:
-                self.counters["shed"] += 1
             if record.state == DONE:
                 self.counters["completed"] += 1
                 if record.fingerprint is not None:
@@ -343,8 +320,7 @@ class ExperimentServer:
             # a job that was RUNNING at the crash never finished: treat it
             # as queued — deterministic re-execution is side-effect-free
             record.state = QUEUED
-            effective = record.shed_to or record.spec.fidelity
-            key = self.store.key_for(record.spec, effective)
+            key = self.store.key_for(record.spec)
             record.key = key
             stored = self.store.fetch(key, record.spec.tenant)
             if stored is not None:
@@ -357,10 +333,7 @@ class ExperimentServer:
                 continue
             self.queue.submit(record, force=True)
             # restore singleflight so post-restart duplicates coalesce
-            # (new submissions look up the *requested*-tier key)
             self._inflight.setdefault(key, record.job_id)
-            requested_key = self.store.key_for(record.spec)
-            self._inflight.setdefault(requested_key, record.job_id)
             self.counters["resumed"] += 1
         if replayed and self.journal.size() >= COMPACT_MIN_BYTES:
             self._compact()
@@ -377,9 +350,6 @@ class ExperimentServer:
                 "job": record.spec.to_wire(), "key": record.key,
                 "t": record.submitted_at,
             })
-            if record.shed_to:
-                folded.append({"ev": "shed", "id": record.job_id,
-                               "to": record.shed_to})
             if record.attempts:
                 folded.append({"ev": "retry", "id": record.job_id,
                                "attempts": record.attempts})
@@ -632,8 +602,8 @@ class ExperimentServer:
         """One dispatch loop; ``PIPELINE_DEPTH * config.workers`` of these
         run concurrently, each with at most one task in the pool."""
         while not self._stopping:
-            batch = self._claim_batch()
-            if not batch:
+            record = self.queue.next_job()
+            if record is None:
                 if self._running == 0:
                     self._idle.set()
                 self._work.clear()
@@ -642,117 +612,39 @@ class ExperimentServer:
                 except asyncio.CancelledError:
                     return
                 continue
-            self._running += len(batch)
+            self._running += 1
             try:
-                await self._run_batch(batch)
+                await self._run(record)
             finally:
-                self._running -= len(batch)
+                self._running -= 1
                 if self._running == 0 and self.queue.depth == 0:
                     self._idle.set()
 
-    def _fusable(self, record: JobRecord) -> bool:
-        return (record.spec.degradable
-                and record.spec.cost() <= FUSE_MAX_COST)
-
-    def _claim_batch(self) -> List[JobRecord]:
-        """Pop the next job plus any fusable followers, in fair order."""
-        record = self.queue.next_job()
-        if record is None:
-            return []
-        batch = [record]
-        limit = self.config.fuse_small_jobs
-        if limit > 1 and self._fusable(record):
-            while len(batch) < limit:
-                head = self.queue.peek()
-                if head is None or not self._fusable(head):
-                    break
-                batch.append(self.queue.next_job())
-        return batch
-
-    async def _run_batch(self, batch: List[JobRecord]) -> None:
-        # one depth sample for the whole batch; per-record depths mirror
-        # what sequential dispatch would have seen
-        base_depth = self.queue.depth
-        runnable: List[Tuple[JobRecord, Any]] = []
-        for i, record in enumerate(batch):
-            spec = record.spec
-            depth = base_depth + len(batch) - 1 - i
-            shed_to = self.shedding.choose(depth, spec)
-            effective = shed_to or spec.fidelity
-            if shed_to is not None:
-                record.shed_to = shed_to
-                record.key = self.store.key_for(spec, shed_to)
-                self.counters["shed"] += 1
-                self.committer.enqueue({"ev": "shed", "id": record.job_id,
-                                        "to": shed_to})
-            # a twin of this job may have published while it waited in
-            # the queue (crash-resumed duplicates, shed-tier overlaps):
-            # one LRU lookup beats recomputing. Unless the job was just
-            # shed to a new key, its submit or resume already missed
-            # this key and counted the miss
-            stored = self.store.fetch(record.key, spec.tenant,
-                                      recheck=shed_to is None)
-            if stored is not None:
-                self._finish(record, makespan=stored.makespan,
-                             fingerprint=stored.fingerprint, source="hit")
-                continue
-            record.state = RUNNING
-            self.committer.enqueue({"ev": "start", "id": record.job_id,
-                                    "fidelity": effective})
-            runnable.append((record, spec.run_task(effective)))
-        if not runnable:
+    async def _run(self, record: JobRecord) -> None:
+        """Run one admitted job at its requested tier."""
+        # a twin of this job may have published while it waited in the
+        # queue (a crash-resumed duplicate): one LRU lookup beats
+        # recomputing. Its submit or resume already missed this key and
+        # counted the miss
+        stored = self.store.fetch(record.key, record.spec.tenant,
+                                  recheck=True)
+        if stored is not None:
+            self._finish(record, makespan=stored.makespan,
+                         fingerprint=stored.fingerprint, source="hit")
             return
-        self.dispatch["batches"] += 1
-        self.dispatch["jobs"] += len(runnable)
-        if len(runnable) > self.dispatch["max_batch"]:
-            self.dispatch["max_batch"] = len(runnable)
-        self.timeline.gauge("dispatch.batch_size").set(len(runnable))
-        if len(runnable) == 1:
-            await self._execute_single(*runnable[0])
-            return
-        self.dispatch["fused_batches"] += 1
-        self.dispatch["fused_jobs"] += len(runnable)
-        await self._execute_fused(runnable)
-
-    async def _execute_fused(
-        self, runnable: List[Tuple[JobRecord, Any]]
-    ) -> None:
-        """One worker round trip for the whole batch, with fallback."""
-        records = [record for record, _ in runnable]
-        tasks = [task for _, task in runnable]
-        timeout = (self.task_timeout * len(tasks)
-                   if self.task_timeout is not None else None)
-        try:
-            outcomes, elapsed = await self.pool.run(
-                timeout, len(tasks), _execute_task_batch, tasks)
-        except asyncio.CancelledError:
-            for record in records:
-                record.state = QUEUED  # server stopping; resume re-runs
-            raise
-        except (asyncio.TimeoutError, BrokenProcessPool) as exc:
-            reason = ("task timeout" if isinstance(exc, asyncio.TimeoutError)
-                      else "worker crashed")
-            self.dispatch["fallbacks"] += 1
-            # the whole batch shared the worker, so every member charges
-            # one attempt; survivors re-run individually, which isolates
-            # the poisoned job and preserves the per-job retry budget
-            for record, task in runnable:
-                if self._note_retry(record, f"{reason} (fused batch)"):
-                    await self._execute_single(record, task)
-            return
-        self._observe_service_time(elapsed / len(tasks))
-        for (record, _task), (ok, payload) in zip(runnable, outcomes):
-            if ok:
-                self._publish(record, *payload)
-            else:
-                self._fail(record, payload)
+        record.state = RUNNING
+        self.committer.enqueue({"ev": "start", "id": record.job_id,
+                                "fidelity": record.spec.fidelity})
+        self.dispatch["jobs"] += 1
+        await self._execute_single(record, record.spec.run_task())
 
     async def _execute_single(self, record: JobRecord, task) -> None:
-        """PR 7's crash-isolated single-job execution loop."""
+        """Run one job on a worker; crashes and timeouts are retried
+        within the retry budget, a simulation error fails the job."""
         while True:
             try:
                 stored, elapsed = await self.pool.run(
-                    self.task_timeout, 1, _execute_job, task)
+                    self.task_timeout, _execute_job, task)
                 break
             except asyncio.TimeoutError:
                 reason = "task timeout"
@@ -836,10 +728,6 @@ class ExperimentServer:
     def _resolve_followers(self, primary: JobRecord, failed: bool) -> None:
         if self._inflight.get(primary.key) == primary.job_id:
             del self._inflight[primary.key]
-        # a requested-tier key may differ after a shed; clear that too
-        requested_key = self.store.key_for(primary.spec)
-        if self._inflight.get(requested_key) == primary.job_id:
-            del self._inflight[requested_key]
         for follower_id in primary.followers:
             follower = self.records.get(follower_id)
             if follower is None or follower.terminal:
@@ -853,7 +741,6 @@ class ExperimentServer:
             else:
                 follower.state = DONE
                 follower.source = "dedup"
-                follower.shed_to = primary.shed_to
                 follower.key = primary.key
                 follower.makespan = primary.makespan
                 follower.fingerprint = primary.fingerprint
@@ -890,7 +777,7 @@ class ExperimentServer:
         ))
 
     def _sample_metrics(self) -> None:
-        """Refresh the ISSUE-named gauges on the perf timeline."""
+        """Refresh the LRU and commit-window gauges on the perf timeline."""
         lru = self.timeline.counter("store.lru_hits")
         delta = self.store.lru_hits - lru.value
         if delta > 0:

@@ -32,7 +32,7 @@ from collections import OrderedDict, defaultdict
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError, ServiceError
-from repro.experiments.persist import ResultCache, decode_result
+from repro.experiments.persist import ResultCache
 from repro.service.jobs import JobSpec
 
 __all__ = ["SharedResultStore", "StoredResult"]
@@ -69,8 +69,8 @@ class SharedResultStore:
         #: (every key here has its metadata in :attr:`_known`)
         self._index: "OrderedDict[str, None]" = OrderedDict()
         #: content-key memo: JobSpec construction is eagerly validating
-        #: and hashing is pure, so (spec, tier) -> key never changes
-        self._key_cache: Dict[Tuple[JobSpec, Optional[str]], str] = {}
+        #: and hashing is pure, so spec -> key never changes
+        self._key_cache: Dict[JobSpec, str] = {}
         self.hits: Dict[str, int] = defaultdict(int)
         self.misses: Dict[str, int] = defaultdict(int)
         self.stores: Dict[str, int] = defaultdict(int)
@@ -88,15 +88,14 @@ class SharedResultStore:
     def root(self) -> str:
         return self.cache.root
 
-    def key_for(self, spec: JobSpec, fidelity: Optional[str] = None) -> str:
-        """Content address of the job at its effective fidelity tier."""
-        memo = (spec, fidelity)
-        key = self._key_cache.get(memo)
+    def key_for(self, spec: JobSpec) -> str:
+        """Content address of the job's result."""
+        key = self._key_cache.get(spec)
         if key is None:
-            key = spec.run_task(fidelity).key()
+            key = spec.run_task().key()
             if len(self._key_cache) >= 4096:
                 self._key_cache.clear()
-            self._key_cache[memo] = key
+            self._key_cache[spec] = key
         return key
 
     # -- index internals ---------------------------------------------------
@@ -113,6 +112,9 @@ class SharedResultStore:
         An index hit reads no disk. A miss reads the entry file once (a
         ``recheck`` miss is not counted: see :meth:`fetch`) and decodes
         the result only when this process was never told its metadata.
+        An entry that does not decode is removed by the cache's
+        self-heal (:meth:`~repro.experiments.persist.ResultCache.load`)
+        and reads as a miss, so its job is computed again.
         """
         if key in self._index:
             self.lru_hits += 1
@@ -120,14 +122,16 @@ class SharedResultStore:
             return self._known[key]
         if not recheck:
             self.lru_misses += 1
-        blob = self.cache.load_bytes(key)
-        if blob is None:
-            return None
         meta = self._known.get(key)
-        if meta is None:
+        if meta is not None:
+            if self.cache.load_bytes(key) is None:
+                return None
+        else:
             from repro.experiments.parallel import result_fingerprint
 
-            result = decode_result(blob)
+            result = self.cache.load(key)
+            if result is None:
+                return None
             try:
                 fingerprint = result_fingerprint(result)
             except Exception:

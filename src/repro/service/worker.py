@@ -11,11 +11,10 @@ import their code at the same time, on different cores:
   what a worker runs (:data:`PRELOAD`);
 - :func:`init_worker` — the pool initializer: a worker takes its
   owner's fault-hook environment and ends once the owner is gone;
-- :func:`_execute_job`, :func:`_execute_task_batch` and
-  :func:`_warm_worker` — the worker entry points. A job comes back as
-  its stored form: the encoded result, its fingerprint and its
-  makespan. The server files those bytes as they are and never loads
-  the simulator to read them; a campaign
+- :func:`_execute_job` and :func:`_warm_worker` — the worker entry
+  points. A job comes back as its stored form: the encoded result, its
+  fingerprint and its makespan. The server files those bytes as they
+  are and never loads the simulator to read them; a campaign
   (:func:`repro.experiments.parallel.run_campaign`) runs its tasks
   through :func:`_execute_job` too and caches the same bytes.
 """
@@ -27,9 +26,7 @@ import select
 import threading
 import time
 from multiprocessing import get_context
-from typing import Any, Dict, List, Tuple
-
-from repro.errors import ReproError
+from typing import Dict, Tuple
 
 __all__ = ["PRELOAD", "worker_context", "launch_forkserver", "init_worker"]
 
@@ -130,25 +127,6 @@ def _execute_job(task) -> Tuple[bytes, str, float]:
     result = _execute_task(task)
     return (encode_cacheable(result), result_fingerprint(result),
             result.makespan)
-
-
-def _execute_task_batch(tasks) -> List[Tuple[bool, Any]]:
-    """Worker entry point for a fused batch: one round trip, many jobs.
-
-    Each job comes back as ``(True, (blob, fingerprint, makespan))``
-    (see :func:`_execute_job`). Deterministic simulation failures are
-    isolated per task (``(False, message)``); anything harsher — a
-    crash, a kill — takes the whole worker down and the server falls
-    back to per-job execution, so one poisoned job can delay but never
-    corrupt its batchmates.
-    """
-    out: List[Tuple[bool, Any]] = []
-    for task in tasks:
-        try:
-            out.append((True, _execute_job(task)))
-        except ReproError as exc:
-            out.append((False, f"{type(exc).__name__}: {exc}"))
-    return out
 
 
 def _warm_worker() -> int:

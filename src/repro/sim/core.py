@@ -402,10 +402,6 @@ class Environment:
         self._seq = seq + 1
         _heappush(self._heap, (self._now + delay, priority, seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> None:
         """Process the single next event.
 

@@ -64,10 +64,6 @@ def test_mdm_publish_fetch_roundtrip(runtime):
     assert record == OwnerRecord(path="/dyad/f", owner="node00", size=123)
 
 
-def test_mdm_peek_untimed(runtime):
-    assert runtime.mdm.peek("/dyad/nothing") is None
-
-
 def test_mdm_wait_blocks(runtime):
     env = runtime.env
     got = []

@@ -132,11 +132,18 @@ def test_duplicate_commit_never_refires_latched_signal(env, kvs):
         yield from kvs.commit("node00", "k", 2)   # duplicate: no re-fire
         yield from kvs.commit("node00", "k", 3)
 
+    def reader():
+        value = yield from kvs.lookup("node01", "k")
+        got.append(value)
+
     env.process(watcher())
     env.process(committer())
     env.run()
     assert got == [1]
-    assert kvs.value("k") == 3
+    # the last commit is the stored value
+    env.process(reader())
+    env.run()
+    assert got == [1, 3]
 
 
 # ---------------------------------------------------------------------------

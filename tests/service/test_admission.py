@@ -1,4 +1,4 @@
-"""Admission control: budgets, bounded depth, weighted fair dispatch."""
+"""Admission control: budgets, bounded depth, fair dispatch."""
 
 import pytest
 
@@ -22,7 +22,7 @@ def test_fifo_for_single_tenant():
 
 
 def test_budget_rejection_carries_retry_hint():
-    queue = FairQueue(default_budget=2, retry_after=lambda depth: 7.5)
+    queue = FairQueue(budget=2, retry_after=lambda depth: 7.5)
     queue.submit(_record("alice", "job-0"))
     queue.submit(_record("alice", "job-1"))
     with pytest.raises(AdmissionError) as excinfo:
@@ -35,7 +35,7 @@ def test_budget_rejection_carries_retry_hint():
 
 
 def test_release_frees_budget():
-    queue = FairQueue(default_budget=1)
+    queue = FairQueue(budget=1)
     queue.submit(_record("alice", "job-0"))
     queue.next_job()
     with pytest.raises(AdmissionError):
@@ -46,7 +46,7 @@ def test_release_frees_budget():
 
 
 def test_queue_full_rejection():
-    queue = FairQueue(max_depth=2, default_budget=100)
+    queue = FairQueue(max_depth=2, budget=100)
     queue.submit(_record("alice", "job-0"))
     queue.submit(_record("bob", "job-1"))
     with pytest.raises(AdmissionError) as excinfo:
@@ -56,7 +56,7 @@ def test_queue_full_rejection():
 
 
 def test_force_bypasses_limits_for_replayed_jobs():
-    queue = FairQueue(max_depth=1, default_budget=1)
+    queue = FairQueue(max_depth=1, budget=1)
     queue.submit(_record("alice", "job-0"))
     # journal replay must never drop admitted work on this incarnation's
     # limits
@@ -68,7 +68,7 @@ def test_force_bypasses_limits_for_replayed_jobs():
 def test_burst_tenant_cannot_starve_patient_tenant():
     # alice sprays 10 jobs up front; bob submits one right after. SFQ
     # must dispatch bob's job near the front, not behind the burst.
-    queue = FairQueue(default_budget=100)
+    queue = FairQueue(budget=100)
     for i in range(10):
         queue.submit(_record("alice", f"alice-{i}"))
     queue.submit(_record("bob", "bob-0"))
@@ -81,20 +81,8 @@ def test_burst_tenant_cannot_starve_patient_tenant():
     assert order.index("bob-0") <= 1
 
 
-def test_weights_bias_dispatch_share():
-    # at weight 2, heavy gets ~2 dispatches for each of light's
-    queue = FairQueue(default_budget=100,
-                      weights={"heavy": 2.0, "light": 1.0})
-    for i in range(8):
-        queue.submit(_record("heavy", f"h-{i}"))
-        queue.submit(_record("light", f"l-{i}"))
-    first_six = [queue.next_job().job_id for _ in range(6)]
-    heavy_share = sum(1 for j in first_six if j.startswith("h-"))
-    assert heavy_share == 4  # 2:1 split of the first 6 slots
-
-
 def test_idle_tenant_reenters_at_current_virtual_time():
-    queue = FairQueue(default_budget=100)
+    queue = FairQueue(budget=100)
     for i in range(4):
         queue.submit(_record("alice", f"a-{i}"))
     for _ in range(4):
@@ -120,7 +108,7 @@ def test_batch_admission_matches_sequential_semantics():
     # the same submissions, batched vs sequential, must admit/reject
     # identically and dispatch in the same fair order
     def build():
-        return FairQueue(default_budget=3, max_depth=100)
+        return FairQueue(budget=3, max_depth=100)
 
     records = ([_record("alice", f"a-{i}") for i in range(5)]
                + [_record("bob", f"b-{i}") for i in range(2)])
@@ -143,26 +131,11 @@ def test_batch_admission_matches_sequential_semantics():
     assert dispatch_order(batched) == dispatch_order(sequential)
 
 
-def test_batch_admission_preserves_weighted_fair_share():
-    # tenant weights must bias dispatch exactly as under per-job
-    # submission, even when the whole burst lands as one batch op
-    queue = FairQueue(default_budget=100,
-                      weights={"heavy": 2.0, "light": 1.0})
-    batch = []
-    for i in range(8):
-        batch.append(_record("heavy", f"h-{i}"))
-        batch.append(_record("light", f"l-{i}"))
-    assert all(o is None for o in queue.submit_batch(batch))
-    first_six = [queue.next_job().job_id for _ in range(6)]
-    heavy_share = sum(1 for j in first_six if j.startswith("h-"))
-    assert heavy_share == 4  # 2:1 split of the first 6 slots
-
-
 def test_batch_budget_exhaustion_mid_batch_is_positional():
     # a tenant running out of budget mid-batch keeps its earlier
     # admissions; only the overflow is rejected, and other tenants in
     # the same batch are untouched
-    queue = FairQueue(default_budget=2, max_depth=100)
+    queue = FairQueue(budget=2, max_depth=100)
     outcomes = queue.submit_batch([
         _record("alice", "a-0"),
         _record("alice", "a-1"),
@@ -181,7 +154,7 @@ def test_batch_budget_exhaustion_mid_batch_is_positional():
 def test_batch_depth_limit_counts_in_batch_admissions():
     # the depth check must see earlier in-batch admissions, not the
     # stale pre-batch heap size
-    queue = FairQueue(default_budget=100, max_depth=3)
+    queue = FairQueue(budget=100, max_depth=3)
     outcomes = queue.submit_batch(
         [_record("alice", f"a-{i}") for i in range(5)]
     )
@@ -195,7 +168,7 @@ def test_batch_retry_hints_are_monotone_per_reason():
     # rejection never advertises a shorter wait than an earlier one,
     # even when the raw estimator is noisy or non-monotone
     hints = iter([5.0, 1.0, 3.0])
-    queue = FairQueue(default_budget=0, max_depth=100,
+    queue = FairQueue(budget=0, max_depth=100,
                       retry_after=lambda depth: next(hints))
     outcomes = queue.submit_batch(
         [_record("alice", f"a-{i}") for i in range(3)]
@@ -203,11 +176,3 @@ def test_batch_retry_hints_are_monotone_per_reason():
     waits = [o.retry_after for o in outcomes]
     assert waits == [5.0, 5.0, 5.0]
     assert all(o.reason == "budget_exceeded" for o in outcomes)
-
-
-def test_batch_peek_matches_next_job():
-    queue = FairQueue(default_budget=100)
-    queue.submit_batch([_record("alice", "a-0"), _record("bob", "b-0")])
-    head = queue.peek()
-    assert queue.next_job() is head
-    assert queue.peek().job_id != head.job_id

@@ -60,9 +60,9 @@ PACKAGES = {
         "CircuitBreaker", "DONE", "ExperimentServer", "FAILED", "FairQueue",
         "GroupCommitter", "JobRecord", "JobSpec", "Journal",
         "QUEUED", "RETRYABLE", "RUNNING", "ServerConfig",
-        "ServiceClient", "SharedResultStore", "SheddingPolicy",
-        "StoredResult", "SyncServiceClient", "build_job_pool",
-        "iter_events", "percentile", "run_delivery", "run_load",
+        "ServiceClient", "SharedResultStore", "StoredResult",
+        "SyncServiceClient", "build_job_pool", "iter_events",
+        "percentile", "run_delivery", "run_load",
     ],
 }
 
@@ -172,15 +172,15 @@ def test_lazy_names_resolve_to_their_definitions():
 
 
 async def _serve_a_mix(socket_path):
-    """Cold jobs, a fused batch, in-flight duplicates, repeats and result
-    fetches; returns the server's stats."""
+    """Cold jobs, a queue backlog, in-flight duplicates, repeats and
+    result fetches; returns the server's stats."""
     client = ServiceClient(socket_path)
     try:
         jobs = [{"tenant": "alice", "frames": 2, "seed": 900 + i}
                 for i in range(6)]
         # seed 900 holds the one worker (see the hang hook in the env),
-        # 901 waits in the pool behind it, and 902-905 queue up: the
-        # worker takes them as one fused batch
+        # 901 waits in the pool behind it, and 902-905 queue up behind
+        # both
         for job in jobs:
             assert (await client.submit(job, wait=False))["ok"]
         done = [await client.submit(job) for job in jobs]
@@ -200,7 +200,7 @@ async def _serve_a_mix(socket_path):
 
 def test_served_jobs_leave_the_server_simulator_free(tmp_path):
     """The server files what its workers encoded: through cold jobs,
-    a fused batch, duplicates, repeats and result fetches it loads
+    a queue backlog, duplicates, repeats and result fetches it loads
     neither numpy nor the workflow runner."""
     socket_path = str(tmp_path / "s.sock")
     cmd = server_command(socket_path, str(tmp_path / "j.jsonl"),
@@ -225,7 +225,6 @@ def test_served_jobs_leave_the_server_simulator_free(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert stats["counters"]["completed"] == 18
-    assert stats["dispatch"]["fused_jobs"] >= 2
     assert stats["loaded"] == {"numpy": False,
                                "repro.workflow.runner": False}
     # numpy's extension modules were never mapped into the process

@@ -38,8 +38,7 @@ def test_spec_validates_workflow_rules_eagerly():
 
 def test_wire_round_trip_preserves_identity():
     spec = JobSpec(tenant="bob", system="xfs", frames=4, pairs=2,
-                   seed=9, jitter_cv=0.1, fidelity="hybrid",
-                   degradable=False)
+                   seed=9, jitter_cv=0.1, fidelity="hybrid")
     clone = JobSpec.from_wire(spec.to_wire())
     assert clone == spec
 
@@ -58,10 +57,16 @@ def test_from_wire_rejects_garbage():
         JobSpec.from_wire({"tenant": "x", "frames": "many"})
 
 
-def test_run_task_fidelity_override():
-    spec = JobSpec(tenant="alice", fidelity="exact")
-    assert spec.run_task().fidelity == "exact"
-    assert spec.run_task("fluid").fidelity == "fluid"
+def test_a_degradable_flag_on_the_wire_names_the_same_job():
+    """Clients still send ``degradable``; it changes neither the spec
+    nor the content key."""
+    payload = {"tenant": "bench", "system": "xfs", "pairs": 1,
+               "frames": 2, "seed": 0, "fidelity": "exact"}
+    flagged = JobSpec.from_wire({**payload, "degradable": False})
+    plain = JobSpec.from_wire(payload)
+    assert flagged == plain
+    assert flagged.run_task().key() == plain.run_task().key()
+    assert "degradable" not in flagged.to_wire()
 
 
 def test_cost_scales_with_work():

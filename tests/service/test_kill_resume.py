@@ -4,11 +4,9 @@ Runs the same fixed-seed mixed-tenant load twice against subprocess
 servers: once uninterrupted, once with the server SIGKILLed mid-campaign
 and restarted on the same journal + cache. The restarted run must lose
 zero jobs, resolve duplicates with zero extra side effects, and produce
-*identical* per-content-key fingerprints to the uninterrupted twin.
-
-Shedding is disabled (degradable=False and a sky-high threshold) so the
-effective fidelity — and therefore the content keys — are deterministic
-across the two runs.
+*identical* per-content-key fingerprints to the uninterrupted twin:
+every job runs at the tier it asked for, so both runs compute the same
+content keys.
 """
 
 import asyncio
@@ -26,7 +24,7 @@ from repro.service.loadgen import run_load
 
 SEED = 77
 LOAD = dict(clients=10, jobs_per_client=2, distinct_jobs=6, frames=2,
-            seed=SEED, degradable=False, deadline=180.0)
+            seed=SEED, deadline=180.0)
 
 
 def _spawn(tmp_path, name, new_session=False):
@@ -35,8 +33,7 @@ def _spawn(tmp_path, name, new_session=False):
     socket_path = str(workdir / "svc.sock")
     journal_path = str(workdir / "journal.jsonl")
     cmd = server_command(socket_path, journal_path,
-                         str(workdir / "cache"), workers=2,
-                         shed_hybrid_depth=10_000)
+                         str(workdir / "cache"), workers=2)
     env = dict(os.environ, REPRO_JOBS_OVERSUBSCRIBE="1")
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL,
@@ -115,7 +112,7 @@ def test_restarted_server_resumes_from_journal(tmp_path):
         nonlocal proc
         first = await run_load(socket_path, clients=4, jobs_per_client=1,
                                distinct_jobs=4, frames=2, seed=SEED,
-                               degradable=False, deadline=120.0)
+                               deadline=120.0)
         assert first["lost_jobs"] == 0
         # "done" records commit without a barrier: kill once all four
         # are durable, so the restart has each key's metadata to replay
@@ -133,7 +130,7 @@ def test_restarted_server_resumes_from_journal(tmp_path):
         # from the shared store — nothing recomputed
         second = await run_load(socket_path, clients=4, jobs_per_client=1,
                                 distinct_jobs=4, frames=2, seed=SEED,
-                                degradable=False, deadline=120.0)
+                                deadline=120.0)
         assert second["lost_jobs"] == 0
         assert second["sources"]["computed"] == 0
         assert second["fingerprints"] == first["fingerprints"]

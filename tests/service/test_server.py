@@ -28,6 +28,7 @@ from repro.service import (
     ServiceClient,
     SharedResultStore,
 )
+from repro.experiments.persist import decode_result
 from repro.service.__main__ import server_command
 from repro.service.jobs import JobSpec
 from repro.service.worker import _execute_job
@@ -67,10 +68,9 @@ def run(config, body):
 
 
 def _patch_execute(monkeypatch, fn):
-    """Run ``fn`` in place of the task entry point on both dispatch
-    paths: the worker entry points of single jobs and of fused batches
-    (:mod:`repro.service.worker`) look it up in
-    :mod:`repro.experiments.parallel` when they run."""
+    """Run ``fn`` in place of the task entry point: the worker's job
+    entry point (:func:`repro.service.worker._execute_job`) looks it up
+    in :mod:`repro.experiments.parallel` when it runs."""
     monkeypatch.setattr(parallel_mod, "_execute_task", fn)
 
 
@@ -161,7 +161,7 @@ def test_unknown_job_status(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# admission, shedding, breaker
+# admission, breaker
 # ---------------------------------------------------------------------------
 
 
@@ -184,7 +184,10 @@ def gated_execute(monkeypatch):
     gate.set()
 
 
-def test_budget_rejection_over_the_wire(tmp_path, gated_execute):
+def test_budget_rejection_over_the_wire(tmp_path, gated_execute,
+                                        monkeypatch):
+    monkeypatch.setattr(server_mod, "TENANT_BUDGET", 1)
+
     async def body(server, client):
         # distinct seeds so nothing dedups; budget 1 admits exactly one
         first = await client.submit(_job(seed=100), wait=False)
@@ -195,55 +198,7 @@ def test_budget_rejection_over_the_wire(tmp_path, gated_execute):
         assert second["retry_after"] > 0
         gated_execute.set()  # let the first job finish so drain works
 
-    run(_config(tmp_path, tenant_budget=1, workers=1), body)
-
-
-async def _gathered_submits(server, jobs, gate, total):
-    """Submit each job on its own connection (a waiting submit blocks
-    its connection), release the gate once all are admitted, gather."""
-    clients = [ServiceClient(server.config.socket_path) for _ in jobs]
-    try:
-        waits = [asyncio.ensure_future(c.submit(job))
-                 for c, job in zip(clients, jobs)]
-        while server.queue.depth + server._running < total:
-            await asyncio.sleep(0.01)
-        gate.set()
-        return await asyncio.gather(*waits)
-    finally:
-        for c in clients:
-            await c.close()
-
-
-def test_queue_pressure_sheds_to_cheaper_tier(tmp_path, gated_execute):
-    async def body(server, client):
-        responses = await _gathered_submits(
-            server, [_job(seed=200 + i) for i in range(6)],
-            gated_execute, 6,
-        )
-        assert all(r["state"] == "done" for r in responses)
-        shed = [r for r in responses if r["shed_to"]]
-        assert shed, "no job was shed despite hybrid_at=1"
-        assert all(r["fidelity"] in ("hybrid", "fluid") for r in shed)
-        assert server.counters["shed"] == len(shed)
-
-    run(_config(tmp_path, shed_hybrid_depth=1, shed_fluid_depth=4,
-                workers=1), body)
-
-
-def test_non_degradable_jobs_run_exact_under_pressure(tmp_path,
-                                                      gated_execute):
-    async def body(server, client):
-        responses = await _gathered_submits(
-            server,
-            [_job(seed=300 + i, degradable=False) for i in range(4)],
-            gated_execute, 4,
-        )
-        assert all(r["state"] == "done" for r in responses)
-        assert all(r["shed_to"] is None for r in responses)
-        assert all(r["fidelity"] == "exact" for r in responses)
-
-    run(_config(tmp_path, shed_hybrid_depth=1, shed_fluid_depth=2,
-                workers=1), body)
+    run(_config(tmp_path, workers=1), body)
 
 
 def test_deterministic_failure_opens_breaker(tmp_path, monkeypatch):
@@ -253,6 +208,8 @@ def test_deterministic_failure_opens_breaker(tmp_path, monkeypatch):
         raise ReproError("injected deterministic failure")
 
     _patch_execute(monkeypatch, boom)
+    monkeypatch.setattr(server_mod, "BREAKER_THRESHOLD", 2)
+    monkeypatch.setattr(server_mod, "BREAKER_COOLDOWN_S", 60.0)
 
     async def body(server, client):
         for i in range(2):
@@ -270,7 +227,7 @@ def test_deterministic_failure_opens_breaker(tmp_path, monkeypatch):
         assert other["state"] == "failed"
         assert server.counters["rejected_circuit"] == 1
 
-    run(_config(tmp_path, breaker_threshold=2, breaker_cooldown=60.0), body)
+    run(_config(tmp_path), body)
 
 
 def test_drain_rejects_new_work(tmp_path):
@@ -359,6 +316,35 @@ def test_resume_folds_counters_and_compacts(tmp_path):
     assert {"ev": "retry", "id": "job-0", "attempts": 2} in events
 
 
+def test_resume_runs_a_shed_job_at_its_requested_tier(tmp_path):
+    """Journals of servers that shed load under pressure hold ``shed``
+    events; replay skips them, and the pending job runs at the tier it
+    asked for, under the key of that tier."""
+    config = _config(tmp_path)
+    spec = JobSpec.from_wire(_job(seed=12))
+    journal = Journal(config.journal_path)
+    journal.append({"ev": "submit", "id": "job-0",
+                    "job": {**spec.to_wire(), "degradable": True},
+                    "key": None, "t": 0.0})
+    journal.append({"ev": "shed", "id": "job-0", "to": "fluid"})
+    journal.append({"ev": "start", "id": "job-0", "fidelity": "fluid"})
+    journal.close()
+
+    async def body(server, client):
+        assert server.counters["resumed"] == 1
+        await server._idle.wait()
+        status = await client.status("job-0")
+        assert status["state"] == "done" and status["source"] == "computed"
+        assert status["fidelity"] == "exact"
+        assert status["key"] == server.store.key_for(spec)
+
+    run(config, body)
+    with open(config.journal_path) as journal_file:
+        events = [json.loads(line) for line in journal_file if line.strip()]
+    starts = [e for e in events if e["ev"] == "start"]
+    assert starts[-1]["fidelity"] == "exact"
+
+
 # ---------------------------------------------------------------------------
 # worker-crash retry (real forkserver pool)
 # ---------------------------------------------------------------------------
@@ -397,10 +383,10 @@ def test_worker_crash_charges_only_the_running_job(tmp_path,
         other = ServiceClient(server.config.socket_path)
         try:
             first = asyncio.ensure_future(
-                client.submit(_job(seed=555, degradable=False)))
+                client.submit(_job(seed=555)))
             while server.dispatch["jobs"] < 1:  # 555 is in the pool
                 await asyncio.sleep(0.01)
-            queued = await other.submit(_job(seed=556, degradable=False))
+            queued = await other.submit(_job(seed=556))
             crashed = await first
         finally:
             await other.close()
@@ -496,7 +482,7 @@ def test_server_answers_while_the_pool_launches(tmp_path, monkeypatch):
     async def body(server, client):
         try:
             assert await client.ping()
-            queued = await client.submit(_job(seed=741, degradable=False),
+            queued = await client.submit(_job(seed=741),
                                          wait=False)
             status = await client.status(queued["job_id"])
             assert status["state"] in ("queued", "running")
@@ -538,7 +524,7 @@ async def _submit_each(server, jobs):
 def test_next_job_is_handed_off_while_the_worker_is_busy(tmp_path,
                                                           gated_execute):
     async def body(server, client):
-        jobs = [_job(seed=700 + i, degradable=False) for i in range(2)]
+        jobs = [_job(seed=700 + i) for i in range(2)]
         waits = asyncio.ensure_future(_submit_each(server, jobs))
         deadline = time.monotonic() + 10.0
         while server.pool.pipelined < 1:
@@ -568,7 +554,7 @@ def test_timeout_counts_from_when_the_job_starts(tmp_path, monkeypatch):
 
     async def body(server, client):
         responses = await _submit_each(
-            server, [_job(seed=710 + i, degradable=False) for i in range(2)])
+            server, [_job(seed=710 + i) for i in range(2)])
         for response in responses:
             assert response["state"] == "done", response.get("error")
             assert response["attempts"] == 0
@@ -593,7 +579,7 @@ def test_timeout_charges_only_the_running_job(tmp_path, monkeypatch):
 
     async def body(server, client):
         hanging, queued = await asyncio.wait_for(_submit_each(
-            server, [_job(seed=730 + i, degradable=False) for i in range(2)]),
+            server, [_job(seed=730 + i) for i in range(2)]),
             30)
         assert hanging["state"] == "done" and hanging["attempts"] == 1
         assert queued["state"] == "done" and queued["attempts"] == 0
@@ -615,7 +601,7 @@ def test_waiter_events_are_released_when_jobs_finish(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# hot-path overhaul: result delivery, fusion, batched admission
+# hot-path overhaul: result delivery, batched admission
 # ---------------------------------------------------------------------------
 
 
@@ -669,47 +655,6 @@ def test_result_op_refuses_a_key_that_escapes_the_store(tmp_path):
     assert victim.read_bytes() == b"not a cache entry"
 
 
-def test_small_jobs_fuse_into_multi_job_dispatches(tmp_path):
-    # stall the runners until every submission is queued, then release:
-    # the claim loop must fuse the backlog into multi-job worker tasks
-    async def body(server, client):
-        gate = asyncio.Event()
-        original = server_mod.ExperimentServer._claim_batch
-
-        def gated(self):
-            if not gate.is_set():
-                return []  # runners find nothing until the backlog built
-            return original(self)
-
-        server_mod.ExperimentServer._claim_batch = gated
-        try:
-            clients = [ServiceClient(server.config.socket_path)
-                       for _ in range(6)]
-            try:
-                submits = [
-                    asyncio.ensure_future(
-                        c.submit(_job(seed=20 + i, tenant=f"t{i}"))
-                    )
-                    for i, c in enumerate(clients)
-                ]
-                await asyncio.sleep(0.2)
-                gate.set()
-                server._work.set()  # wake the parked runners
-                responses = await asyncio.gather(*submits)
-            finally:
-                for c in clients:
-                    await c.close()
-        finally:
-            server_mod.ExperimentServer._claim_batch = original
-        assert all(r["state"] == "done" for r in responses)
-        assert server.dispatch["fused_batches"] >= 1
-        assert server.dispatch["max_batch"] > 1
-        # fusion respects the configured ceiling
-        assert server.dispatch["max_batch"] <= server.config.fuse_small_jobs
-
-    run(_config(tmp_path, fuse_small_jobs=4), body)
-
-
 def test_batched_admission_coalesces_same_tick_duplicates(tmp_path):
     # identical submissions staged in one event-loop tick must collapse
     # onto one primary before touching the fair queue
@@ -733,7 +678,10 @@ def test_batched_admission_coalesces_same_tick_duplicates(tmp_path):
     run(_config(tmp_path), body)
 
 
-def test_group_commit_amortizes_journal_syncs_over_the_wire(tmp_path):
+def test_group_commit_amortizes_journal_syncs_over_the_wire(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(server_mod, "COMMIT_WINDOW_S", 0.005)
+
     async def body(server, client):
         clients = [ServiceClient(server.config.socket_path)
                    for _ in range(8)]
@@ -750,7 +698,7 @@ def test_group_commit_amortizes_journal_syncs_over_the_wire(tmp_path):
         assert journal["avg_events_per_sync"] > 1.0
         return journal
 
-    run(_config(tmp_path, commit_window=0.005), body)
+    run(_config(tmp_path), body)
 
 
 def test_a_cold_job_counts_one_lru_miss(tmp_path):
@@ -769,3 +717,26 @@ def test_a_cold_job_counts_one_lru_miss(tmp_path):
         assert store.lru_hits >= 1 and store.hits["alice"] == 1
 
     run(_config(tmp_path), body)
+
+
+def test_an_entry_that_does_not_decode_is_recomputed(tmp_path,
+                                                     undecodable_entry):
+    """A cache entry whose framing checks out but whose pickle is cut
+    short reads as a miss: the entry is removed and the job computes
+    instead of dropping the connection on every submit."""
+    config = _config(tmp_path)
+    spec = JobSpec.from_wire(_job(seed=13))
+    store = SharedResultStore(config.cache_dir)
+    key = store.key_for(spec)
+    path = store.cache.store_bytes(key, undecodable_entry)
+
+    async def body(server, client):
+        response = await client.submit(_job(seed=13))
+        assert response["state"] == "done"
+        assert response["source"] == "computed"
+        assert response["key"] == key
+        assert await client.ping()
+
+    run(config, body)
+    with open(path, "rb") as fh:
+        assert decode_result(fh.read()).makespan > 0

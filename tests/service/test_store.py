@@ -1,10 +1,11 @@
 """Shared multi-tenant result store accounting."""
 
+import dataclasses
+import os
 from types import SimpleNamespace
 
 import pytest
 
-import repro.service.store as store_mod
 from repro.errors import ServiceError
 from repro.experiments.persist import encode_result
 from repro.service.jobs import JobSpec
@@ -39,8 +40,10 @@ def test_key_is_content_addressed_not_tenant_addressed(open_store):
 def test_key_depends_on_effective_fidelity(open_store):
     store = open_store()
     spec = _spec()
-    assert store.key_for(spec) != store.key_for(spec, "fluid")
-    assert store.key_for(spec, "exact") == store.key_for(spec)
+    fluid = dataclasses.replace(spec, fidelity="fluid")
+    assert store.key_for(spec) != store.key_for(fluid)
+    assert store.key_for(dataclasses.replace(fluid, fidelity="exact")) \
+        == store.key_for(spec)
 
 
 def test_per_tenant_counters_and_cross_tenant_dedup(open_store):
@@ -154,7 +157,7 @@ def test_publish_files_the_bytes_as_they_are(open_store):
 
 
 def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
-    def no_decode(blob):
+    def no_decode(key):
         raise AssertionError("the store decoded a result it was told about")
 
     store = SharedResultStore(str(tmp_path), lru_entries=1)
@@ -163,7 +166,7 @@ def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
         _publish(store, key, SimpleNamespace(makespan=float(seed)),
                  fingerprint=f"fp-{seed}")
     with monkeypatch.context() as patched:
-        patched.setattr(store_mod, "decode_result", no_decode)
+        patched.setattr(store.cache, "load", no_decode)
         # published, evicted from the index, faulted in from the cache
         # directory: its metadata stayed
         assert store.fetch(keys[0], "alice").fingerprint == "fp-1"
@@ -171,8 +174,18 @@ def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
     # what a restarted server reads from its journal's "done" records
     for seed, key in zip((1, 2), keys):
         reopened.recall(key, f"fp-{seed}", float(seed))
-    monkeypatch.setattr(store_mod, "decode_result", no_decode)
+    monkeypatch.setattr(reopened.cache, "load", no_decode)
     for seed, key in zip((1, 2), keys):
         stored = reopened.fetch(key, "bob")
         assert (stored.fingerprint, stored.makespan) == (f"fp-{seed}",
                                                          float(seed))
+
+
+def test_an_entry_that_does_not_decode_reads_as_a_miss(open_store,
+                                                       undecodable_entry):
+    store = open_store()
+    key = store.key_for(_spec())
+    path = store.cache.store_bytes(key, undecodable_entry)
+    assert store.fetch(key, "alice") is None
+    assert not os.path.exists(path)
+    assert store.misses["alice"] == 1

@@ -209,15 +209,6 @@ def test_step_on_empty_heap_raises(env):
         env.step()
 
 
-def test_peek_reports_next_event_time(env):
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-
-
-def test_peek_empty_is_inf(env):
-    assert env.peek() == float("inf")
-
-
 def test_all_of_waits_for_all(env):
     t1 = env.timeout(1.0, value="a")
     t2 = env.timeout(3.0, value="b")
