@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import CampaignError, ReproError
 from repro.faults.plan import FaultPlan
 from repro.invariants import InvariantConfig
-from repro.workflow.spec import WorkflowSpec
+from repro.workflow.spec import Fidelity, WorkflowSpec
 
 # The interpreter's built-in SHA-256 (``_sha2`` on 3.12+, ``_sha256``
 # before): hashlib would load OpenSSL, several MB in every process, for
@@ -173,8 +173,6 @@ def default_fidelity(override: Optional[str] = None) -> str:
     process-wide default. The value is validated and normalized to the
     tier's string name.
     """
-    from repro.sim.fluid import Fidelity
-
     if override is None:
         override = _SCOPED["fidelity"]
     if override is None:

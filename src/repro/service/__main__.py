@@ -14,14 +14,23 @@
   in-flight dedup, at least one dispatched and one pipelined job), and
   that no process of the killed server's session (its forkserver,
   workers, resource tracker) outlives it by more than
-  :data:`ORPHAN_DEADLINE_S`. Writes
+  :data:`ORPHAN_DEADLINE_S`, and that the restarted server loaded none
+  of the modules its ``stats`` reports under ``loaded``. Writes
   ``BENCH_service.json``; exit status is the assertion result.
+
+The ``serve`` process is lean. It speaks over a unix socket only, so
+before anything imports asyncio it marks ``ssl`` unavailable, and
+asyncio takes its no-TLS path: OpenSSL (about 4 MB resident) never
+loads. Its jobs validate their tier without the simulator, and its
+workers encode results, so it loads neither the DES kernel, the
+workflow runner nor numpy. Only ``serve`` blocks ``ssl``: this module
+imports asyncio, the client and the load generator inside the
+subcommands that use them, so importing it leaves ``ssl`` importable.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import signal
@@ -30,9 +39,6 @@ import sys
 import tempfile
 import time
 from typing import Any, Dict, List, Optional
-
-from repro.service.client import ServiceClient, SyncServiceClient
-from repro.service.loadgen import run_delivery, run_load
 
 __all__ = ["main", "build_parser"]
 
@@ -116,6 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _serve(args: argparse.Namespace) -> int:
+    # no TLS on a unix socket: asyncio's ``import ssl`` now fails and it
+    # runs without OpenSSL (see the module docstring)
+    sys.modules.setdefault("ssl", None)
+    import asyncio
+
     from repro.service.worker import launch_forkserver
 
     # the forkserver imports what a worker runs while this process
@@ -141,6 +152,8 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _client_command(args: argparse.Namespace) -> int:
+    from repro.service.client import SyncServiceClient
+
     client = SyncServiceClient(args.socket, connect_timeout=10.0)
     if args.command == "submit":
         response = client.submit({
@@ -210,13 +223,26 @@ def session_processes(sid: int) -> List[int]:
 async def _session_survivors(sid: int, deadline_s: float) -> int:
     """How many processes of session ``sid`` still run after waiting up
     to ``deadline_s`` for the session to empty."""
+    import asyncio
+
     deadline = time.monotonic() + deadline_s
     while session_processes(sid) and time.monotonic() < deadline:
         await asyncio.sleep(0.05)
     return len(session_processes(sid))
 
 
+def _peak_rss_mb(pid: int) -> float:
+    """High-water resident set of process ``pid`` (Linux ``VmHWM``)."""
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"no VmHWM in /proc/{pid}/status")
+
+
 async def _first_ping(socket_path: str) -> None:
+    from repro.service.client import ServiceClient
+
     client = ServiceClient(socket_path, connect_timeout=60.0,
                            connect_backoff=0.002, backoff_cap=0.005,
                            backoff_jitter=0.0)
@@ -237,6 +263,11 @@ def _journal_has_retry(path: str) -> bool:
 async def _orchestrate(clients: int) -> Dict[str, Any]:
     """Boot a private server, drive the load, kill a worker and the
     server mid-run, then measure the warm serving and delivery paths."""
+    import asyncio
+
+    from repro.service.client import ServiceClient
+    from repro.service.loadgen import run_delivery, run_load
+
     workdir = tempfile.mkdtemp(prefix="repro-svc-")
     socket_path = os.path.join(workdir, "svc.sock")
     journal_path = os.path.join(workdir, "journal.jsonl")
@@ -302,6 +333,7 @@ async def _orchestrate(clients: int) -> Dict[str, Any]:
             stats = await stats_client.stats()
         finally:
             await stats_client.close()
+        server_peak_rss_mb = _peak_rss_mb(server.pid)
     finally:
         server.send_signal(signal.SIGTERM)
         try:
@@ -312,18 +344,22 @@ async def _orchestrate(clients: int) -> Dict[str, Any]:
     report["server_kills"] = kills
     report["restart_s"] = restart_s
     report["orphans"] = orphans
+    report["server_peak_rss_mb"] = server_peak_rss_mb
     report["sustained"] = sustained
     report["delivery"] = delivery
     report["server_stats"] = {
         k: stats.get(k) for k in ("counters", "queue", "breaker", "store",
                                   "dispatch", "admission_batches", "journal",
-                                  "latency_p50", "latency_p99", "pending")
+                                  "latency_p50", "latency_p99", "pending",
+                                  "loaded")
     }
     return report
 
 
 def _check(report: Dict[str, Any]) -> List[str]:
     """The smoke assertions; returns failure messages (empty = pass)."""
+    from repro.service.store import DECODE_MODULES
+
     failures = []
     if report["lost_jobs"] != 0:
         failures.append(f"lost jobs: {report['lost_jobs']}")
@@ -390,14 +426,25 @@ def _check(report: Dict[str, Any]) -> List[str]:
     if server_stats["dispatch"]["pipelined"] < 1:
         failures.append("pipelined dispatch never observed: no job was "
                         "handed to a busy worker")
+    # a result published just before the SIGKILL whose "done" record was
+    # lost is decoded at resume, and that loads the simulator; nothing
+    # loads numpy or OpenSSL
+    excused = DECODE_MODULES if server_stats["store"]["decoded"] else ()
+    loaded = sorted(name for name, is_loaded
+                    in server_stats["loaded"].items()
+                    if is_loaded and name not in excused)
+    if loaded:
+        failures.append(f"the server loaded {', '.join(loaded)}")
     return failures
 
 
 def _smoke(args: argparse.Namespace) -> int:
+    import asyncio
+
     report = asyncio.run(_orchestrate(args.clients))
     failures = _check(report)
     payload = {
-        "schema": 4,
+        "schema": 5,
         "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "failures": failures,
@@ -425,6 +472,7 @@ def _smoke(args: argparse.Namespace) -> int:
         "server_kills": report["server_kills"],
         "restart_s": report["restart_s"],
         "orphans": report["orphans"],
+        "server_peak_rss_mb": report["server_peak_rss_mb"],
     }, indent=1))
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

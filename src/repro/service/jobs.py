@@ -21,8 +21,13 @@ from typing import Any, Dict, Optional
 from repro.errors import ServiceError
 from repro.experiments.parallel import RunTask
 from repro.faults.plan import FaultPlan
-from repro.sim.fluid import Fidelity
-from repro.workflow.spec import Placement, SyncMode, System, WorkflowSpec
+from repro.workflow.spec import (
+    Fidelity,
+    Placement,
+    SyncMode,
+    System,
+    WorkflowSpec,
+)
 
 __all__ = ["JobSpec", "JobRecord", "QUEUED", "RUNNING", "DONE", "FAILED"]
 

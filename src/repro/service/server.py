@@ -41,8 +41,11 @@ batched/staged paths amortize them) to the serving layer itself:
 - **worker-encoded results** — a worker hands back a job's result
   already encoded, with its fingerprint and makespan
   (:func:`~repro.service.worker._execute_job`), and the server files
-  the bytes as they are. The server process never loads the simulator
-  or numpy; ``stats`` reports both under ``loaded``.
+  the bytes as they are. A job's tier validates against
+  :class:`~repro.workflow.spec.Fidelity`, so the server process loads
+  neither the DES kernel, the workflow runner nor numpy, and ``serve``
+  starts it without OpenSSL (:mod:`repro.service.__main__`). ``stats``
+  reports each under ``loaded``.
 - **batched admission** — every submit that arrives in one event-loop
   tick is admitted with a single
   :meth:`~repro.service.admission.FairQueue.submit_batch` (one heap
@@ -77,7 +80,7 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
 from repro.service.journal import GroupCommitter, Journal, iter_events
 from repro.service.pool import WorkerPool
-from repro.service.store import SharedResultStore
+from repro.service.store import DECODE_MODULES, SharedResultStore
 from repro.service.worker import _execute_job
 
 __all__ = ["ServerConfig", "ExperimentServer"]
@@ -108,10 +111,12 @@ LRU_ENTRIES = 512
 #: unix-socket listen backlog: it must absorb a client herd's
 #: simultaneous connects (the asyncio default of 100 drops them)
 BACKLOG = 512
-#: modules the server process never needs; ``stats`` reports whether
-#: they are loaded (a stored key the server neither published nor read
-#: from its journal is decoded, which loads them)
-SIMULATOR_MODULES = ("numpy", "repro.workflow.runner")
+#: modules the server process never needs, which ``stats`` reports as
+#: ``loaded``: the simulator (workflow runner, DES kernel, fluid
+#: engine), numpy, and OpenSSL's ``_ssl``, which ``serve`` keeps asyncio
+#: from importing. Only decoding a stored key the server neither
+#: published nor read from its journal loads the simulator
+UNNEEDED_MODULES = DECODE_MODULES + ("numpy", "_ssl")
 
 
 @dataclass
@@ -815,5 +820,5 @@ class ExperimentServer:
             "latency_p99": pct(0.99),
             "journal_records": self.journal.appended,
             "loaded": {name: name in sys.modules
-                       for name in SIMULATOR_MODULES},
+                       for name in UNNEEDED_MODULES},
         }

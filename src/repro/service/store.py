@@ -37,6 +37,11 @@ from repro.service.jobs import JobSpec
 
 __all__ = ["SharedResultStore", "StoredResult"]
 
+#: what decoding a stored result loads: unpickling it imports the
+#: workflow runner, and with it the DES kernel and the fluid engine
+DECODE_MODULES = ("repro.workflow.runner", "repro.sim.core",
+                  "repro.sim.fluid")
+
 #: the form :meth:`~repro.experiments.parallel.RunTask.key` produces;
 #: anything else could address a file outside the cache directory
 _KEY = re.compile(r"[0-9a-f]{64}")
@@ -77,6 +82,9 @@ class SharedResultStore:
         self.lru_hits = 0
         self.lru_misses = 0
         self.cross_tenant_dedup = 0
+        #: results decoded to learn their metadata (each loads
+        #: :data:`DECODE_MODULES`)
+        self.decoded = 0
         #: key -> tenant that first published it (this process's view)
         self._publisher: Dict[str, str] = {}
         #: key -> (fingerprint, makespan), kept past the LRU: a key this
@@ -132,6 +140,7 @@ class SharedResultStore:
             result = self.cache.load(key)
             if result is None:
                 return None
+            self.decoded += 1
             try:
                 fingerprint = result_fingerprint(result)
             except Exception:
@@ -211,4 +220,5 @@ class SharedResultStore:
             "lru_misses": self.lru_misses,
             "lru_entries": len(self._index),
             "lru_capacity": self.lru_entries,
+            "decoded": self.decoded,
         }

@@ -54,53 +54,14 @@ whole-workflow timings to the exact tier within 1e-3 relative.
 
 from __future__ import annotations
 
-import enum
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.core import _PENDING, Environment, Event, Timeout
+from repro.workflow.spec import Fidelity
 
 __all__ = ["Fidelity", "FluidLink", "FluidNetwork"]
-
-
-class Fidelity(enum.Enum):
-    """Simulation fidelity tier; see the module docstring for semantics."""
-
-    EXACT = "exact"
-    HYBRID = "hybrid"
-    FLUID = "fluid"
-
-    @property
-    def ordinal(self) -> int:
-        """Stable numeric code (``system_stats`` stores floats only)."""
-        return _ORDINALS[self]
-
-    @property
-    def uses_fluid(self) -> bool:
-        """True when bulk byte movement runs on a :class:`FluidNetwork`."""
-        return self is not Fidelity.EXACT
-
-    @property
-    def folds_latency(self) -> bool:
-        """True when fixed latencies ride as flow tails (``fluid`` only)."""
-        return self is Fidelity.FLUID
-
-    @classmethod
-    def coerce(cls, value) -> "Fidelity":
-        """Accept a :class:`Fidelity` or its string name, or raise."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(value.lower())
-            except ValueError:
-                pass
-        names = ", ".join(f.value for f in cls)
-        raise ConfigError(f"unknown fidelity {value!r}; choose from: {names}")
-
-
-_ORDINALS = {Fidelity.EXACT: 0, Fidelity.HYBRID: 1, Fidelity.FLUID: 2}
 
 
 class FluidLink:

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Tuple
 
-from repro.errors import WorkflowError
+from repro.errors import ConfigError, WorkflowError
 from repro.md.models import JAC, MolecularModel
 
 __all__ = [
-    "System", "Placement", "SyncMode", "Topology", "WorkflowSpec",
-    "PROCS_PER_NODE",
+    "System", "Placement", "SyncMode", "Topology", "Fidelity",
+    "WorkflowSpec", "PROCS_PER_NODE",
 ]
 
 #: The paper's placement cap: 8 GPUs per Corona node.
@@ -96,6 +96,48 @@ class SyncMode(enum.Enum):
     def is_streaming(self) -> bool:
         """True for the per-frame pipelined (windowed family) modes."""
         return self in (SyncMode.WINDOWED, SyncMode.PUBSUB, SyncMode.NBUFFER)
+
+
+class Fidelity(enum.Enum):
+    """Simulation fidelity tier; :mod:`repro.sim.fluid` documents the
+    tiers' semantics. It lives here, beside the other workflow
+    parameters, so a job's tier validates without the simulator."""
+
+    EXACT = "exact"
+    HYBRID = "hybrid"
+    FLUID = "fluid"
+
+    @property
+    def ordinal(self) -> int:
+        """Stable numeric code (``system_stats`` stores floats only)."""
+        return _ORDINALS[self]
+
+    @property
+    def uses_fluid(self) -> bool:
+        """True when bulk byte movement runs on a
+        :class:`~repro.sim.fluid.FluidNetwork`."""
+        return self is not Fidelity.EXACT
+
+    @property
+    def folds_latency(self) -> bool:
+        """True when fixed latencies ride as flow tails (``fluid`` only)."""
+        return self is Fidelity.FLUID
+
+    @classmethod
+    def coerce(cls, value) -> "Fidelity":
+        """Accept a :class:`Fidelity` or its string name, or raise."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, str):
+            try:
+                return cls(value.lower())
+            except ValueError:
+                pass
+        names = ", ".join(f.value for f in cls)
+        raise ConfigError(f"unknown fidelity {value!r}; choose from: {names}")
+
+
+_ORDINALS = {Fidelity.EXACT: 0, Fidelity.HYBRID: 1, Fidelity.FLUID: 2}
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 ``python -m repro.service serve`` imports its CLI without the simulator,
 launches the pool's forkserver, and only then imports the server, so the
-server process and the forkserver import in parallel. Each check runs in
-a fresh interpreter: this test process has long imported everything.
+server process and the forkserver import in parallel. The server process
+never loads the simulator, and ``serve`` keeps OpenSSL out of it. Each
+check runs in a fresh interpreter: this test process has long imported
+everything.
 """
 
 import asyncio
@@ -67,7 +69,8 @@ PACKAGES = {
 }
 
 #: modules the CLI must reach ``main()`` without
-HEAVY = ["numpy", "repro.workflow.runner", "repro.service.server"]
+HEAVY = ["numpy", "repro.workflow.runner", "repro.sim.core",
+         "repro.sim.fluid", "repro.service.server"]
 
 
 def _env(**extra):
@@ -95,13 +98,32 @@ def test_cli_imports_without_the_simulator():
 
 
 def test_server_imports_without_the_simulator():
-    loaded = _fresh(
+    # a job's tier validates against ``repro.workflow.spec.Fidelity``:
+    # neither the DES kernel nor the fluid engine loads with it
+    for module in ("repro.service.server", "repro.service.jobs"):
+        loaded = _fresh(
+            "import json, sys\n"
+            f"import {module}\n"
+            f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules\n"
+            "                   and m != 'repro.service.server']))\n"
+        )
+        assert loaded == [], module
+
+
+def test_only_serve_keeps_ssl_out():
+    """``serve`` marks ``ssl`` unavailable before asyncio loads; importing
+    the CLI, the package or the client leaves it importable, and the CLI
+    imports no asyncio, or ``serve``'s block would come too late."""
+    state = _fresh(
         "import json, sys\n"
-        "import repro.service.server\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules\n"
-        "                   and m != 'repro.service.server']))\n"
+        "import repro.service, repro.service.__main__\n"
+        "cli_asyncio = 'asyncio' in sys.modules\n"
+        "import repro.service.client\n"
+        "import ssl\n"
+        "print(json.dumps([cli_asyncio, sys.modules['ssl'] is ssl,\n"
+        "                  bool(ssl.OPENSSL_VERSION)]))\n"
     )
-    assert loaded == []
+    assert state == [False, True, True]
 
 
 def test_the_forkserver_preload_loads_the_runner():
@@ -201,7 +223,8 @@ async def _serve_a_mix(socket_path):
 def test_served_jobs_leave_the_server_simulator_free(tmp_path):
     """The server files what its workers encoded: through cold jobs,
     a queue backlog, duplicates, repeats and result fetches it loads
-    neither numpy nor the workflow runner."""
+    neither numpy, the workflow runner nor the DES kernel, and, started
+    by ``serve``, no OpenSSL."""
     socket_path = str(tmp_path / "s.sock")
     cmd = server_command(socket_path, str(tmp_path / "j.jsonl"),
                          str(tmp_path / "cache"), workers=1)
@@ -226,6 +249,11 @@ def test_served_jobs_leave_the_server_simulator_free(tmp_path):
             proc.wait()
     assert stats["counters"]["completed"] == 18
     assert stats["loaded"] == {"numpy": False,
-                               "repro.workflow.runner": False}
-    # numpy's extension modules were never mapped into the process
+                               "repro.workflow.runner": False,
+                               "repro.sim.core": False,
+                               "repro.sim.fluid": False, "_ssl": False}
+    # neither numpy's extension modules nor OpenSSL's libraries were
+    # ever mapped into the process
     assert "numpy" not in maps
+    assert "libssl" not in maps
+    assert "libcrypto" not in maps

@@ -142,7 +142,9 @@ def test_restarted_server_resumes_from_journal(tmp_path):
         finally:
             await client.close()
         assert stats["loaded"] == {"numpy": False,
-                                   "repro.workflow.runner": False}
+                                   "repro.workflow.runner": False,
+                                   "repro.sim.core": False,
+                                   "repro.sim.fluid": False, "_ssl": False}
 
     try:
         asyncio.run(drive())

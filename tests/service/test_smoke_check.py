@@ -4,7 +4,9 @@ Besides exactly-once delivery, ``python -m repro.service smoke`` gates
 the serving hot path on same-run ratios that do not depend on machine
 speed: journal events per fsync, LRU hit ratio, in-flight dedup, at
 least one dispatched job and pipelined dispatch. It also counts the
-processes of the SIGKILLed server's session that outlive it.
+processes of the SIGKILLed server's session that outlive it, and fails
+when the restarted server loaded a module it never needs (the simulator
+only counts when the server decoded no stored result).
 """
 
 import pytest
@@ -13,7 +15,8 @@ from repro.service.__main__ import _check
 
 
 def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
-            dedup=168, jobs=10, pipelined=4, orphans=0):
+            dedup=168, jobs=10, pipelined=4, orphans=0, loaded=(),
+            decoded=0):
     """A passing smoke report, shaped like the real one (counts from a
     200-client run); keyword overrides break one gate at a time."""
     return {
@@ -30,8 +33,13 @@ def _report(records=10801, syncs=28, lru_hits=5219, lru_misses=188,
         "server_stats": {
             "counters": {"retries": 2, "dedup_inflight": dedup},
             "journal": {"records": records, "syncs": syncs},
-            "store": {"lru_hits": lru_hits, "lru_misses": lru_misses},
+            "store": {"lru_hits": lru_hits, "lru_misses": lru_misses,
+                      "decoded": decoded},
             "dispatch": {"jobs": jobs, "pipelined": pipelined},
+            "loaded": {name: name in loaded
+                       for name in ("numpy", "repro.workflow.runner",
+                                    "repro.sim.core", "repro.sim.fluid",
+                                    "_ssl")},
         },
     }
 
@@ -57,7 +65,21 @@ def test_passing_report_has_no_failures():
     ({"orphans": 3},
      "3 processes of the killed server's session still running 10s "
      "after the SIGKILL"),
+    # asyncio imported ssl before ``serve`` could keep it out
+    ({"loaded": ("_ssl",)}, "the server loaded _ssl"),
+    ({"loaded": ("repro.sim.core", "repro.sim.fluid")},
+     "the server loaded repro.sim.core, repro.sim.fluid"),
+    # a decode explains the simulator, never OpenSSL
+    ({"loaded": ("_ssl", "repro.workflow.runner"), "decoded": 1},
+     "the server loaded _ssl"),
 ])
 def test_each_hot_path_floor_fails_alone(broken, failure):
     assert _check(_report(**broken)) == [failure]
 
+
+def test_a_decode_at_resume_explains_the_simulator():
+    # the killed server published a result whose "done" record was lost:
+    # its replacement decodes that entry, which loads the simulator
+    report = _report(loaded=("repro.workflow.runner", "repro.sim.core",
+                             "repro.sim.fluid"), decoded=1)
+    assert _check(report) == []

@@ -179,6 +179,22 @@ def test_known_metadata_spares_fetches_a_decode(tmp_path, monkeypatch):
         stored = reopened.fetch(key, "bob")
         assert (stored.fingerprint, stored.makespan) == (f"fp-{seed}",
                                                          float(seed))
+    assert store.stats()["decoded"] == reopened.stats()["decoded"] == 0
+
+
+def test_an_unknown_entry_decodes_once(tmp_path):
+    # a key this process neither published nor recalled: the one decode
+    # is counted, and the metadata it learned serves every later fetch
+    writer = SharedResultStore(str(tmp_path))
+    key = writer.key_for(_spec(seed=1))
+    _publish(writer, key, SimpleNamespace(makespan=1.0), fingerprint="fp-1")
+    store = SharedResultStore(str(tmp_path), lru_entries=1)
+    other = store.key_for(_spec(seed=2))
+    _publish(store, other, SimpleNamespace(makespan=2.0), fingerprint="fp-2")
+    for _ in range(2):
+        assert store.fetch(key, "alice").makespan == 1.0
+        assert store.fetch(other, "alice").makespan == 2.0
+    assert store.stats()["decoded"] == 1
 
 
 def test_an_entry_that_does_not_decode_reads_as_a_miss(open_store,
