@@ -56,8 +56,8 @@ def corona(nodes: int = 2, seed: int = 0, jitter_cv: float = 0.0,
     ``jitter_cv`` turns on lognormal service-time jitter across all devices
     (the experiments use a small value, ~0.05, to produce the run-to-run
     variance the paper reports; unit tests use 0 for exact determinism).
-    ``fidelity`` selects the simulation tier (``exact`` / ``hybrid`` /
-    ``fluid``, see :class:`repro.sim.fluid.Fidelity`).
+    ``fidelity`` selects the simulation tier (``exact`` / ``hybrid``, see
+    :class:`repro.sim.fluid.Fidelity`).
     """
     if not 1 <= nodes <= CORONA_MAX_NODES:
         raise ValueError(

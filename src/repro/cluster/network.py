@@ -86,7 +86,7 @@ class FabricConfig:
 class NIC:
     """One full-duplex network port.
 
-    On the fluid tiers both direction channels are
+    On the hybrid tier both direction channels are
     :class:`~repro.sim.fluid.FluidLink` constraints of the cluster-wide
     :class:`~repro.sim.fluid.FluidNetwork` instead of per-channel
     :class:`SharedBandwidth` instances; the surface is duck-compatible.
@@ -135,18 +135,15 @@ class Fabric:
     """The cluster interconnect: a set of NICs around a switch."""
 
     def __init__(self, env: Environment, config: FabricConfig, rng: RngStreams,
-                 fluid: Optional[FluidNetwork] = None,
-                 fold_latency: bool = False) -> None:
+                 fluid: Optional[FluidNetwork] = None) -> None:
         config.validate()
         self.env = env
         self.config = config
         self._rng = rng
-        #: Shared flow-level engine on the `hybrid`/`fluid` tiers (`None`
+        #: Shared flow-level engine on the `hybrid` tier (`None`
         #: on `exact`); substrates downstream (SSD, Lustre OSS) read this
         #: to place their channels on the same network.
         self.fluid = fluid
-        #: `fluid` tier only: fixed latencies ride as flow tails.
-        self.fold_latency = fold_latency and fluid is not None
         self._nics: Dict[str, NIC] = {}
         self._path_latency = config.hop_latency * config.hops
         self._link_down: Dict[str, Signal] = {}
@@ -257,7 +254,7 @@ class Fabric:
               phases=None):
         """Common generator for both transfer kinds; returns elapsed time.
 
-        ``phases`` (fluid tiers only) replaces the single unit-weight flow
+        ``phases`` (hybrid tier only) replaces the single unit-weight flow
         with a sequence of ``(nbytes, weight)`` fluid flows run back to
         back — the shape a collapsed chunk pipeline needs (see
         :meth:`rdma_get_bulk`). Bytes must sum to ``nbytes``.
@@ -292,7 +289,7 @@ class Fabric:
                     flows.append(self._bisection.transfer(nbytes))
                 yield AllOf(env, flows)
         else:
-            # Fluid tiers: one jointly-rated flow across the whole path
+            # Hybrid tier: one jointly-rated flow across the whole path
             # instead of independent per-channel flows joined by all_of.
             if self._bisection is not None:
                 links = (src_nic.egress, self._bisection, dst_nic.ingress)
@@ -300,18 +297,10 @@ class Fabric:
                 links = (src_nic.egress, dst_nic.ingress)
             if phases is None:
                 phases = ((nbytes, 1.0),)
-            if self.fold_latency:
-                # The head latency folds onto the last phase's tail.
-                last = len(phases) - 1
-                for i, (pbytes, pweight) in enumerate(phases):
-                    yield fluid.transfer(pbytes, links,
-                                         tail=latency if i == last else 0.0,
-                                         weight=pweight)
-            else:
-                yield self.env.timeout(latency)
-                for pbytes, pweight in phases:
-                    if pbytes:
-                        yield fluid.transfer(pbytes, links, weight=pweight)
+            yield self.env.timeout(latency)
+            for pbytes, pweight in phases:
+                if pbytes:
+                    yield fluid.transfer(pbytes, links, weight=pweight)
         self.stats.bytes_moved += nbytes
         if self._m_bytes is not None:
             self._m_bytes.add(nbytes)
@@ -335,7 +324,7 @@ class Fabric:
                       chunk: int):
         """Generator: a chunked RDMA pull collapsed into weighted flows.
 
-        Only meaningful on the fluid tiers. Under max-min sharing, ``k``
+        Only meaningful on the hybrid tier. Under max-min sharing, ``k``
         concurrent chunks over a shared path each progress at the per-slot
         rate, so the pipeline is equivalent to a weight-``k`` flow until
         the short final chunk (``r = nbytes mod chunk`` bytes) drains —

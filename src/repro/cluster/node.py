@@ -52,8 +52,7 @@ class Node:
         self.node_id = node_id
         self.config = config
         self.ssd = SSDModel(env, config.ssd, rng, name=f"{node_id}.ssd",
-                            fluid=fabric.fluid,
-                            fold_latency=fabric.fold_latency)
+                            fluid=fabric.fluid)
         self.nic: NIC = fabric.attach(node_id)
         self._gpus_claimed = 0
 

@@ -94,7 +94,6 @@ class SSDModel:
         rng: RngStreams,
         name: str = "ssd",
         fluid: Optional[FluidNetwork] = None,
-        fold_latency: bool = False,
     ) -> None:
         config.validate()
         self.env = env
@@ -109,9 +108,6 @@ class SSDModel:
         else:
             self._read_chan = SharedBandwidth(env, config.read_bandwidth)
             self._write_chan = SharedBandwidth(env, config.write_bandwidth)
-        # `fluid` tier only: access latency rides as the flow's tail, so
-        # an operation costs one event instead of a Timeout plus a flow.
-        self._fold = fold_latency and fluid is not None
         self._used = 0
         self._degraded = 1.0
         self.stats = SSDStats()
@@ -205,14 +201,10 @@ class SSDModel:
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
         start = self.env._now
-        if self._fold:
-            yield self._write_chan.transfer(
-                nbytes, tail=self._latency("wlat", self.config.write_latency))
-        else:
-            yield self.env.timeout(
-                self._latency("wlat", self.config.write_latency))
-            if nbytes:
-                yield self._write_chan.transfer(nbytes)
+        yield self.env.timeout(
+            self._latency("wlat", self.config.write_latency))
+        if nbytes:
+            yield self._write_chan.transfer(nbytes)
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
         return self.env._now - start
@@ -222,14 +214,10 @@ class SSDModel:
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
         start = self.env._now
-        if self._fold:
-            yield self._read_chan.transfer(
-                nbytes, tail=self._latency("rlat", self.config.read_latency))
-        else:
-            yield self.env.timeout(
-                self._latency("rlat", self.config.read_latency))
-            if nbytes:
-                yield self._read_chan.transfer(nbytes)
+        yield self.env.timeout(
+            self._latency("rlat", self.config.read_latency))
+        if nbytes:
+            yield self._read_chan.transfer(nbytes)
         self.stats.reads += 1
         self.stats.bytes_read += nbytes
         return self.env._now - start

@@ -27,8 +27,8 @@ class ClusterConfig:
 
     ``fidelity`` selects the simulation tier (see
     :class:`repro.sim.fluid.Fidelity`): ``exact`` is the bit-reproducible
-    per-channel kernel, ``hybrid``/``fluid`` delegate bulk byte movement
-    to a cluster-wide flow-level solver.
+    per-channel kernel, ``hybrid`` delegates bulk byte movement to a
+    cluster-wide flow-level solver.
     """
 
     nodes: int = 2
@@ -60,12 +60,11 @@ class Cluster:
         self.rng = RngStreams(config.seed)
         self.fidelity = Fidelity.coerce(config.fidelity)
         #: One flow-level engine shared by every substrate on the
-        #: `hybrid`/`fluid` tiers; `None` on `exact`.
+        #: `hybrid` tier; `None` on `exact`.
         self.fluid = (FluidNetwork(self.env) if self.fidelity.uses_fluid
                       else None)
         self.fabric = Fabric(self.env, config.fabric, self.rng,
-                             fluid=self.fluid,
-                             fold_latency=self.fidelity.folds_latency)
+                             fluid=self.fluid)
         self.nodes: List[Node] = [
             Node(self.env, f"node{i:02d}", config.node, self.fabric, self.rng)
             for i in range(config.nodes)

@@ -80,7 +80,7 @@ class RdmaTransport(_FaultModel):
                 f"injected rdma fault pulling {nbytes} B from {target}"
             )
         if self.fabric.fluid is not None:
-            # Fluid tiers: the chunk pipeline collapses into weighted
+            # Hybrid tier: the chunk pipeline collapses into weighted
             # flows with the same bandwidth footprint (equal concurrent
             # chunks on a shared path get exactly k flow-shares),
             # eliminating the per-chunk processes that dominate the

@@ -35,13 +35,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: REPRO_CACHE_DIR or "
                              "~/.cache/repro/results)")
     parser.add_argument("--fidelity", default=None,
-                        choices=["exact", "hybrid", "fluid"],
+                        choices=["exact", "hybrid"],
                         help="simulation tier for every repetition: exact "
-                             "per-transfer events (default), hybrid "
-                             "(protocol events exact, bulk bytes on the "
-                             "flow-level fluid fabric), or fluid (hybrid "
-                             "plus latency folding and chunk collapse); "
-                             "default: REPRO_FIDELITY or exact")
+                             "per-transfer events (default) or hybrid "
+                             "(protocol events exact, bulk bytes and "
+                             "collapsed RDMA chunk pipelines on the "
+                             "flow-level fluid fabric)")
     parser.add_argument("--fault-plan", default=None, metavar="FILE",
                         help="JSON fault plan (e.g. a shrunk chaos repro) "
                              "injected into every repetition; with the "

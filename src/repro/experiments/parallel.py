@@ -101,7 +101,7 @@ class RunTask:
     system_configs: Dict[str, Any] = field(default_factory=dict)
     fault_plan: Optional[FaultPlan] = None
     invariants: Optional[InvariantConfig] = None
-    #: simulation tier ("exact" / "hybrid" / "fluid"); participates in
+    #: simulation tier ("exact" / "hybrid"); participates in
     #: the cache key — tiers never alias even when their timings agree
     fidelity: str = "exact"
 
@@ -165,18 +165,17 @@ def default_fault_plan(
 
 
 def default_fidelity(override: Optional[str] = None) -> str:
-    """Resolve the fidelity tier: explicit > campaign scope > env > exact.
+    """Resolve the fidelity tier: explicit > campaign scope > exact.
 
-    This is how ``--fidelity fluid`` threads the tier into every
+    This is how ``--fidelity hybrid`` threads the tier into every
     repetition of whatever experiment the CLI dispatches (same pattern as
-    :func:`default_fault_plan`); ``REPRO_FIDELITY`` provides a
-    process-wide default. The value is validated and normalized to the
-    tier's string name.
+    :func:`default_fault_plan`). The value is validated and normalized to
+    the tier's string name.
     """
     if override is None:
         override = _SCOPED["fidelity"]
     if override is None:
-        override = os.environ.get("REPRO_FIDELITY") or "exact"
+        override = "exact"
     return Fidelity.coerce(override).value
 
 

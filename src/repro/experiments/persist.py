@@ -170,7 +170,7 @@ class ResultCache:
         ``fault_plan`` and ``invariants`` participate in the digest (via
         their deterministic dataclass ``repr``) so faulty, fault-free,
         checked, and unchecked runs of the same spec can never collide.
-        ``fidelity`` keys the simulation tier — exact and fluid runs of
+        ``fidelity`` keys the simulation tier — exact and hybrid runs of
         the same cell are distinct entries.
         """
         import repro

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--jitter-cv", type=float, default=0.0)
     submit.add_argument("--fidelity", default="exact",
-                        choices=("exact", "hybrid", "fluid"))
+                        choices=("exact", "hybrid"))
     submit.add_argument("--no-wait", action="store_true")
 
     for name, help_text in (
@@ -260,15 +261,15 @@ def _journal_has_retry(path: str) -> bool:
         return False
 
 
-async def _orchestrate(clients: int) -> Dict[str, Any]:
-    """Boot a private server, drive the load, kill a worker and the
-    server mid-run, then measure the warm serving and delivery paths."""
+async def _orchestrate(clients: int, workdir: str) -> Dict[str, Any]:
+    """Boot a private server in ``workdir``, drive the load, kill a
+    worker and the server mid-run, then measure the warm serving and
+    delivery paths."""
     import asyncio
 
     from repro.service.client import ServiceClient
     from repro.service.loadgen import run_delivery, run_load
 
-    workdir = tempfile.mkdtemp(prefix="repro-svc-")
     socket_path = os.path.join(workdir, "svc.sock")
     journal_path = os.path.join(workdir, "journal.jsonl")
     cache_dir = os.path.join(workdir, "cache")
@@ -281,6 +282,9 @@ async def _orchestrate(clients: int) -> Dict[str, Any]:
     # the injected-fault hook shared with the campaign runner
     env["REPRO_WORKER_FAULT_DIR"] = fault_dir
     env["REPRO_WORKER_CRASH_SEEDS"] = str(SEED)
+    # the SIGKILLed server cannot remove its pool's pymp-* directory;
+    # inside the work directory it goes when the smoke cleans up
+    env["TMPDIR"] = workdir
 
     cmd = server_command(socket_path, journal_path, cache_dir)
     server = _spawn_server(cmd, env)
@@ -441,8 +445,19 @@ def _check(report: Dict[str, Any]) -> List[str]:
 def _smoke(args: argparse.Namespace) -> int:
     import asyncio
 
-    report = asyncio.run(_orchestrate(args.clients))
-    failures = _check(report)
+    # the server's socket, journal and cache; removed once the gate
+    # passes, kept as the evidence when it fails or the run breaks
+    workdir = tempfile.mkdtemp(prefix="repro-svc-")
+    failures = None
+    try:
+        report = asyncio.run(_orchestrate(args.clients, workdir))
+        failures = _check(report)
+    finally:
+        if failures == []:
+            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            print(f"kept the server's journal and cache in {workdir}",
+                  file=sys.stderr)
     payload = {
         "schema": 5,
         "cpu_count": os.cpu_count(),

@@ -16,7 +16,7 @@ bookkeeping. Records round-trip through the journal as plain dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import ServiceError
 from repro.experiments.parallel import RunTask
@@ -29,7 +29,8 @@ from repro.workflow.spec import (
     WorkflowSpec,
 )
 
-__all__ = ["JobSpec", "JobRecord", "QUEUED", "RUNNING", "DONE", "FAILED"]
+__all__ = ["JobSpec", "RejectedSpec", "JobRecord",
+           "QUEUED", "RUNNING", "DONE", "FAILED"]
 
 #: Lifecycle states. ``queued`` and ``running`` are both *non-terminal*:
 #: a journal replay re-enqueues either (a job that was running when the
@@ -145,12 +146,39 @@ class JobSpec:
         return float(self.frames * self.pairs)
 
 
+@dataclass(frozen=True)
+class RejectedSpec:
+    """A journaled submit payload that no longer validates, such as one
+    naming a retired fidelity tier.
+
+    It stands in for the :class:`JobSpec` of a job that replays as
+    ``failed``: the status view reads its tenant and tier, and journal
+    compaction writes the payload back unchanged, so the job reads
+    ``failed`` after every later restart too."""
+
+    payload: Dict[str, Any]
+
+    @property
+    def tenant(self) -> Any:
+        """The payload's tenant, or ``None``."""
+        return self.payload.get("tenant")
+
+    @property
+    def fidelity(self) -> Any:
+        """The payload's tier as written, or ``None``."""
+        return self.payload.get("fidelity")
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The journaled payload, unchanged."""
+        return self.payload
+
+
 @dataclass
 class JobRecord:
     """Server-side lifecycle of one accepted submission."""
 
     job_id: str
-    spec: JobSpec
+    spec: Union[JobSpec, RejectedSpec]
     state: str = QUEUED
     #: extra executions consumed by crash/timeout re-submissions
     attempts: int = 0

@@ -77,7 +77,15 @@ from repro.experiments.parallel import (
 from repro.perf.metrics import MetricsTimeline
 from repro.service.admission import FairQueue
 from repro.service.breaker import CircuitBreaker
-from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord, JobSpec
+from repro.service.jobs import (
+    DONE,
+    FAILED,
+    QUEUED,
+    RUNNING,
+    JobRecord,
+    JobSpec,
+    RejectedSpec,
+)
 from repro.service.journal import GroupCommitter, Journal, iter_events
 from repro.service.pool import WorkerPool
 from repro.service.store import DECODE_MODULES, SharedResultStore
@@ -281,10 +289,16 @@ class ExperimentServer:
             replayed += 1
             ev, job_id = event["ev"], event.get("id")
             if ev == "submit":
-                spec = JobSpec.from_wire(event["job"])
+                try:
+                    spec, error = JobSpec.from_wire(event["job"]), None
+                except ServiceError as exc:
+                    # written by a version that accepted it (a retired
+                    # tier, say): the job fails, the server still boots
+                    spec, error = RejectedSpec(event["job"]), str(exc)
                 record = JobRecord(
                     job_id=job_id, spec=spec, key=event.get("key"),
-                    submitted_at=event.get("t", 0.0),
+                    submitted_at=event.get("t", 0.0), error=error,
+                    state=QUEUED if error is None else FAILED,
                 )
                 self.records[job_id] = record
                 num = int(job_id.split("-")[-1])
@@ -296,7 +310,7 @@ class ExperimentServer:
                 self.records[job_id].attempts = event["attempts"]
             elif ev == "done":
                 record = self.records[job_id]
-                record.state = DONE
+                record.state, record.error = DONE, None
                 record.key = event.get("key", record.key)
                 record.fingerprint = event.get("fingerprint")
                 record.makespan = event.get("makespan")

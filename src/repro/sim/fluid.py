@@ -1,4 +1,4 @@
-"""Flow-level fluid fabric: the ``fluid``/``hybrid`` fidelity tiers.
+"""Flow-level fluid fabric: the ``hybrid`` fidelity tier.
 
 The exact tier dispatches a wake-up :class:`~repro.sim.core.Timeout` per
 :class:`~repro.sim.resources.SharedBandwidth` channel per rate change, so
@@ -6,7 +6,7 @@ a contended transfer that crosses three channels (NIC egress, bisection,
 NIC ingress) costs a handful of heap operations *per channel* — and a
 chunked RDMA pull multiplies that by its chunk count. The fluid engine
 here generalizes the same virtual-time formulation across the whole
-fabric: flows that share a path, cap, and weight form a *class* with one
+fabric: flows that share a path and weight form a *class* with one
 virtual clock, a single max-min fair rate solve covers every class on
 every link, and virtual time advances analytically between flow
 arrivals/departures — one wake-up for the entire network instead of one
@@ -19,24 +19,22 @@ Fidelity tiers (selected via :class:`Fidelity`):
   timeouts and queues are untouched); bulk byte movement through NICs,
   the bisection, SSD channels, and Lustre OSS disks is delegated to one
   :class:`FluidNetwork`. A multi-channel transfer becomes a single flow
-  spanning all its links, rated jointly instead of per channel.
-- ``fluid``   — ``hybrid`` plus latency folding: fixed per-transfer
-  latencies (fabric setup+hops, SSD access latency) ride as a *tail* on
-  the flow's completion event instead of a separate leading Timeout, and
-  chunked RDMA pulls collapse into one weight-``k`` flow (``k`` equal
+  spanning all its links, rated jointly instead of per channel, and a
+  chunked RDMA pull collapses into one weight-``k`` flow (``k`` equal
   chunks sharing a channel receive exactly ``k`` flow-shares, which is
   what a weight-``k`` flow receives — the per-chunk events are pure
-  overhead).
+  overhead). Fixed latencies (fabric setup+hops, SSD access latency)
+  stay a leading Timeout, as on the exact tier.
 
 Rate model. Each class ``c`` has ``n_c`` flows of weight ``w_c`` crossing
 link set ``L_c``. The solver performs progressive filling (water-filling)
 of the per-weight-unit rate λ: every link ``l`` constrains
 ``Σ_{c∋l} n_c·w_c·λ_c ≤ bandwidth_l`` and a class's per-slot rate ``λ_c``
-is clamped to the smallest ``per_flow_cap`` of its links (and any
-explicit flow cap) — a weight-``k`` flow behaves exactly like ``k`` unit
-flows, caps included. For a single class on a single link with weight 1
-this degenerates to ``min(bandwidth/n, per_flow_cap)`` — the identical
-arithmetic, in the identical order, as ``SharedBandwidth`` — so
+is clamped to the smallest ``per_flow_cap`` of its links — a weight-``k``
+flow behaves exactly like ``k`` unit flows, caps included. For a single
+class on a single link with weight 1 this degenerates to
+``min(bandwidth/n, per_flow_cap)`` — the identical arithmetic, in the
+identical order, as ``SharedBandwidth`` — so
 single-channel fluid timelines match the exact tier to float rounding.
 
 Event economics: mutations (arrivals, ``set_bandwidth``, cap changes,
@@ -140,9 +138,9 @@ class FluidLink:
         self.bandwidth = float(bandwidth)
         net._kick()
 
-    def transfer(self, nbytes: float, tail: float = 0.0) -> Event:
+    def transfer(self, nbytes: float) -> Event:
         """Begin moving ``nbytes`` across this single link."""
-        return self.net.transfer(nbytes, self._links_self, tail=tail)
+        return self.net.transfer(nbytes, self._links_self)
 
     def current_rate(self) -> float:
         """Approximate per-flow rate right now (``inf`` when idle).
@@ -181,7 +179,7 @@ class FluidLink:
 
 
 class _FlowClass:
-    """Flows sharing a link set, cap, and weight: one virtual clock.
+    """Flows sharing a link set and weight: one virtual clock.
 
     The per-class state mirrors ``SharedBandwidth`` exactly — a min-heap
     keyed by virtual finish (``V(arrival) + nbytes/weight``), a cumulative
@@ -190,15 +188,14 @@ class _FlowClass:
     solve instead of ``bandwidth/n``.
     """
 
-    __slots__ = ("key", "links", "cap", "weight", "heap", "virtual", "rate")
+    __slots__ = ("key", "links", "weight", "heap", "virtual", "rate")
 
     def __init__(self, key, links: Tuple[FluidLink, ...],
-                 cap: Optional[float], weight: float) -> None:
+                 weight: float) -> None:
         self.key = key
         self.links = links
-        self.cap = cap
         self.weight = weight
-        #: ``(virtual_finish, seq, nbytes, done, started, tail)`` tuples —
+        #: ``(virtual_finish, seq, nbytes, done, started)`` tuples —
         #: the unique ``seq`` FIFO tie-break stops heap sifts comparing
         #: payload fields, as in the exact channel.
         self.heap: List = []
@@ -207,7 +204,7 @@ class _FlowClass:
 
 
 class FluidNetwork:
-    """Network-wide flow-level engine behind the non-exact tiers.
+    """Network-wide flow-level engine behind the ``hybrid`` tier.
 
     Owns every :class:`FluidLink` it creates via :meth:`link` and every
     in-flight flow. Admission (:meth:`transfer`) groups flows into
@@ -263,21 +260,17 @@ class FluidNetwork:
         return sum(len(c.heap) for c in self._classes.values())
 
     # -- admission ----------------------------------------------------------
-    def transfer(self, nbytes: float, links, cap: Optional[float] = None,
-                 tail: float = 0.0, weight: float = 1.0,
+    def transfer(self, nbytes: float, links, weight: float = 1.0,
                  _new=Event.__new__, _cls=Event,
                  _push=_heappush) -> Event:
         """Begin moving ``nbytes`` across ``links`` jointly; returns the
-        completion event (value: elapsed time, including ``tail``).
+        completion event (value: elapsed time).
 
         ``links`` is the ordered set of :class:`FluidLink` constraints the
         flow must traverse simultaneously (NIC egress + bisection + NIC
-        ingress, say). ``cap`` optionally bounds the flow's per-slot rate
-        on top of the links' ``per_flow_cap``. ``tail`` delays only the
-        completion event — the folded-latency mechanism of the ``fluid``
-        tier — and does not extend link occupancy. ``weight`` makes the
-        flow count as ``weight`` flow-slots in max-min sharing and move
-        bytes at ``weight`` times the per-slot rate; caps bound each slot
+        ingress, say). ``weight`` makes the flow count as ``weight``
+        flow-slots in max-min sharing and move bytes at ``weight`` times
+        the per-slot rate; the links' ``per_flow_cap`` bounds each slot
         (a weight-``k`` flow may reach ``k·cap`` aggregate, exactly like
         ``k`` unit flows each capped at ``cap``), so ``k`` equal chunks
         collapse into one weight-``k`` flow with the same completion time
@@ -294,24 +287,23 @@ class FluidNetwork:
         done._defused = False
         now = env._now
         if nbytes == 0:
-            # Metadata-only op: completes after the tail alone (instantly
-            # when no latency was folded in), without occupying links.
+            # Metadata-only op: completes instantly, occupying no links.
             done._ok = True
-            done._value = tail
+            done._value = 0.0
             eseq = env._seq
             env._seq = eseq + 1
-            _push(env._heap, (now + tail, 1, eseq, done))  # 1 == NORMAL
+            _push(env._heap, (now, 1, eseq, done))  # 1 == NORMAL
             return done
         self._advance()
-        key = (tuple(link._uid for link in links), cap, weight)
+        key = (tuple(link._uid for link in links), weight)
         cls = self._classes.get(key)
         if cls is None:
-            cls = _FlowClass(key, tuple(links), cap, weight)
+            cls = _FlowClass(key, tuple(links), weight)
             self._classes[key] = cls
         seq = self._seq
         self._seq = seq + 1
         _push(cls.heap, (cls.virtual + nbytes / weight, seq, nbytes,
-                         done, now, tail))
+                         done, now))
         metered = self._any_metered
         for link in cls.links:
             n = link.active_flows = link.active_flows + 1
@@ -404,14 +396,14 @@ class FluidNetwork:
                 continue
             links = c.links
             while heap and heap[0][0] - virtual <= residue:
-                _key, _fseq, fbytes, fin, started, tail = _pop(heap)
+                _key, _fseq, fbytes, fin, started = _pop(heap)
                 if fin._value is not _PENDING:  # as Event.succeed would
                     raise SimulationError(f"{fin!r} already triggered")
                 fin._ok = True
-                fin._value = now + tail - started
+                fin._value = now - started
                 eseq = env._seq
                 env._seq = eseq + 1
-                _push(env_heap, (now + tail, 1, eseq, fin))  # 1 == NORMAL
+                _push(env_heap, (now, 1, eseq, fin))  # 1 == NORMAL
                 for link in links:
                     link.active_flows -= 1
                     link._bytes_moved += fbytes
@@ -433,7 +425,7 @@ class FluidNetwork:
 
         Per-weight-unit rate λ_c: each unfrozen class is raised uniformly
         until either a link saturates (every class crossing it freezes at
-        the bottleneck share) or its own cap binds. The single-class path
+        the bottleneck share) or its links' cap binds. The single-class path
         is special-cased to reproduce ``SharedBandwidth``'s arithmetic —
         ``bandwidth / load`` then cap clamp, in that order — which keeps
         single-channel fluid timelines bit-comparable with the exact tier.
@@ -448,7 +440,7 @@ class FluidNetwork:
             links = c.links
             load = len(c.heap) * c.weight
             rate = links[0].bandwidth / load
-            cap = c.cap
+            cap = None
             for link in links:
                 r = link.bandwidth / load
                 if r < rate:
@@ -467,7 +459,7 @@ class FluidNetwork:
         entries = []  # [class, weight_total, per-weight-unit cap]
         for c in classes.values():
             wtot = len(c.heap) * c.weight
-            cap = c.cap
+            cap = None
             for link in c.links:
                 lc = link._per_flow_cap
                 if lc is not None and (cap is None or lc < cap):

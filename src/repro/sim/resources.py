@@ -324,7 +324,7 @@ class SharedBandwidth:
         cap before the new one takes effect, so a mid-epoch change governs
         only the future — never retroactively re-prices service already
         rendered. (Historically this was a plain attribute and mid-epoch
-        assignment rewrote the elapsed epoch; the fluid tier's
+        assignment rewrote the elapsed epoch; the flow-level engine's
         ``FluidLink.per_flow_cap`` setter had the segmenting behaviour
         first.)
         """

@@ -109,7 +109,7 @@ class LustreConfig:
 class _OSS:
     """One object storage server: a service queue + asymmetric disk channels.
 
-    On the fluid tiers the disk channels live on the cluster-wide
+    On the hybrid tier the disk channels live on the cluster-wide
     :class:`~repro.sim.fluid.FluidNetwork` (preserving the per-OST write
     cap as a per-flow cap); the RPC service queue stays an exact-tier
     :class:`Resource` either way — queueing is protocol, not byte movement.

@@ -76,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jitter", type=float, default=0.05,
                         help="device/compute jitter cv")
     parser.add_argument("--fidelity", default=None,
-                        choices=["exact", "hybrid", "fluid"],
-                        help="simulation tier (default: REPRO_FIDELITY "
-                             "or exact)")
+                        choices=["exact", "hybrid"],
+                        help="simulation tier (default: exact)")
     parser.add_argument("--trace", default=None,
                         help="write a merged Chrome trace JSON of run 0 "
                              "(spans + substrate counters) here")

@@ -60,7 +60,7 @@ class WorkflowResult:
     #: invariant violations recorded by a non-fatal checker (fatal
     #: checkers raise instead; clean runs leave this empty)
     invariant_violations: List[str] = field(default_factory=list)
-    #: simulation tier the run used ("exact" / "hybrid" / "fluid"); the
+    #: simulation tier the run used ("exact" / "hybrid"); the
     #: numeric ordinal is also in ``system_stats["fidelity"]``
     fidelity: str = "exact"
 
@@ -206,10 +206,10 @@ def run_workflow(
     fatal). The checker is pure bookkeeping — it adds no simulated time
     and clean-run results are bit-identical with it on or off.
 
-    ``fidelity`` selects the simulation tier (``exact`` / ``hybrid`` /
-    ``fluid``, see :class:`repro.sim.fluid.Fidelity`): ``exact`` keeps
-    bit-reproducible per-channel timelines; the others delegate bulk byte
-    movement to a flow-level solver within the tolerances documented in
+    ``fidelity`` selects the simulation tier (``exact`` / ``hybrid``, see
+    :class:`repro.sim.fluid.Fidelity`): ``exact`` keeps bit-reproducible
+    per-channel timelines; ``hybrid`` delegates bulk byte movement to a
+    flow-level solver within the tolerances documented in
     ``docs/performance.md``.
     """
     tier = Fidelity.coerce(fidelity)

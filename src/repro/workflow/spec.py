@@ -105,7 +105,6 @@ class Fidelity(enum.Enum):
 
     EXACT = "exact"
     HYBRID = "hybrid"
-    FLUID = "fluid"
 
     @property
     def ordinal(self) -> int:
@@ -117,11 +116,6 @@ class Fidelity(enum.Enum):
         """True when bulk byte movement runs on a
         :class:`~repro.sim.fluid.FluidNetwork`."""
         return self is not Fidelity.EXACT
-
-    @property
-    def folds_latency(self) -> bool:
-        """True when fixed latencies ride as flow tails (``fluid`` only)."""
-        return self is Fidelity.FLUID
 
     @classmethod
     def coerce(cls, value) -> "Fidelity":
@@ -137,7 +131,7 @@ class Fidelity(enum.Enum):
         raise ConfigError(f"unknown fidelity {value!r}; choose from: {names}")
 
 
-_ORDINALS = {Fidelity.EXACT: 0, Fidelity.HYBRID: 1, Fidelity.FLUID: 2}
+_ORDINALS = {Fidelity.EXACT: 0, Fidelity.HYBRID: 1}
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,17 @@ def test_cache_env_default_off(tmp_path, monkeypatch):
     assert list(tmp_path.rglob("*.pkl")) == []
 
 
+def test_cache_env_turns_cache_on(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    run_repetitions(FIG5_SPEC, runs=1, jitter_cv=0.05)
+    assert len(list(tmp_path.rglob("*.pkl"))) == 1
+    # an explicit scope still wins over the environment
+    with campaign(cache=False):
+        run_repetitions(FIG5_SPEC, runs=2, jitter_cv=0.05)
+    assert len(list(tmp_path.rglob("*.pkl"))) == 1
+
+
 def test_default_cache_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
     assert default_cache_root() == str(tmp_path / "alt")

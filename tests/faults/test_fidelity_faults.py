@@ -1,8 +1,8 @@
-"""Faults × fidelity: injected faults act on the fluid-tier kernels too.
+"""Faults × fidelity: injected faults act on the hybrid tier's kernel too.
 
 The fault layer was written against the exact tier's per-channel
-:class:`~repro.sim.resources.SharedBandwidth`. On the ``hybrid``/``fluid``
-tiers every bulk byte-movement channel is a
+:class:`~repro.sim.resources.SharedBandwidth`. On the ``hybrid`` tier
+every bulk byte-movement channel is a
 :class:`~repro.sim.fluid.FluidLink` on the cluster-wide solver instead,
 and the injector's apply/revert closures go through the same surface
 (``set_bandwidth``, ``fail_link``). These tests pin that contract at two
@@ -14,7 +14,7 @@ levels:
   until ``restore_link`` fires;
 - **end-to-end**: the resilience experiment's ``build_plan`` plans
   (``dyad_crash``/``link_flap``/``ssd_degrade``/``lustre_slowdown``)
-  run to completion under both reduced tiers, apply and revert every
+  run to completion under the hybrid tier, apply and revert every
   event, cost makespan versus the clean same-tier run, and stay a pure
   function of (spec, seed, plan, tier).
 """
@@ -38,7 +38,7 @@ REL_TOL = 1e-9
 SEED = 11
 FRAMES = 4
 INTENSITY = 0.5
-TIERS = ("hybrid", "fluid")
+TIERS = ("hybrid",)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_ssd_degrade_rerates_inflight_fluid_flow():
 
 
 def test_lustre_slowdown_rerates_fluid_oss_channels():
-    cluster = Cluster(ClusterConfig(nodes=2, fidelity="fluid"))
+    cluster = Cluster(ClusterConfig(nodes=2, fidelity="hybrid"))
     env = cluster.env
     servers = LustreServers(env, cluster.fabric)
     oss = servers.oss[0]
@@ -137,13 +137,13 @@ def test_lustre_slowdown_rerates_fluid_oss_channels():
 
 
 def test_link_flap_stalls_fluid_transfer_until_restore():
-    cluster = Cluster(ClusterConfig(nodes=2, fidelity="fluid"))
+    cluster = Cluster(ClusterConfig(nodes=2, fidelity="hybrid"))
     env, fabric = cluster.env, cluster.fabric
     size = 10_000_000
     down_for = 0.25
 
     # clean twin: same transfer on a healthy fabric
-    clean_cluster = Cluster(ClusterConfig(nodes=2, fidelity="fluid"))
+    clean_cluster = Cluster(ClusterConfig(nodes=2, fidelity="hybrid"))
     timings = {}
 
     def mover(key, cl):

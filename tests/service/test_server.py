@@ -152,6 +152,18 @@ def test_bad_request_does_not_kill_connection(tmp_path):
     run(_config(tmp_path), body)
 
 
+def test_retired_fluid_tier_is_a_bad_request(tmp_path):
+    async def body(server, client):
+        bad = await client.request({"op": "submit",
+                                    "job": _job(fidelity="fluid")})
+        assert not bad["ok"] and bad["error"] == "bad_request"
+        assert "unknown fidelity 'fluid'" in bad["detail"]
+        assert await client.ping()
+        assert server.records == {}
+
+    run(_config(tmp_path), body)
+
+
 def test_unknown_job_status(tmp_path):
     async def body(server, client):
         response = await client.status("job-999")
@@ -343,6 +355,56 @@ def test_resume_runs_a_shed_job_at_its_requested_tier(tmp_path):
         events = [json.loads(line) for line in journal_file if line.strip()]
     starts = [e for e in events if e["ev"] == "start"]
     assert starts[-1]["fidelity"] == "exact"
+
+
+def test_resume_fails_a_journaled_job_of_a_retired_tier(tmp_path):
+    """A journal written while the ``fluid`` tier existed still boots:
+    a queued ``fluid`` job replays as ``failed`` naming the tier, one
+    that had finished stays ``done``, the valid job beside them completes
+    at its journaled key, and compaction keeps the verdicts across a
+    second restart."""
+    config = _config(tmp_path)
+    spec = JobSpec(tenant="alice", frames=2, seed=13)
+    key = SharedResultStore(config.cache_dir).key_for(spec)
+    journal = Journal(config.journal_path)
+    journal.append({"ev": "submit", "id": "job-0",
+                    "job": _job(tenant="bob", seed=13, fidelity="fluid"),
+                    "key": None, "t": 0.0})
+    journal.append({"ev": "submit", "id": "job-1", "job": spec.to_wire(),
+                    "key": key, "t": 0.0})
+    journal.append({"ev": "submit", "id": "job-2",
+                    "job": _job(seed=14, fidelity="fluid"),
+                    "key": "k-old", "t": 0.0})
+    journal.append({"ev": "done", "id": "job-2", "key": "k-old",
+                    "fingerprint": "f-old", "makespan": 1.5,
+                    "latency": 0.1, "source": "computed"})
+    journal.close()
+
+    async def body(server, client):
+        assert server.counters["resumed"] == 1
+        assert server.counters["failed"] == 1
+        await server._idle.wait()
+        retired = await client.status("job-0")
+        assert retired["state"] == "failed"
+        assert retired["tenant"] == "bob" and retired["fidelity"] == "fluid"
+        assert "unknown fidelity 'fluid'" in retired["error"]
+        valid = await client.status("job-1")
+        assert valid["state"] == "done" and valid["key"] == key
+        finished = await client.status("job-2")
+        assert (finished["state"], finished["error"]) == ("done", None)
+        server._compact()
+        return retired["error"]
+
+    error = run(config, body)
+
+    async def again(server, client):
+        assert server.counters["resumed"] == 0
+        retired = await client.status("job-0")
+        assert (retired["state"], retired["error"]) == ("failed", error)
+        assert (await client.status("job-1"))["state"] == "done"
+        assert (await client.status("job-2"))["state"] == "done"
+
+    run(config, again)
 
 
 # ---------------------------------------------------------------------------

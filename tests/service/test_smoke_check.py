@@ -6,11 +6,19 @@ speed: journal events per fsync, LRU hit ratio, in-flight dedup, at
 least one dispatched job and pipelined dispatch. It also counts the
 processes of the SIGKILLed server's session that outlive it, and fails
 when the restarted server loaded a module it never needs (the simulator
-only counts when the server decoded no stored result).
+only counts when the server decoded no stored result). A passing smoke
+removes the server's temporary work directory; a failing one keeps it,
+since its journal is the evidence.
 """
+
+import argparse
+import json
+import os
+import tempfile
 
 import pytest
 
+import repro.service.__main__ as main_mod
 from repro.service.__main__ import _check
 
 
@@ -83,3 +91,46 @@ def test_a_decode_at_resume_explains_the_simulator():
     report = _report(loaded=("repro.workflow.runner", "repro.sim.core",
                              "repro.sim.fluid"), decoded=1)
     assert _check(report) == []
+
+
+def _run_smoke(tmp_path, monkeypatch, report):
+    """Run ``_smoke`` with a stand-in load that leaves a journal in the
+    server's work directory; returns the exit status and the
+    ``repro-svc-*`` directories left under the redirected temp dir."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+
+    async def orchestrate(clients, workdir):
+        with open(os.path.join(workdir, "journal.jsonl"), "w") as fh:
+            fh.write(json.dumps({"ev": "submit", "id": "job-0"}) + "\n")
+        return report
+
+    monkeypatch.setattr(main_mod, "_orchestrate", orchestrate)
+    output = tmp_path / "BENCH_service.json"
+    status = main_mod._smoke(argparse.Namespace(clients=2,
+                                                output=str(output)))
+    return status, sorted(p.name for p in tmp_path.glob("repro-svc-*"))
+
+
+def _full_report(**broken):
+    report = _report(**broken)
+    report.update(throughput=1.0, latency_p50=0.1, latency_p99=0.2,
+                  server_peak_rss_mb=50.0)
+    report["sustained"]["throughput"] = 1.0
+    report["delivery"]["fetches_per_second"] = 1.0
+    return report
+
+
+def test_passing_smoke_removes_its_work_directory(tmp_path, monkeypatch):
+    status, left = _run_smoke(tmp_path, monkeypatch, _full_report())
+    assert status == 0
+    assert left == []
+
+
+def test_failing_smoke_keeps_its_journal(tmp_path, monkeypatch, capsys):
+    status, left = _run_smoke(tmp_path, monkeypatch,
+                              _full_report(dedup=0))
+    assert status == 1
+    (workdir,) = left
+    assert (tmp_path / workdir / "journal.jsonl").exists()
+    assert str(tmp_path / workdir) in capsys.readouterr().err

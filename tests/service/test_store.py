@@ -40,9 +40,9 @@ def test_key_is_content_addressed_not_tenant_addressed(open_store):
 def test_key_depends_on_effective_fidelity(open_store):
     store = open_store()
     spec = _spec()
-    fluid = dataclasses.replace(spec, fidelity="fluid")
-    assert store.key_for(spec) != store.key_for(fluid)
-    assert store.key_for(dataclasses.replace(fluid, fidelity="exact")) \
+    hybrid = dataclasses.replace(spec, fidelity="hybrid")
+    assert store.key_for(spec) != store.key_for(hybrid)
+    assert store.key_for(dataclasses.replace(hybrid, fidelity="exact")) \
         == store.key_for(spec)
 
 

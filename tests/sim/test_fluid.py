@@ -6,8 +6,8 @@ the same randomized schedules, and the same tight tolerance as the exact
 channel's differential suite — because a one-link FluidNetwork *is* a
 processor-sharing channel and must time flows identically. On top of
 that, multi-link max-min rates, weighted flows (the chunk-collapse
-mechanism), per-slot caps, mid-stream mutations, and the tail/latency
-folding contract are checked against hand-computed scenarios. Three
+mechanism), per-slot caps and mid-stream mutations are checked
+against hand-computed scenarios. Three
 scale gates at the end pin the tiers' cost in exact counts.
 """
 
@@ -251,40 +251,14 @@ def test_set_bandwidth_with_zero_flows_active():
     assert net.active_flows == 0
 
 
-def test_zero_byte_flow_completes_after_tail_only():
+def test_zero_byte_flow_completes_instantly():
     env = Environment()
     net = FluidNetwork(env)
     link = net.link(10.0)
     net.transfer(1000.0, (link,))  # a bulk flow must not delay it
-    times = _collect(env, {"z": net.transfer(0.0, (link,), tail=0.25)})
-    assert math.isclose(times["z"], 0.25, rel_tol=1e-9)
-
-
-def test_tail_delays_completion_not_occupancy():
-    """A folded tail postpones the event; the link frees at byte-drain.
-
-    Flow 1: 50 bytes, tail 10 s. Flow 2 arrives at t=5 (byte-drain of
-    flow 1, which then stops occupying the link) and gets the full
-    bandwidth: done at t=10 — before flow 1's tailed completion at 15.
-    """
-    env = Environment()
-    net = FluidNetwork(env)
-    link = net.link(10.0)
-    first = net.transfer(50.0, (link,), tail=10.0)
-
-    second_times = []
-
-    def late_arrival():
-        yield env.timeout(5.0)
-        elapsed = yield net.transfer(50.0, (link,))
-        second_times.append((env.now, elapsed))
-
-    Process(env, late_arrival())
-    times = _collect(env, {"first": first})
-    assert math.isclose(times["first"], 15.0, rel_tol=1e-9)
-    (at, elapsed), = second_times
-    assert math.isclose(at, 10.0, rel_tol=1e-9)
-    assert math.isclose(elapsed, 5.0, rel_tol=1e-9)
+    times = _collect(env, {"z": net.transfer(0.0, (link,))})
+    assert times["z"] == 0.0
+    assert link.active_flows == 0
 
 
 def test_negative_transfer_rejected():
@@ -334,12 +308,14 @@ def test_same_instant_burst_is_one_solve():
 
 def test_fidelity_coerce():
     assert Fidelity.coerce("exact") is Fidelity.EXACT
-    assert Fidelity.coerce("FLUID") is Fidelity.FLUID
+    assert Fidelity.coerce("HYBRID") is Fidelity.HYBRID
     assert Fidelity.coerce(Fidelity.HYBRID) is Fidelity.HYBRID
-    assert [f.ordinal for f in Fidelity] == [0, 1, 2]
+    assert [f.ordinal for f in Fidelity] == [0, 1]
     assert not Fidelity.EXACT.uses_fluid
-    assert Fidelity.HYBRID.uses_fluid and not Fidelity.HYBRID.folds_latency
-    assert Fidelity.FLUID.folds_latency
+    assert Fidelity.HYBRID.uses_fluid
+    # the retired flow-level tier is an unknown name like any other
+    with pytest.raises(ConfigError, match="choose from: exact, hybrid$"):
+        Fidelity.coerce("fluid")
     with pytest.raises(ConfigError):
         Fidelity.coerce("approximate")
     with pytest.raises(ConfigError):
@@ -353,9 +329,9 @@ def test_fidelity_coerce():
 
 MIB = 1 << 20
 
-#: Kernel events per tier for the 64-puller chunked-RDMA fan-in: 57x
-#: fewer on the fluid tier than on the exact one.
-FAN_IN_EVENTS = {"exact": 83_328, "hybrid": 2_728, "fluid": 1_448}
+#: Kernel events per tier for the 64-puller chunked-RDMA fan-in: 31x
+#: fewer on the hybrid tier than on the exact one.
+FAN_IN_EVENTS = {"exact": 83_328, "hybrid": 2_728}
 #: The documented tier-agreement tolerance on makespans.
 TIER_REL_TOL = 1e-3
 
@@ -380,18 +356,17 @@ def _fan_in(fidelity, pullers=64, frame=32 * MIB, chunk=4 * MIB, rounds=20):
 def test_contended_fan_in_tiers():
     clusters = {tier: _fan_in(tier) for tier in FAN_IN_EVENTS}
     assert {tier: c.env._seq for tier, c in clusters.items()} == FAN_IN_EVENTS
-    exact = clusters["exact"].env.now
-    for tier in ("hybrid", "fluid"):
-        assert math.isclose(clusters[tier].env.now, exact,
-                            rel_tol=TIER_REL_TOL), tier
-        net = clusters[tier].fluid
-        assert (net.fluid_epochs, net.rate_solves, net.flows_admitted) == (
-            20, 40, 1_280), tier
+    hybrid = clusters["hybrid"]
+    assert math.isclose(hybrid.env.now, clusters["exact"].env.now,
+                        rel_tol=TIER_REL_TOL)
+    net = hybrid.fluid
+    assert (net.fluid_epochs, net.rate_solves, net.flows_admitted) == (
+        20, 40, 1_280)
 
 
 def test_fanout_10k_nodes_matches_analytic_makespan():
     nodes, frame, rounds = 10_000, MIB, 2
-    cluster = Cluster(ClusterConfig(nodes=nodes, fidelity="fluid"))
+    cluster = Cluster(ClusterConfig(nodes=nodes, fidelity="hybrid"))
     fabric = cluster.fabric
     src = cluster.node(0).node_id
 
@@ -407,7 +382,7 @@ def test_fanout_10k_nodes_matches_analytic_makespan():
     analytic = flows * frame / fabric.config.link_bandwidth
     net = cluster.fluid
     assert net.flows_completed == flows
-    # folded latencies add microseconds to a multi-second makespan
+    # leading latencies add microseconds to a multi-second makespan
     assert abs(cluster.env.now - analytic) / analytic < 1e-2
     assert (net.fluid_epochs, net.rate_solves) == (9, 11)
 

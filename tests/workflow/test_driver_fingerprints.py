@@ -16,8 +16,8 @@ leave out:
   node: lost wake-ups held, then redelivered) and one faulted fan-out
   run (``dyad_crash`` plus transfer faults: refused gets, retries and
   dropped KVS watches, all checked by the recovery accounting);
-- one pairwise DYAD run at the ``hybrid`` tier and one pairwise Lustre
-  run at the ``fluid`` tier (non-zero ``fluid_epochs``/``rate_solves``);
+- one pairwise DYAD run at the ``hybrid`` tier (non-zero
+  ``fluid_epochs``/``rate_solves``);
 - one faulted Lustre run (``lustre_slowdown``) and one faulted XFS run
   (``ssd_degrade``), the POSIX systems' ``faults_*`` counters.
 
@@ -106,8 +106,6 @@ def tasks():
         ), transfer_fault_rate=0.2))
     out["fidelity/hybrid/pairwise/coarse/dyad"] = dict(
         spec=_spec(System.DYAD, SyncMode.COARSE), fidelity="hybrid")
-    out["fidelity/fluid/pairwise/coarse/lustre"] = dict(
-        spec=_spec(System.LUSTRE, SyncMode.COARSE), fidelity="fluid")
     out["faulted/pairwise/coarse/lustre/lustre_slowdown"] = dict(
         spec=_spec(System.LUSTRE, SyncMode.COARSE, frames=4),
         fault_plan=FaultPlan(events=(

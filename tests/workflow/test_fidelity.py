@@ -1,6 +1,6 @@
-"""Fidelity-tier differential tests: fluid/hybrid vs the exact tier.
+"""Fidelity-tier differential tests: hybrid vs the exact tier.
 
-The fluid tiers are approximations with a documented validity envelope
+The hybrid tier is an approximation with a documented validity envelope
 (``docs/performance.md``): whole-workflow timings must agree with the
 exact tier within 1e-3 relative on paper-scale configurations. These
 tests pin that contract on the fig5/fig7/fig8 shapes (at zero jitter —
@@ -71,7 +71,7 @@ def _exact(name):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-@pytest.mark.parametrize("tier", ["hybrid", "fluid"])
+@pytest.mark.parametrize("tier", ["hybrid"])
 def test_tier_within_tolerance_of_exact(name, tier):
     spec, seed = CONFIGS[name]
     exact = _exact(name)
@@ -104,7 +104,7 @@ def test_exact_is_default_and_unchanged(name):
     assert exact.system_stats["rate_solves"] == 0.0
 
 
-@pytest.mark.parametrize("tier,ordinal", [("hybrid", 1.0), ("fluid", 2.0)])
+@pytest.mark.parametrize("tier,ordinal", [("hybrid", 1.0)])
 def test_tier_metadata_and_counters(tier, ordinal):
     spec, seed = CONFIGS["fig7-dyad"]
     got = run_workflow(spec, seed=seed, jitter_cv=0.0, fidelity=tier)
